@@ -62,7 +62,15 @@ class NoiseModel:
         object.__setattr__(self, "phi", phi)
         if min_eig(self.phi11) < -1e-9:
             raise ValueError("Phi11 must be positive semidefinite")
-        if min_eig(-self.phi22) <= 0.0:
+        phi22 = self.phi22
+        diag = np.diagonal(phi22)
+        if np.count_nonzero(phi22) == np.count_nonzero(diag):
+            # a diagonal Phi22 (every ball model) has its diagonal as its
+            # spectrum; eigvalsh on the T x T block would dominate long records
+            definite = bool(np.all(-diag > 0.0))
+        else:
+            definite = min_eig(-phi22) > 0.0
+        if not definite:
             raise ValueError("-Phi22 must be positive definite")
 
     @property

@@ -143,7 +143,9 @@ def read_matrix_csv(path) -> np.ndarray:
 def write_matrix_csv(path, M) -> None:
     """Write a matrix as headerless CSV with full float round-trip precision."""
     M = as_matrix(M, name="matrix")
+    # %-formatting with "%.17g" gives the bytes format(v, ".17g") gives; rows
+    # are converted one at a time so a large matrix is never held as a list
+    line = ",".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for row in M:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+            fh.write(line % tuple(row.tolist()))

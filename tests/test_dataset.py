@@ -43,6 +43,23 @@ class TestPhiBall:
         with pytest.raises(ValueError):
             NoiseModel(phi=phi, n=1, T=2)
 
+    @pytest.mark.parametrize("entry", [0.0, 1.0])
+    def test_diagonal_phi22_checked_exactly(self, entry):
+        phi = np.diag([1.0, -1.0, -2.0, entry])
+        with pytest.raises(ValueError, match="Phi22"):
+            NoiseModel(phi=phi, n=1, T=3)
+
+    def test_nondiagonal_phi22_checked_by_eigenvalues(self):
+        # every diagonal entry of Phi22 is negative, but its eigenvalues are
+        # -3 and 1
+        phi = np.zeros((3, 3))
+        phi[0, 0] = 1.0
+        phi[1:, 1:] = [[-1.0, 2.0], [2.0, -1.0]]
+        with pytest.raises(ValueError, match="Phi22"):
+            NoiseModel(phi=phi, n=1, T=2)
+        phi[1:, 1:] = [[-2.0, 1.0], [1.0, -2.0]]
+        assert NoiseModel(phi=phi, n=1, T=2).T == 2
+
 
 class TestSimulate:
     def test_noiseless_exact(self, plant):

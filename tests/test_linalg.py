@@ -170,6 +170,13 @@ class TestCsv:
         write_matrix_csv(path, M)
         assert np.array_equal(read_matrix_csv(path), M)
 
+    def test_bytes_match_format(self, tmp_path):
+        M = np.array([[-0.0, 5e-324], [1e300, 0.1]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, M)
+        expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in M)
+        assert path.read_bytes() == expected.encode("ascii")
+
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n4,5\n")

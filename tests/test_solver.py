@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
-from structh2 import (LmiProblem, MatExpr, SolverOptions, infeasibility_residual,
-                      min_eig, solve)
+from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair,
+                      SolverOptions, default_perf, design_data, design_model,
+                      example1_perf, example1_plant, example1_subspace,
+                      infeasibility_residual, min_eig, simulate, solve, spectral_radius)
+from structh2 import solver
+from structh2.lmi import svec_len
+from structh2.solver import _AugmentedKKT, _Cone, _g_blocks, _ReducedKKT, _Scaling
+from structh2.subspace import from_pattern
 
 def scalar_bound_problem():
     prob = LmiProblem()
@@ -133,6 +140,79 @@ class TestCertificates:
         M = M @ M.T
         rep = solve(trace_floor_problem(M), SolverOptions(max_iter=1))
         assert rep.status == "NumericalTrouble"
+
+
+class TestKktSolve:
+    def random_system(self, seed=5):
+        rng = np.random.default_rng(seed)
+        cone = _Cone((3, 2))
+        N, p, M = 5, 2, cone.total
+
+        def interior_point():
+            v = np.zeros(M)
+            for d, off in zip(cone.dims, cone.offsets):
+                X = rng.standard_normal((d, d))
+                v[off:off + svec_len(d)] = cone.svec(d, X @ X.T + 0.1 * np.eye(d))
+            return v
+
+        W = _Scaling(cone, interior_point(), interior_point())
+        A = rng.standard_normal((p, N))
+        G = rng.standard_normal((M, N))
+        G[:svec_len(3), 0] = 0.0          # a column that misses the first block
+        WtW = np.column_stack([W.wtw_apply(e) for e in np.eye(M)])
+        K3 = np.block([[np.zeros((N, N)), A.T, G.T],
+                       [A, np.zeros((p, p)), np.zeros((p, M))],
+                       [G, np.zeros((M, p)), -WtW]])
+        return A, G, W, cone, K3, rng.standard_normal(N + p + M)
+
+    def test_reduced_matches_dense_solve(self):
+        A, G, W, cone, K3, rhs = self.random_system()
+        sol, err = _ReducedKKT(A, G, W, _g_blocks(cone, G)).solve(rhs)
+        assert err <= 1e-10
+        assert np.allclose(sol, np.linalg.solve(K3, rhs), rtol=1e-8, atol=1e-10)
+
+    def test_augmented_matches_dense_solve(self):
+        A, G, W, _, K3, rhs = self.random_system()
+        sol, err = _AugmentedKKT(A, G, W).solve(rhs, 1e-12)
+        assert err <= 1e-10
+        assert np.allclose(sol, np.linalg.solve(K3, rhs), rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("design", ["D1", "D2"])
+    def test_data_endgame_needs_augmented_fallback(self, design):
+        # reduced solves alone end this record's D2 design NumericalTrouble;
+        # the fallback keeps both Optimal
+        plant = example1_plant()
+        batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
+        spec = example1_subspace()
+        res = design_data(batch, example1_perf(),
+                          DesignOptions(design=design,
+                                        subspace=None if design == "D1" else spec))
+        assert res.status == "Optimal"
+
+    def test_sharing12_reduced_solve(self, monkeypatch):
+        factored = []
+
+        def counting_lu_factor(K, *args, **kwargs):
+            factored.append(K.shape[0])
+            return lu_factor(K, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "lu_factor", counting_lu_factor)
+        rng = np.random.default_rng(0)
+        n, m = 12, 6
+        A = rng.standard_normal((n, n))
+        A *= 0.7 / spectral_radius(A)
+        B = rng.standard_normal((n, m))
+        pattern = np.block([[np.ones((3, 2)), np.ones((3, 8)), np.zeros((3, 2))],
+                            [np.zeros((3, 2)), np.ones((3, 8)), np.ones((3, 2))]])
+        res = design_model(PlantPair(A=A, B=B), default_perf(n, m),
+                           DesignOptions(design="D4", subspace=from_pattern(pattern),
+                                         sharing=True))
+        assert res.status == "Optimal"
+        assert abs(res.report.iterations - 11) <= 1
+        assert res.gamma == pytest.approx(4.621524740281538, rel=1e-6)
+        # one reduced factorization per iteration, no augmented fallback
+        assert len(factored) == res.report.iterations
+        assert max(factored) == res.conic.n_reduced + res.conic.A.shape[0]
 
 
 HAS_CLARABEL = True
