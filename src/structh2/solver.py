@@ -19,13 +19,12 @@ to the cone boundary. Equality and cone rows are Ruiz-equilibrated (one scalar
 per PSD block, so cones are preserved), but convergence is declared on
 residuals of the original data. Everything is deterministic dense numpy.
 
-Each iteration solves its KKT systems through the Schur complement
-H = G^T (W^T W)^{-1} G bordered by the equalities, an (N+p)^2 matrix factored
-once per iteration, and refines every solution against the residual of the
-full (N+p+M)^2 system using products with A, G and the per-block W^T W only.
-When that refined error exceeds 1e-7 of the iterate's residual scale, which
-happens in the last iterations of data-driven designs, the solve moves for
-the rest of the run to the dense augmented system on a regularization ladder.
+Each iteration solves its KKT systems through one QR factorization of the
+NT-scaled cone rows W^{-T} G, stacked over the equalities, and refines every
+solution against the residual of the full (N+p+M)^2 system using products
+with A, G and the per-block W^T W only. The factor's error grows with the
+condition number of W^{-T} G rather than its square, which keeps the
+data-driven endgame, where W degenerates, solvable.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .lmi import ConicForm, svec_len
 
@@ -135,8 +135,7 @@ class _Scaling:
     """Nesterov-Todd scaling point per block: W z = W^{-T} s = lambda.
 
     W acts on block i as v -> svec(R_i^T mat(v) R_i), so W^T W is the
-    congruence by Wm_i = R_i R_i^T and (W^T W)^{-1} the one by
-    Wm_i^{-1} = R_i^{-T} R_i^{-1}; both are formed once per iterate.
+    congruence by Wm_i = R_i R_i^T, formed once per iterate.
     """
 
     def __init__(self, cone: _Cone, s, z):
@@ -154,9 +153,7 @@ class _Scaling:
             self.R.append(R)
             self.Rinv.append(Rinv)
             self.lam.append(sig)
-        self.wm = [R @ R.T for R in self.R]
-        self.wm_inv = [Ri.T @ Ri for Ri in self.Rinv]
-        self._wm_ext = [Wm.astype(np.longdouble) for Wm in self.wm]
+        self._wm_ext = [(R @ R.T).astype(np.longdouble) for R in self.R]
 
     def _map(self, v, left, right):
         out = np.empty_like(v)
@@ -184,9 +181,9 @@ class _Scaling:
         update, and Wm's spread near optimality swamps float64 products."""
         return self._map(v.astype(np.longdouble), self._wm_ext, self._wm_ext).astype(float)
 
-    def wtw_inv_apply(self, v):
-        """(W^T W)^{-1} v = svec(Wm^{-1} mat(v) Wm^{-1})."""
-        return self._map(v, self.wm_inv, self.wm_inv)
+    def winv_apply(self, v):
+        """W^{-1} v = svec(R^{-T} mat(v) R^{-1})."""
+        return self._map(v, [Ri.T for Ri in self.Rinv], self.Rinv)
 
     def lam_vec(self):
         """svec of the diagonal scaled point Lambda."""
@@ -279,31 +276,8 @@ def _equilibrate(A, b, G, h, c, dims, iters: int = 4):
 #     [ G   0   -W^T W ] [dz]   [r3].
 
 # Refinement passes per solve: corrections against the residual of the full
-# system (the augmented system makes this many in working precision, then up
-# to this many more against an extended-precision residual).
+# system, each reusing the iterate's factorization.
 _KKT_REFINE = 3
-
-# Largest refined error of a reduced solve, relative to the iterate's residual
-# scale, that a direction may carry. Measured on the benchmark designs: every
-# reduced solve of the 12-state sharing designs stays below 4e-8, while the
-# example1 and random data-driven designs cross this bound in their last 2-9
-# iterations (at 1e-7..4e-6 when they first do) and grow from there. Without
-# the fallback, 9 of the 20 example1 data designs that end Optimal end
-# NumericalTrouble instead.
-_REDUCED_MAX_ERR = 1e-7
-
-
-def _ruiz_sym(K, passes: int = 5):
-    """Symmetric Ruiz equilibration: (D K D, D) with D balancing row maxima."""
-    dk = np.ones(K.shape[0])
-    Ks = K
-    for _ in range(passes):
-        rowmax = np.abs(Ks).max(axis=1)
-        sc = 1.0 / np.sqrt(np.maximum(rowmax, 1e-14))
-        sc[rowmax == 0.0] = 1.0
-        dk *= sc
-        Ks = (K * dk[:, None]) * dk[None, :]
-    return Ks, dk
 
 
 def _g_blocks(cone: _Cone, G):
@@ -316,40 +290,69 @@ def _g_blocks(cone: _Cone, G):
     return out
 
 
-class _ReducedKKT:
-    """The KKT system through its Schur complement.
+class _KKT:
+    """The KKT system through a QR factorization of Gt = W^{-T} G.
 
-    dz = (W^T W)^{-1} (G dx - r3) leaves the bordered system
+    With v = W dz the system reads
 
-        [ H  A^T ] [dx]   [r1 + G^T (W^T W)^{-1} r3]
-        [ A  0   ] [dy] = [r2]
+        Gt^T v + A^T dy = r1,   A dx = r2,   Gt dx - v = W^{-T} r3,
 
-    with H = G^T (W^T W)^{-1} G = Gt^T Gt, Gt = W^{-T} G formed block by block
-    from the columns that touch each block. It is (N+p)^2 instead of
-    (N+p+M)^2 and is Ruiz-scaled and factored once per iterate. Its
-    solutions are refined against the residual of the full system, which
-    needs only products with A, G and the per-block W^T W.
+    a least-squares problem in dx bordered by the equalities. Gt is formed
+    block by block from the columns that touch each block, with A stacked
+    under it: A dx = r2 makes those rows' residual vanish, and they keep the
+    factor nonsingular when a column touches no cone. A column that no row
+    touches (a variable the model leaves unused) gets a unit row, so that its
+    equation reads dx_j = r1_j, which is 0 whenever c_j = 0. The stack
+    [Gt; A; E] = Q T is factored once per iterate, Q kept as Householder
+    reflectors, and the equalities are met through the p x p matrix F^T F
+    with F = T^{-T} A^T. Unlike the Schur complement Gt^T Gt, the factor's
+    error grows with cond(Gt), not with its square. Solutions are refined
+    against the residual of the full system, which needs only products with
+    A, G and the per-block W^T W.
     """
 
     def __init__(self, A, G, W: _Scaling, gblocks):
-        N, p = G.shape[1], A.shape[0]
-        K = np.zeros((N + p, N + p))
+        cone = W.cone
+        N, p, M = G.shape[1], A.shape[0], cone.total
+        idle = np.flatnonzero(~(np.any(G, axis=0) | np.any(A, axis=0)))
+        Gt = np.zeros((M + p + idle.size, N), order="F")
         for i, (cols, mats) in enumerate(gblocks):
-            Ri = W.Rinv[i]
-            Gt = W.cone.svec_batch(W.cone.dims[i], Ri @ mats @ Ri.T)
-            K[np.ix_(cols, cols)] += Gt @ Gt.T
-        K[:N, N:] = A.T
-        K[N:, :N] = A
-        Ks, self.dk = _ruiz_sym(K)
-        self.lu = lu_factor(Ks)
-        self.A, self.G, self.W, self.N, self.p = A, G, W, N, p
+            d, off, Ri = cone.dims[i], cone.offsets[i], W.Rinv[i]
+            Gt[off:off + svec_len(d), cols] = cone.svec_batch(d, Ri @ mats @ Ri.T).T
+        Gt[M:M + p] = A
+        Gt[M + p + np.arange(idle.size), idle] = 1.0
+        if Gt.shape[0] < N:
+            raise np.linalg.LinAlgError("fewer cone and equality rows than variables")
+        self.qr, self.tau, _, _ = dgeqrf(Gt, lwork=64 * N, overwrite_a=1)
+        # a contiguous copy: the triangular solves are several times slower
+        # on the strided view into the factor
+        self.T = np.asfortranarray(self.qr[:N])
+        if not np.all(np.diagonal(self.T)):
+            raise np.linalg.LinAlgError("the cone and equality rows leave a variable free")
+        self.F = self._tri(A.T, "T")
+        self.ftf = lu_factor(self.F.T @ self.F, check_finite=False)
+        self.A, self.G, self.W, self.N, self.p, self.M = A, G, W, N, p, M
+
+    def _tri(self, b, trans):
+        return solve_triangular(self.T, b, trans=trans, check_finite=False)
+
+    def _q(self, trans, v):
+        """Q v ("N") or Q^T v ("T"), v zero-padded to the factor's rows."""
+        c = np.zeros((self.qr.shape[0], 1))
+        c[:v.size, 0] = v
+        return dormqr("L", trans, self.qr, self.tau, c, 64, overwrite_c=1)[0][:, 0]
 
     def _solve(self, rhs):
-        N, p = self.N, self.p
+        N, p, M = self.N, self.p, self.M
         r1, r2, r3 = rhs[:N], rhs[N:N + p], rhs[N + p:]
-        t = self.W.wtw_inv_apply(r3)
-        u = self.dk * lu_solve(self.lu, self.dk * np.concatenate([r1 + self.G.T @ t, r2]))
-        return np.concatenate([u, self.W.wtw_inv_apply(self.G @ u[:N] - r3)])
+        r3t = self.W.winvt_apply(r3)
+        # w = T dx solves T^T w + A^T dy = r1 + [Gt; A; E]^T [r3t; r2; 0]
+        w = self._tri(r1, "T") + self._q("T", np.concatenate([r3t, r2]))[:N]
+        dy = lu_solve(self.ftf, self.F.T @ w - r2, check_finite=False)
+        w -= self.F @ dy
+        # Gt dx = (Q [w; 0])[:M]
+        v = self._q("N", w)[:M] - r3t
+        return np.concatenate([self._tri(w, "N"), dy, self.W.winv_apply(v)])
 
     def residual(self, rhs, sol):
         N, p = self.N, self.p
@@ -371,100 +374,6 @@ class _ReducedKKT:
             if err <= tol or k == _KKT_REFINE:
                 break
             sol = sol + self._solve(resid)
-        return best_sol, best_err
-
-
-class _AugmentedKKT:
-    """The full KKT system as one dense quasi-definite matrix.
-
-    Factored on a ladder of growing diagonal regularizations, each solve
-    refined in working precision and then polished against an
-    extended-precision residual. It is the fallback for iterates whose
-    reduced solve cannot reach the accuracy the step needs.
-    """
-
-    LADDER = (1e-13, 1e-11, 1e-9, 1e-7)
-
-    def __init__(self, A, G, W: _Scaling):
-        cone = W.cone
-        N, p, M = G.shape[1], A.shape[0], cone.total
-        WtW = np.zeros((M, M))
-        for i, d in enumerate(cone.dims):
-            lo, hi = cone.offsets[i], cone.offsets[i] + svec_len(d)
-            # columns: W^T W applied to the svec basis of S^d
-            basis = cone.smat_batch(d, np.eye(hi - lo))
-            Ob = cone.svec_batch(d, W.wm[i][None] @ basis @ W.wm[i][None])
-            WtW[lo:hi, lo:hi] = 0.5 * (Ob + Ob.T)
-        K3 = np.zeros((N + p + M, N + p + M))
-        K3[:N, N:N + p] = A.T
-        K3[N:N + p, :N] = A
-        K3[:N, N + p:] = G.T
-        K3[N + p:, :N] = G
-        K3[N + p:, N + p:] = -WtW
-        # symmetric Ruiz equilibration keeps the pivots balanced as the
-        # scaling point degenerates near optimality
-        self.K3s, self.dk = _ruiz_sym(K3)
-        self.K3 = K3
-        self.K3l = K3.astype(np.longdouble)
-        self.scale_k = 1.0 + np.abs(self.K3s).max(initial=0.0)
-        self.N = N
-        self.lus = {}
-
-    def _factor(self, idx):
-        lu = self.lus.get(idx)
-        if lu is None:
-            K3r = self.K3s.copy()
-            reg = self.LADDER[idx] * self.scale_k
-            n = K3r.shape[0]
-            K3r[np.arange(self.N), np.arange(self.N)] += reg
-            K3r[np.arange(self.N, n), np.arange(self.N, n)] -= reg
-            lu = lu_factor(K3r)
-            self.lus[idx] = lu
-        return lu
-
-    def _solve_refined(self, lu, rhs):
-        # working-precision passes first (BLAS-fast), then an
-        # extended-precision polish: float64 residuals bottom out at their
-        # own noise floor, so the final error estimate must come from the
-        # extended-precision measurement
-        dk = self.dk
-        sol = dk * lu_solve(lu, dk * rhs)
-        tol_rhs = 1e-13 * (1.0 + np.abs(rhs).max(initial=0.0))
-        prev = np.inf
-        for _ in range(_KKT_REFINE):
-            resid = rhs - self.K3 @ sol
-            err = np.abs(resid).max(initial=0.0)
-            if err >= prev or err <= tol_rhs:
-                break
-            prev = err
-            sol = sol + dk * lu_solve(lu, dk * resid)
-        best_sol, best_err = sol, np.inf
-        for _ in range(_KKT_REFINE):
-            resid = np.asarray(rhs - self.K3l @ sol.astype(np.longdouble), dtype=float)
-            err = np.abs(resid).max(initial=0.0)
-            if err >= best_err:
-                break
-            best_sol, best_err = sol, err
-            if err <= tol_rhs:
-                break
-            sol = sol + dk * lu_solve(lu, dk * resid)
-        return best_sol, best_err
-
-    def solve(self, rhs, tol):
-        """Climb the ladder from the smallest regularization until the
-        refined error is within `tol`; keep the most accurate solution rather
-        than the last attempt, so escalation can only help."""
-        best_sol, best_err = None, np.inf
-        for idx in range(len(self.LADDER)):
-            try:
-                lu = self._factor(idx)
-            except np.linalg.LinAlgError:
-                continue
-            sol, err = self._solve_refined(lu, rhs)
-            if err < best_err and np.all(np.isfinite(sol)):
-                best_sol, best_err = sol, err
-            if best_err <= tol:
-                break
         return best_sol, best_err
 
 
@@ -519,7 +428,6 @@ def _solve_embedded(conic: ConicForm, opts: SolverOptions) -> SolveReport:
         return pres, dres, gap, pobj, dobj
 
     gblocks = _g_blocks(cone, G)
-    fallback = False
     best = None      # (score, X, pobj, metrics, iteration)
     stall = 0
     it = 0
@@ -588,34 +496,13 @@ def _solve_embedded(conic: ConicForm, opts: SolverOptions) -> SolveReport:
 
         try:
             W = _Scaling(cone, s, z)
+            kkt = _KKT(A, G, W, gblocks)
         except np.linalg.LinAlgError:
             break
         lam = W.lam_vec()
 
-        # once a reduced solve misses _REDUCED_MAX_ERR the endgame stays
-        # ill-conditioned, so the rest of the run uses the augmented system
-        # (built only then)
-        reduced = None if fallback else _ReducedKKT(A, G, W, gblocks)
-        augmented = None
-
-        res_scale = 1.0 + max(np.abs(rx).max(initial=0.0),
-                              np.abs(ry).max(initial=0.0),
-                              np.abs(rz).max(initial=0.0), abs(rtau))
-
         def solve3(rxh, ryh, rzh):
-            nonlocal fallback, augmented
-            rhs = np.concatenate([rxh, -ryh, -rzh])
-            sol, err = None, np.inf
-            if not fallback:
-                sol, err = reduced.solve(rhs)
-                if err <= _REDUCED_MAX_ERR * res_scale:
-                    return sol[:N], sol[N:N + p], sol[N + p:]
-                fallback = True
-            if augmented is None:
-                augmented = _AugmentedKKT(A, G, W)
-            aug_sol, aug_err = augmented.solve(rhs, 1e-12 * res_scale)
-            if aug_sol is not None and aug_err < err:
-                sol, err = aug_sol, aug_err
+            sol, err = kkt.solve(np.concatenate([rxh, -ryh, -rzh]))
             if not np.isfinite(err):
                 return None
             return sol[:N], sol[N:N + p], sol[N + p:]

@@ -99,13 +99,11 @@ class UpsilonConstraint:
     S(I_k (x) Q) = S(Lam (x) I_n).
 
     Each equation is (q_terms, lam_terms) with terms ((row, col), coefficient);
-    the equation reads sum(q_terms on Q) + sum(lam_terms on Lam) = 0. With
-    `symmetric` set, Lam is additionally constrained to its symmetric part.
+    the equation reads sum(q_terms on Q) + sum(lam_terms on Lam) = 0.
     """
 
     n: int
     k: int
-    symmetric: bool
     equations: tuple
 
     def residual(self, Q, Lam) -> float:
@@ -119,15 +117,15 @@ class UpsilonConstraint:
         return worst
 
 
-def upsilon_constraints(spec: SubspaceSpec, symmetric_lambda: bool = False) -> UpsilonConstraint:
+def upsilon_constraints(spec: SubspaceSpec) -> UpsilonConstraint:
     """Entrywise equations of S(I_k (x) Q) = S(Lam (x) I_n).
 
     Block l of the left side is S_l Q; block l of the right side is
     sum_t Lam[t, l] S_t. One equation per (block, row, col), identically-zero
-    rows dropped. Lam defaults to a general k-by-k unknown: the sparsity
-    example and the reproduced designs require the general multiplier (see
-    also `upsilon_free_mask`), while `symmetric_lambda=True` restricts to the
-    symmetric variant, a smaller (more conservative) set.
+    rows dropped. Lam is a general k-by-k unknown here: the sparsity example
+    and the reproduced designs require the general multiplier (see also
+    `upsilon_free_mask`). A caller that declares Lam symmetric restricts to
+    the symmetric variant, a smaller (more conservative) set.
     """
     k = spec.k
     eqs = []
@@ -140,8 +138,7 @@ def upsilon_constraints(spec: SubspaceSpec, symmetric_lambda: bool = False) -> U
                                   for t, St in enumerate(spec.basis) if St[a, c] != 0.0)
                 if q_terms or lam_terms:
                     eqs.append((q_terms, lam_terms))
-    return UpsilonConstraint(n=spec.n, k=k, symmetric=symmetric_lambda,
-                             equations=tuple(eqs))
+    return UpsilonConstraint(n=spec.n, k=k, equations=tuple(eqs))
 
 
 def _lambda_lstsq(spec: SubspaceSpec, Q: np.ndarray, symmetric_lambda: bool):

@@ -117,7 +117,7 @@ def _declare_gain_vars(prob: LmiProblem, opts: DesignOptions, n: int, m: int):
         P = prob.declare_var("P", n, n, kind="symmetric")
         R = prob.declare_var("R", n, n)
         Pe, Re = MatExpr.of(P), MatExpr.of(R)
-        ups = upsilon_constraints(spec, symmetric_lambda=opts.symmetric_lambda)
+        ups = upsilon_constraints(spec)
         k = spec.k
         lam_kind = "symmetric" if opts.symmetric_lambda else "rectangular"
         Lam = prob.declare_var("Lam", k, k, kind=lam_kind)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgeqrf
 
 from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair,
                       SolverOptions, default_perf, design_data, design_model,
@@ -8,7 +8,7 @@ from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair
                       infeasibility_residual, min_eig, simulate, solve, spectral_radius)
 from structh2 import solver
 from structh2.lmi import svec_len
-from structh2.solver import _AugmentedKKT, _Cone, _g_blocks, _ReducedKKT, _Scaling
+from structh2.solver import _KKT, _Cone, _g_blocks, _Scaling
 from structh2.subspace import from_pattern
 
 def scalar_bound_problem():
@@ -94,6 +94,18 @@ class TestOptimal:
         assert rep.status == "Optimal"
         assert rep.objective == pytest.approx(0.0, abs=1e-6)
 
+    def test_unused_variable(self):
+        # a variable no cone or equality row touches leaves the KKT system
+        # singular in its column; with zero cost it stays at zero
+        prob = LmiProblem()
+        x = prob.declare_scalar("x")
+        prob.declare_scalar("unused")
+        prob.add_psd(MatExpr.of(x) - np.eye(1))
+        prob.minimize(x)
+        rep = solve(prob.compile())
+        assert rep.status == "Optimal"
+        assert rep.objective == pytest.approx(1.0, abs=1e-6)
+
 
 class TestDeterminism:
     def test_bit_for_bit(self):
@@ -143,7 +155,7 @@ class TestCertificates:
 
 
 class TestKktSolve:
-    def random_system(self, seed=5):
+    def random_system(self, seed=5, zero_col=False):
         rng = np.random.default_rng(seed)
         cone = _Cone((3, 2))
         N, p, M = 5, 2, cone.total
@@ -159,28 +171,26 @@ class TestKktSolve:
         A = rng.standard_normal((p, N))
         G = rng.standard_normal((M, N))
         G[:svec_len(3), 0] = 0.0          # a column that misses the first block
+        if zero_col:
+            G[:, 1] = 0.0                 # a column that touches no cone, only A
         WtW = np.column_stack([W.wtw_apply(e) for e in np.eye(M)])
         K3 = np.block([[np.zeros((N, N)), A.T, G.T],
                        [A, np.zeros((p, p)), np.zeros((p, M))],
                        [G, np.zeros((M, p)), -WtW]])
         return A, G, W, cone, K3, rng.standard_normal(N + p + M)
 
-    def test_reduced_matches_dense_solve(self):
-        A, G, W, cone, K3, rhs = self.random_system()
-        sol, err = _ReducedKKT(A, G, W, _g_blocks(cone, G)).solve(rhs)
-        assert err <= 1e-10
-        assert np.allclose(sol, np.linalg.solve(K3, rhs), rtol=1e-8, atol=1e-10)
-
-    def test_augmented_matches_dense_solve(self):
-        A, G, W, _, K3, rhs = self.random_system()
-        sol, err = _AugmentedKKT(A, G, W).solve(rhs, 1e-12)
+    @pytest.mark.parametrize("zero_col", [False, True])
+    def test_kkt_matches_dense_solve(self, zero_col):
+        A, G, W, cone, K3, rhs = self.random_system(zero_col=zero_col)
+        sol, err = _KKT(A, G, W, _g_blocks(cone, G)).solve(rhs)
         assert err <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K3, rhs), rtol=1e-8, atol=1e-10)
 
     @pytest.mark.parametrize("design", ["D1", "D2"])
-    def test_data_endgame_needs_augmented_fallback(self, design):
-        # reduced solves alone end this record's D2 design NumericalTrouble;
-        # the fallback keeps both Optimal
+    def test_data_endgame_stays_optimal(self, design):
+        # the scaling point degenerates in this record's last iterations; a
+        # Schur-complement solve, whose error grows with cond(W^{-T} G)^2,
+        # ends its D2 design NumericalTrouble
         plant = example1_plant()
         batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
         spec = example1_subspace()
@@ -192,11 +202,11 @@ class TestKktSolve:
     def test_sharing12_reduced_solve(self, monkeypatch):
         factored = []
 
-        def counting_lu_factor(K, *args, **kwargs):
-            factored.append(K.shape[0])
-            return lu_factor(K, *args, **kwargs)
+        def counting_dgeqrf(a, *args, **kwargs):
+            factored.append(a.shape)
+            return dgeqrf(a, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "lu_factor", counting_lu_factor)
+        monkeypatch.setattr(solver, "dgeqrf", counting_dgeqrf)
         rng = np.random.default_rng(0)
         n, m = 12, 6
         A = rng.standard_normal((n, n))
@@ -210,9 +220,10 @@ class TestKktSolve:
         assert res.status == "Optimal"
         assert abs(res.report.iterations - 11) <= 1
         assert res.gamma == pytest.approx(4.621524740281538, rel=1e-6)
-        # one reduced factorization per iteration, no augmented fallback
+        # one QR factorization of the stacked cone and equality rows per iteration
         assert len(factored) == res.report.iterations
-        assert max(factored) == res.conic.n_reduced + res.conic.A.shape[0]
+        conic = res.conic
+        assert set(factored) == {(conic.G.shape[0] + conic.A.shape[0], conic.n_reduced)}
 
 
 HAS_CLARABEL = True

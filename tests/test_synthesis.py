@@ -3,8 +3,8 @@ import pytest
 
 from structh2 import (DesignOptions, PerformanceSpec, PlantPair, SingularInnerBlock,
                       UnstableClosedLoop, certify_fixed_k, consistency, contains,
-                      design_data, design_model, h2_norm, simulate, slemma_holds,
-                      spectral_radius)
+                      design_data, design_model, h2_norm, infeasibility_residual,
+                      simulate, slemma_holds, spectral_radius, verify_data)
 from structh2.plants import EXAMPLE1_X0, default_perf
 from structh2.subspace import from_pattern
 
@@ -248,6 +248,57 @@ class TestSoundnessOverConsistencySet:
             assert min_eig(blockmat) >= -1e-6
 
 
+@pytest.mark.parametrize("design", ["D1", "D4"])
+@pytest.mark.parametrize("seed", range(6))
+def test_random_data_plant_is_decided(seed, design):
+    # the random data-driven regime: spectral radius 1.05, a pattern of
+    # density 0.6 with its diagonal forced, T = 4 (n + m)
+    n, m = 4, 2
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= 1.05 / spectral_radius(A)
+    B = rng.standard_normal((n, m))
+    pattern = (rng.uniform(size=(m, n)) < 0.6).astype(int)
+    pattern[np.arange(m), np.arange(m)] = 1
+    batch, _ = simulate(PlantPair(A=A, B=B), np.zeros(n), None, 0.02, seed=seed,
+                        exponent=2, T=4 * (n + m))
+    perf = default_perf(n, m)
+    spec = from_pattern(pattern)
+    res = design_data(batch, perf, opts_for(design, spec))
+    assert res.status in ("Optimal", "Infeasible")
+    if res.status == "Infeasible":
+        assert infeasibility_residual(res.conic, res.report.certificate) <= 1e-7
+        return
+    report = verify_data(batch, perf, res.K, res.gamma, samples=50, seed=seed,
+                         subspace=None if design == "D1" else spec)
+    assert report.ok, report.violations
+    assert slemma_holds(res.P, res.R, res.L, res.alpha, res.beta, batch.psi, perf.E)
+
+
+def test_large_data_driven_sharing_embedded():
+    rng = np.random.default_rng(0)
+    n, m = 12, 6
+    A = rng.standard_normal((n, n))
+    A *= 0.7 / spectral_radius(A)
+    B = rng.standard_normal((n, m))
+    pattern = np.block([[np.ones((3, 2)), np.ones((3, 8)), np.zeros((3, 2))],
+                        [np.zeros((3, 2)), np.ones((3, 8)), np.ones((3, 2))]]).astype(int)
+    plant = PlantPair(A=A, B=B)
+    perf = default_perf(n, m)
+    spec = from_pattern(pattern)
+    batch, _ = simulate(plant, np.zeros(n), None, 0.05, seed=3, exponent=2, T=50)
+    res = design_data(batch, perf, DesignOptions(design="D4", subspace=spec, sharing=True))
+    assert res.status == "Optimal"
+    assert np.abs(res.K.sum(axis=0)).max() <= 1e-6
+    assert np.abs(res.K[pattern == 0]).max() <= 1e-6
+    h2 = h2_norm(plant.A + plant.B @ res.K, perf.E, perf.C + perf.D @ res.K)
+    assert h2 <= res.gamma + 1e-4 * (1.0 + res.gamma)
+    assert slemma_holds(res.P, res.R, res.L, res.alpha, res.beta, batch.psi, perf.E)
+    report = verify_data(batch, perf, res.K, res.gamma, samples=50, seed=0,
+                         subspace=spec, sharing=True)
+    assert report.ok, report.violations
+
+
 HAS_CLARABEL = True
 try:
     import clarabel  # noqa: F401
@@ -257,8 +308,8 @@ except ImportError:
 
 @pytest.mark.skipif(not HAS_CLARABEL, reason="clarabel not installed")
 def test_large_data_driven_sharing_via_external_backend():
-    # the 12-state data-driven regime sits beyond the embedded solver's
-    # accuracy envelope; the external backend covers it
+    # the design of test_large_data_driven_sharing_embedded, solved by the
+    # external backend
     from structh2 import SolverOptions
 
     rng = np.random.default_rng(0)
