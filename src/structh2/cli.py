@@ -51,9 +51,12 @@ def _path(cfg, value) -> str:
     return value if os.path.isabs(value) else os.path.join(cfg["_base"], value)
 
 
-def _read(cfg, value, name):
+def _read(cfg, section, key, name):
+    """Read the CSV matrix that section[key] names."""
+    if not isinstance(section, dict) or key not in section:
+        raise ConfigError(f"{name}: missing key")
     try:
-        return read_matrix_csv(_path(cfg, value))
+        return read_matrix_csv(_path(cfg, section[key]))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -67,8 +70,8 @@ def _resolve_plant(cfg):
         sub = plants.example1_subspace()
         x0 = plants.EXAMPLE1_X0.copy()
     elif isinstance(plant_cfg, dict):
-        A = _read(cfg, plant_cfg["a"], "plant.a")
-        B = _read(cfg, plant_cfg["b"], "plant.b")
+        A = _read(cfg, plant_cfg, "a", "plant.a")
+        B = _read(cfg, plant_cfg, "b", "plant.b")
         plant = PlantPair(A=A, B=B)
         perf = plants.default_perf(plant.n, plant.m)
         sub = None
@@ -77,13 +80,18 @@ def _resolve_plant(cfg):
         raise ConfigError(f"unknown plant {plant_cfg!r}; use 'example1' or file paths")
     if "perf" in cfg:
         pc = cfg["perf"]
-        perf = PerformanceSpec(C=_read(cfg, pc["c"], "perf.c"),
-                               D=_read(cfg, pc["d"], "perf.d"),
-                               E=_read(cfg, pc["e"], "perf.e"))
-    if "pattern" in cfg:
-        sub = from_pattern(read_pattern_csv(_path(cfg, cfg["pattern"])))
-    elif "basis" in cfg:
-        sub = from_basis(read_basis_csv(_path(cfg, cfg["basis"])))
+        perf = PerformanceSpec(C=_read(cfg, pc, "c", "perf.c"),
+                               D=_read(cfg, pc, "d", "perf.d"),
+                               E=_read(cfg, pc, "e", "perf.e"))
+    if "pattern" in cfg or "basis" in cfg:
+        key = "pattern" if "pattern" in cfg else "basis"
+        try:
+            if key == "pattern":
+                sub = from_pattern(read_pattern_csv(_path(cfg, cfg[key])))
+            else:
+                sub = from_basis(read_basis_csv(_path(cfg, cfg[key])))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     if "x0" in cfg:
         x0 = np.asarray(cfg["x0"], dtype=float)
     return plant, perf, sub, x0
@@ -93,8 +101,7 @@ def _solver_options(cfg) -> SolverOptions:
     sc = cfg.get("solver", {})
     return SolverOptions(tol_feas=float(sc.get("tol_feas", 1e-8)),
                          tol_gap=float(sc.get("tol_gap", 1e-7)),
-                         max_iter=int(sc.get("max_iter", 200)),
-                         backend=sc.get("backend", "embedded"))
+                         max_iter=int(sc.get("max_iter", 200)))
 
 
 def _design_options(cfg, design, subspace) -> DesignOptions:

@@ -1,4 +1,4 @@
-"""Dense matrix kernel: Kronecker products, Lyapunov solves, spectral oracles.
+"""Dense matrix kernel: Lyapunov solves, spectral oracles, CSV matrix I/O.
 
 Matrices are plain float ndarrays. Symmetric matrices are kept symmetric by
 construction: run solver or file input through `symmetrize` before trusting
@@ -41,12 +41,6 @@ def symmetrize(M, name="matrix") -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square to symmetrize, got {M.shape}")
     return 0.5 * (M + M.T)
-
-
-def kron(A, B) -> np.ndarray:
-    A = as_matrix(A, name="A")
-    B = as_matrix(B, name="B")
-    return np.kron(A, B)
 
 
 def spectral_radius(A) -> float:

@@ -16,6 +16,7 @@ such rows, which keeps the compiled problems dense-solver sized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,29 +32,38 @@ def svec_len(d: int) -> int:
     return d * (d + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
+def svec_tables(d: int):
+    """Index tables of the svec of a d x d matrix: the flat positions of its
+    row-major upper triangle and of their mirrors, the svec position of every
+    entry, the sqrt(2) scale of every svec position and the divisor of every
+    entry. Cached per d and read-only."""
+    r, c = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[r, c] = pos[c, r] = np.arange(r.size)
+    tables = (r * d + c, c * d + r, pos, np.where(r == c, 1.0, _SQRT2),
+              np.where(np.eye(d, dtype=bool), 1.0, _SQRT2))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def svec(M: np.ndarray) -> np.ndarray:
     """Row-major upper-triangle svec with sqrt(2) off-diagonal scaling."""
-    d = M.shape[0]
-    iu = np.triu_indices(d)
-    scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-    return 0.5 * (M[iu] + M.T[iu]) * scale
+    up, lo, _, scale, _ = svec_tables(M.shape[0])
+    M = M.reshape(-1)
+    return 0.5 * (M[up] + M[lo]) * scale
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d)
-    scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-    M = np.zeros((d, d))
-    M[iu] = np.asarray(v) / scale
-    return M + M.T - np.diag(np.diag(M))
+    _, _, pos, _, div = svec_tables(d)
+    return np.asarray(v)[pos] / div
 
 
 def vecrow_to_svec(C: np.ndarray, d: int) -> np.ndarray:
     """Map coefficient columns from vec_row(d*d) space into svec space."""
-    iu_r, iu_c = np.triu_indices(d)
-    rows1 = iu_r * d + iu_c
-    rows2 = iu_c * d + iu_r
-    scale = np.where(iu_r == iu_c, 1.0, _SQRT2)
-    return 0.5 * (C[rows1] + C[rows2]) * scale[:, None]
+    up, lo, _, scale, _ = svec_tables(d)
+    return 0.5 * (C[up] + C[lo]) * scale[:, None]
 
 
 # --- variables and affine matrix expressions ------------------------------
@@ -67,28 +77,29 @@ class MatrixVar:
     rows: int
     cols: int
     kind: str                       # "symmetric" | "rectangular" | "scalar"
-    mask: np.ndarray | None         # bool, True = free entry
     offset: int                     # start in the stacked free-entry vector
     nfree: int
-    lift: np.ndarray                # (rows*cols, nfree): vec_row(value) = lift @ xfree
+    index: np.ndarray               # (rows, cols) local free index, -1 = forced zero
 
     def entry_free(self, i: int, j: int) -> int | None:
         """Local free index carrying entry (i, j), or None if forced zero."""
-        col = np.nonzero(self.lift[i * self.cols + j])[0]
-        return int(col[0]) if col.size else None
+        f = int(self.index[i, j])
+        return None if f < 0 else f
 
     def value(self, xfree: np.ndarray) -> np.ndarray:
-        return (self.lift @ xfree).reshape(self.rows, self.cols)
+        # the appended zero is what index -1 picks
+        return np.append(np.asarray(xfree, dtype=float), 0.0)[self.index]
 
     def free_values(self, M: np.ndarray) -> np.ndarray:
         """Extract the free-entry vector from a full matrix (inverse of value)."""
         M = np.asarray(M, dtype=float)
         if M.shape != (self.rows, self.cols):
             raise DimensionMismatch(f"{self.name}: expected shape {(self.rows, self.cols)}")
-        # lift columns are disjoint 0/1 selections (symmetric entries duplicated),
-        # so a scaled pseudo-inverse is a plain normalized transpose product
-        colsum = self.lift.sum(axis=0)
-        return (self.lift.T @ M.reshape(-1)) / colsum
+        # a symmetric free entry is the average of its pair
+        on = self.index >= 0
+        idx = self.index[on]
+        return (np.bincount(idx, weights=M[on], minlength=self.nfree)
+                / np.bincount(idx, minlength=self.nfree))
 
 
 def _build_var(vid, name, rows, cols, kind, mask, offset) -> MatrixVar:
@@ -103,24 +114,18 @@ def _build_var(vid, name, rows, cols, kind, mask, offset) -> MatrixVar:
             raise DimensionMismatch(f"{name}: mask shape {mask.shape} != {(rows, cols)}")
         if kind == "symmetric" and not np.array_equal(mask, mask.T):
             raise ValueError(f"{name}: symmetric variable needs a symmetric mask")
-    free = []
+    free = np.ones((rows, cols), dtype=bool) if mask is None else mask
     if kind == "symmetric":
-        for i in range(rows):
-            for j in range(i, cols):
-                if mask is None or mask[i, j]:
-                    free.append((i, j))
-    else:
-        for i in range(rows):
-            for j in range(cols):
-                if mask is None or mask[i, j]:
-                    free.append((i, j))
-    lift = np.zeros((rows * cols, len(free)))
-    for f, (i, j) in enumerate(free):
-        lift[i * cols + j, f] = 1.0
-        if kind == "symmetric":
-            lift[j * cols + i, f] = 1.0
+        free = np.triu(free)
+    # free entries are numbered in row-major order; a symmetric variable's
+    # lower triangle mirrors its upper one
+    nfree = int(np.count_nonzero(free))
+    index = np.full((rows, cols), -1, dtype=np.intp)
+    index[free] = np.arange(nfree)
+    if kind == "symmetric":
+        index = np.maximum(index, index.T)
     return MatrixVar(vid=vid, name=name, rows=rows, cols=cols, kind=kind,
-                     mask=mask, offset=offset, nfree=len(free), lift=lift)
+                     offset=offset, nfree=nfree, index=index)
 
 
 class MatExpr:
@@ -142,7 +147,11 @@ class MatExpr:
 
     @staticmethod
     def of(var: MatrixVar) -> "MatExpr":
-        return MatExpr(var.rows, var.cols, coeff={var.vid: var.lift.copy()})
+        flat = var.index.reshape(-1)
+        on = np.flatnonzero(flat >= 0)
+        coeff = np.zeros((flat.size, var.nfree))
+        coeff[on, flat[on]] = 1.0
+        return MatExpr(var.rows, var.cols, coeff={var.vid: coeff})
 
     @staticmethod
     def scaled(var: MatrixVar, C) -> "MatExpr":

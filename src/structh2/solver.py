@@ -1,4 +1,4 @@
-"""Conic backend: dense primal-dual interior-point solver for PSD programs.
+"""Conic solver: dense primal-dual interior-point solver for PSD programs.
 
 Solves the compiled standard form
 
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.linalg.lapack import dgeqrf, dormqr
 
-from .lmi import ConicForm, svec_len
+from .lmi import ConicForm, svec_len, svec_tables
 
 
 @dataclass
@@ -45,7 +45,6 @@ class SolverOptions:
     tol_infeas: float = 1e-9
     max_iter: int = 200
     step_frac: float = 0.98
-    backend: str = "embedded"       # "embedded" | "external"
     verbose: bool = False
 
 
@@ -58,29 +57,13 @@ class SolveReport:
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
     certificate: dict | None = None
-    backend: str = "embedded"
-
-
-def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
-    opts = opts or SolverOptions()
-    if conic.bad_rows:
-        # contradictory equalities detected at compile time
-        return SolveReport(status="Infeasible", x=None, objective=None,
-                           residuals={"feas": 0.0, "gap": 0.0},
-                           certificate={"kind": "presolve_contradiction",
-                                        "rows": len(conic.bad_rows), "residual": 0.0},
-                           backend=opts.backend)
-    if opts.backend == "external":
-        return _solve_clarabel(conic, opts)
-    if opts.backend != "embedded":
-        raise ValueError(f"unknown solver backend {opts.backend!r}")
-    return _solve_embedded(conic, opts)
 
 
 # --- cone utilities ---------------------------------------------------------
 
 class _Cone:
-    """Index bookkeeping and gather-based smat/svec for a product of PSD blocks."""
+    """Index bookkeeping and gather-based smat/svec for a product of PSD blocks,
+    on the per-dimension tables of `lmi.svec_tables`."""
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
@@ -91,38 +74,30 @@ class _Cone:
             off += svec_len(d)
         self.total = off
         self.degree = sum(self.dims)
-        self._scale, self._pos, self._div, self._flat = {}, {}, {}, {}
-        for d in set(self.dims):
-            r, c = np.triu_indices(d)
-            self._scale[d] = np.where(r == c, 1.0, np.sqrt(2.0))
-            # svec position of every entry of a d x d matrix, its divisor, and
-            # the flat positions of the upper triangle and of its mirror
-            pos = np.empty((d, d), dtype=np.intp)
-            pos[r, c] = pos[c, r] = np.arange(r.size)
-            self._pos[d] = pos
-            self._div[d] = np.where(np.eye(d, dtype=bool), 1.0, np.sqrt(2.0))
-            self._flat[d] = (r * d + c, c * d + r)
+        self._tables = {d: svec_tables(d) for d in set(self.dims)}
 
     def blocks(self, v):
         for d, off in zip(self.dims, self.offsets):
             yield d, v[off:off + svec_len(d)]
 
     def smat(self, d, v):
-        return v[self._pos[d]] / self._div[d]
+        _, _, pos, _, div = self._tables[d]
+        return v[pos] / div
 
     def svec(self, d, M):
-        up, lo = self._flat[d]
+        up, lo, _, scale, _ = self._tables[d]
         M = M.reshape(-1)
-        return 0.5 * (M[up] + M[lo]) * self._scale[d]
+        return 0.5 * (M[up] + M[lo]) * scale
 
     def smat_batch(self, d, V):
         """(k, dsvec) rows -> (k, d, d) symmetric matrices."""
-        return V[:, self._pos[d]] / self._div[d]
+        _, _, pos, _, div = self._tables[d]
+        return V[:, pos] / div
 
     def svec_batch(self, d, M):
-        up, lo = self._flat[d]
+        up, lo, _, scale, _ = self._tables[d]
         M = M.reshape(M.shape[0], d * d)
-        return 0.5 * (M[:, up] + M[:, lo]) * self._scale[d]
+        return 0.5 * (M[:, up] + M[:, lo]) * scale
 
     def identity(self):
         e = np.zeros(self.total)
@@ -377,13 +352,20 @@ class _KKT:
         return best_sol, best_err
 
 
-# --- the embedded solver ----------------------------------------------------
+# --- the solver -------------------------------------------------------------
 
-def _solve_embedded(conic: ConicForm, opts: SolverOptions) -> SolveReport:
+def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
+    opts = opts or SolverOptions()
+    if conic.bad_rows:
+        # contradictory equalities detected at compile time
+        return SolveReport(status="Infeasible", x=None, objective=None,
+                           residuals={"feas": 0.0, "gap": 0.0},
+                           certificate={"kind": "presolve_contradiction",
+                                        "rows": len(conic.bad_rows), "residual": 0.0})
     A0, b0, G0, h0, c0 = conic.A, conic.b, conic.G, conic.h, conic.c
     dims = conic.dims
     if not dims:
-        raise ValueError("the embedded solver needs at least one PSD block")
+        raise ValueError("the solver needs at least one PSD block")
     N = conic.n_reduced
     p = A0.shape[0]
     cone = _Cone(dims)
@@ -446,7 +428,7 @@ def _solve_embedded(conic: ConicForm, opts: SolverOptions) -> SolveReport:
                                objective=pobj + conic.obj_const,
                                dual_objective=dobj + conic.obj_const,
                                residuals={"feas": max(pres, dres), "gap": gap},
-                               iterations=it, backend="embedded")
+                               iterations=it)
         # primal infeasibility: (y, z) ray with A^T y + G^T z = 0, b^T y + h^T z < 0
         Yr = drA * y if p else np.zeros(0)
         Zr = drG * z
@@ -462,8 +444,7 @@ def _solve_embedded(conic: ConicForm, opts: SolverOptions) -> SolveReport:
                                    iterations=it,
                                    certificate={"kind": "primal_infeasibility",
                                                 "y": Yc, "z": Zc,
-                                                "residual": float(res)},
-                                   backend="embedded")
+                                                "residual": float(res)})
         # unboundedness: x ray with A x = 0, G x + s = 0, c^T x < 0
         Xr = dcol * x
         Sr = s / drG
@@ -478,8 +459,7 @@ def _solve_embedded(conic: ConicForm, opts: SolverOptions) -> SolveReport:
                                    residuals={"feas": res, "gap": 0.0},
                                    iterations=it,
                                    certificate={"kind": "unboundedness", "x": Xc,
-                                                "residual": float(res)},
-                                   backend="embedded")
+                                                "residual": float(res)})
         if it == opts.max_iter or stall >= 8:
             break
         if score > 1e3 * best[0] and best[0] < 1e-4:
@@ -600,13 +580,13 @@ def _solve_embedded(conic: ConicForm, opts: SolverOptions) -> SolveReport:
     if best is not None:
         return SolveReport(status="NumericalTrouble", x=best[1],
                            objective=best[2] + conic.obj_const,
-                           residuals=best[3], iterations=it, backend="embedded")
+                           residuals=best[3], iterations=it)
     X, Y, Z = candidates()
     pres, dres, gap, pobj, dobj = residual_metrics(X, Y, Z)
     return SolveReport(status="NumericalTrouble", x=X,
                        objective=pobj + conic.obj_const,
                        residuals={"feas": max(pres, dres), "gap": gap},
-                       iterations=it, backend="embedded")
+                       iterations=it)
 
 
 def infeasibility_residual(conic: ConicForm, certificate: dict) -> float:
@@ -628,94 +608,3 @@ def infeasibility_residual(conic: ConicForm, certificate: dict) -> float:
         eig_viol = max(eig_viol, -float(np.linalg.eigvalsh(cone.smat(d, zb))[0]))
     return max(float(np.abs(res).max(initial=0.0)), eig_viol)
 
-
-# --- optional external backend ---------------------------------------------
-
-def _clarabel_perm(d: int) -> np.ndarray:
-    """Map row-major-upper svec positions to column-major-upper positions."""
-    pos = {}
-    idx = 0
-    for i in range(d):
-        for j in range(i, d):
-            pos[(i, j)] = idx
-            idx += 1
-    perm = []
-    for j in range(d):
-        for i in range(j + 1):
-            perm.append(pos[(i, j)])
-    return np.asarray(perm)
-
-
-def _solve_clarabel(conic: ConicForm, opts: SolverOptions) -> SolveReport:
-    try:
-        import clarabel
-        from scipy import sparse
-    except ImportError as exc:  # pragma: no cover
-        raise RuntimeError("solver.backend='external' needs the clarabel package") from exc
-
-    N = conic.n_reduced
-    perm_rows = []
-    off = 0
-    for d in conic.dims:
-        perm_rows.append(off + _clarabel_perm(d))
-        off += svec_len(d)
-    perm = np.concatenate(perm_rows) if perm_rows else np.zeros(0, dtype=int)
-
-    Gp = conic.G[perm]
-    hp = conic.h[perm]
-    Amat = sparse.csc_matrix(np.vstack([conic.A, Gp]))
-    bvec = np.concatenate([conic.b, hp])
-    cones = []
-    if conic.A.shape[0]:
-        cones.append(clarabel.ZeroConeT(conic.A.shape[0]))
-    cones.extend(clarabel.PSDTriangleConeT(d) for d in conic.dims)
-    settings = clarabel.DefaultSettings()
-    settings.verbose = opts.verbose
-    settings.max_iter = opts.max_iter
-    solver = clarabel.DefaultSolver(sparse.csc_matrix((N, N)), conic.c,
-                                    Amat, bvec, cones, settings)
-    sol = solver.solve()
-    name = str(sol.status)
-    p = conic.A.shape[0]
-    zfull = np.asarray(sol.z, dtype=float)
-    zcone = np.zeros(conic.G.shape[0])
-    zcone[perm] = zfull[p:]
-    if name in ("Solved", "AlmostSolved"):
-        x = np.asarray(sol.x, dtype=float)
-        cone = _Cone(conic.dims)
-        slack = conic.h - conic.G @ x
-        viol = 0.0
-        for d, vb in cone.blocks(slack):
-            viol = max(viol, -float(np.linalg.eigvalsh(cone.smat(d, vb))[0]))
-        pres = max(viol, 0.0) / (1.0 + np.abs(conic.h).max(initial=0.0))
-        if p:
-            pres = max(pres, np.abs(conic.A @ x - conic.b).max()
-                       / (1.0 + np.abs(conic.b).max(initial=0.0)))
-        status = "Optimal" if name == "Solved" else "NumericalTrouble"
-        dobj = -float(np.concatenate([conic.b, hp]) @ zfull)
-        return SolveReport(status=status, x=x,
-                           objective=float(conic.c @ x) + conic.obj_const,
-                           dual_objective=dobj + conic.obj_const,
-                           residuals={"feas": float(pres), "gap": 0.0},
-                           iterations=int(sol.iterations), backend="external")
-    if name in ("PrimalInfeasible", "AlmostPrimalInfeasible"):
-        cert = {"kind": "primal_infeasibility", "y": zfull[:p], "z": zcone}
-        res = infeasibility_residual(conic, cert)
-        if res <= 1e-7:
-            cert["residual"] = float(res)
-            denom = -(float(conic.b @ zfull[:p]) if p else 0.0) - float(conic.h @ zcone)
-            cert["y"], cert["z"] = zfull[:p] / denom, zcone / denom
-            return SolveReport(status="Infeasible", x=None, objective=None,
-                               residuals={"feas": res, "gap": 0.0},
-                               iterations=int(sol.iterations),
-                               certificate=cert, backend="external")
-        return SolveReport(status="NumericalTrouble", x=None, objective=None,
-                           iterations=int(sol.iterations), backend="external")
-    if name in ("DualInfeasible", "AlmostDualInfeasible"):
-        return SolveReport(status="Unbounded", x=None, objective=None,
-                           iterations=int(sol.iterations),
-                           certificate={"kind": "unboundedness",
-                                        "x": np.asarray(sol.x, dtype=float)},
-                           backend="external")
-    return SolveReport(status="NumericalTrouble", x=None, objective=None,
-                       iterations=int(getattr(sol, "iterations", 0)), backend="external")

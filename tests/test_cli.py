@@ -261,3 +261,37 @@ def test_basis_file_subspace(tmp_path, capsys):
     K = read_matrix_csv(tmp_path / "out" / "D4" / "k.csv")
     assert abs(K[0, 0] - K[1, 0]) <= 1e-6
     assert abs(K[0, 1] - K[1, 1]) <= 1e-6
+
+
+class TestConfigErrors:
+    def _plant_files(self, tmp_path):
+        (tmp_path / "a.csv").write_text("0.5,0\n0,0.5\n")
+        (tmp_path / "b.csv").write_text("1,0\n0,1\n")
+        return {"a": str(tmp_path / "a.csv"), "b": str(tmp_path / "b.csv")}
+
+    def _design_exit(self, tmp_path, capsys, **cfg):
+        path = write_cfg(tmp_path / "c.json", designs=["D4"],
+                         output_dir=str(tmp_path / "out"), **cfg)
+        code = main(["design", "--config", path])
+        return code, capsys.readouterr().err
+
+    def test_missing_pattern_file(self, tmp_path, capsys):
+        code, err = self._design_exit(tmp_path, capsys, plant="example1",
+                                      pattern=str(tmp_path / "nope.csv"))
+        assert code == 2
+        assert err.startswith("config error: pattern:")
+
+    def test_dependent_basis(self, tmp_path, capsys):
+        (tmp_path / "basis.csv").write_text("1,0\n0,0\n\n2,0\n0,0\n")
+        code, err = self._design_exit(tmp_path, capsys, plant=self._plant_files(tmp_path),
+                                      basis=str(tmp_path / "basis.csv"))
+        assert code == 2
+        assert err.startswith("config error: basis:")
+        assert "linearly dependent" in err
+
+    def test_plant_without_b(self, tmp_path, capsys):
+        plant = self._plant_files(tmp_path)
+        del plant["b"]
+        code, err = self._design_exit(tmp_path, capsys, plant=plant)
+        assert code == 2
+        assert err.startswith("config error: plant.b:")

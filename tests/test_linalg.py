@@ -1,52 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
 from structh2 import (DimensionMismatch, UnstableMatrix, dlyap_series, h2_norm,
-                      is_psd, kron, min_eig, read_matrix_csv, solve_dlyap,
+                      is_psd, min_eig, read_matrix_csv, solve_dlyap,
                       spectral_radius, symmetrize, write_matrix_csv)
 
 
 def rand(rng, r, c):
     return rng.standard_normal((r, c))
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_column_vectors(self):
-        got = kron([[1.0], [2.0]], [[0.0], [3.0]])
-        assert np.array_equal(got, [[0.0], [3.0], [0.0], [6.0]])
-
-    def test_zero_annihilates(self):
-        A = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(kron(A, [[0.0]]), np.zeros((2, 3)))
-
-    def test_shape(self):
-        assert kron(np.ones((2, 3)), np.ones((4, 5))).shape == (8, 15)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2 ** 31), st.integers(1, 3), st.integers(1, 3),
-           st.integers(1, 3), st.integers(1, 3))
-    def test_mixed_product(self, seed, ra, ca, rb, cb):
-        rng = np.random.default_rng(seed)
-        A, C = rand(rng, ra, ca), rand(rng, ca, 2)
-        B, D = rand(rng, rb, cb), rand(rng, cb, 2)
-        lhs = kron(A, B) @ kron(C, D)
-        rhs = kron(A @ C, B @ D)
-        assert np.abs(lhs - rhs).max() <= 1e-10
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2 ** 31))
-    def test_bilinear(self, seed):
-        rng = np.random.default_rng(seed)
-        A, A2, B = rand(rng, 2, 3), rand(rng, 2, 3), rand(rng, 3, 2)
-        lhs = kron(2.0 * A + A2, B)
-        rhs = 2.0 * kron(A, B) + kron(A2, B)
-        assert np.abs(lhs - rhs).max() <= 1e-10
 
 
 class TestDlyap:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,13 @@ class TestVariables:
         assert D.nfree == 4
 
     def test_symmetric_value_round_trip(self):
-        prob = LmiProblem()
-        P = prob.declare_var("P", 3, 3, kind="symmetric")
         M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-        assert np.array_equal(P.value(P.free_values(M)), M)
+        masked = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], bool)
+        for mask in (None, masked):
+            prob = LmiProblem()
+            P = prob.declare_var("P", 3, 3, kind="symmetric", mask=mask)
+            want = M if mask is None else np.where(mask, M, 0.0)
+            assert np.array_equal(P.value(P.free_values(want)), want)
 
     def test_masked_entries_are_zero(self):
         prob = LmiProblem()
@@ -32,6 +37,17 @@ class TestVariables:
         assert V.entry_free(0, 1) is None
         out = V.value(np.array([5.0, 7.0]))
         assert np.array_equal(out, np.diag([5.0, 7.0]))
+
+    def test_declaring_allocates_no_dense_lift(self):
+        # a dense (rows*cols x nfree) 0/1 lift of this variable is 20 MB
+        prob = LmiProblem()
+        tracemalloc.start()
+        try:
+            prob.declare_var("X", 40, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestSvec:

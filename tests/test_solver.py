@@ -224,42 +224,3 @@ class TestKktSolve:
         assert len(factored) == res.report.iterations
         conic = res.conic
         assert set(factored) == {(conic.G.shape[0] + conic.A.shape[0], conic.n_reduced)}
-
-
-HAS_CLARABEL = True
-try:
-    import clarabel  # noqa: F401
-except ImportError:
-    HAS_CLARABEL = False
-
-
-@pytest.mark.skipif(not HAS_CLARABEL, reason="clarabel not installed")
-class TestExternalBackend:
-    @pytest.mark.parametrize("builder", [
-        scalar_bound_problem,
-        lambda: trace_floor_problem(np.diag([1.0, 3.0])),
-    ])
-    def test_agrees_with_embedded(self, builder):
-        conic = builder()
-        inside = solve(conic, SolverOptions(backend="embedded"))
-        outside = solve(conic, SolverOptions(backend="external"))
-        assert inside.status == outside.status == "Optimal"
-        assert inside.objective == pytest.approx(outside.objective, rel=1e-6)
-
-    def test_external_infeasibility(self):
-        prob = LmiProblem()
-        x = prob.declare_scalar("x")
-        prob.add_psd(MatExpr.of(x) - np.eye(1))
-        prob.add_psd(-1.0 * MatExpr.of(x))
-        prob.minimize(x)
-        conic = prob.compile()
-        rep = solve(conic, SolverOptions(backend="external"))
-        assert rep.status == "Infeasible"
-        assert infeasibility_residual(conic, rep.certificate) <= 1e-7
-
-
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        solve(scalar_bound_problem(), SolverOptions(backend="sedumi"))

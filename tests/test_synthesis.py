@@ -297,38 +297,3 @@ def test_large_data_driven_sharing_embedded():
     report = verify_data(batch, perf, res.K, res.gamma, samples=50, seed=0,
                          subspace=spec, sharing=True)
     assert report.ok, report.violations
-
-
-HAS_CLARABEL = True
-try:
-    import clarabel  # noqa: F401
-except ImportError:
-    HAS_CLARABEL = False
-
-
-@pytest.mark.skipif(not HAS_CLARABEL, reason="clarabel not installed")
-def test_large_data_driven_sharing_via_external_backend():
-    # the design of test_large_data_driven_sharing_embedded, solved by the
-    # external backend
-    from structh2 import SolverOptions
-
-    rng = np.random.default_rng(0)
-    n, m = 12, 6
-    A = rng.standard_normal((n, n))
-    A *= 0.7 / spectral_radius(A)
-    B = rng.standard_normal((n, m))
-    pattern = np.block([[np.ones((3, 2)), np.ones((3, 8)), np.zeros((3, 2))],
-                        [np.zeros((3, 2)), np.ones((3, 8)), np.ones((3, 2))]]).astype(int)
-    plant = PlantPair(A=A, B=B)
-    perf = default_perf(n, m)
-    spec = from_pattern(pattern)
-    batch, _ = simulate(plant, np.zeros(n), None, 0.05, seed=3, exponent=2, T=50)
-    res = design_data(batch, perf,
-                      DesignOptions(design="D4", subspace=spec, sharing=True,
-                                    solver=SolverOptions(backend="external")))
-    assert res.status == "Optimal"
-    assert np.abs(res.K.sum(axis=0)).max() <= 1e-6
-    assert np.abs(res.K[pattern == 0]).max() <= 1e-6
-    h2 = h2_norm(plant.A + plant.B @ res.K, perf.E, perf.C + perf.D @ res.K)
-    assert h2 <= res.gamma + 1e-4 * (1.0 + res.gamma)
-    assert slemma_holds(res.P, res.R, res.L, res.alpha, res.beta, batch.psi, perf.E)
