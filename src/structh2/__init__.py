@@ -13,9 +13,8 @@ from .lmi import ConicForm, LmiProblem, MatExpr, MatrixVar, block, smat, svec
 from .plants import (EXAMPLE1_PATTERN, EXAMPLE1_X0, default_perf, example1_perf,
                      example1_plant, example1_subspace)
 from .solver import SolveReport, SolverOptions, infeasibility_residual, solve
-from .subspace import (SubspaceSpec, UpsilonConstraint, contains, from_basis,
-                       from_pattern, upsilon_constraints, upsilon_free_mask,
-                       upsilon_member)
+from .subspace import (SubspaceSpec, contains, from_basis, from_pattern,
+                       upsilon_constraints, upsilon_free_mask, upsilon_member)
 from .synthesis import (DESIGNS, DesignOptions, PerformanceSpec, SynthesisResult,
                         certify_fixed_k, design_data, design_model, slemma_holds)
 from .verification import VerificationReport, verify_data, verify_model

@@ -47,8 +47,27 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _path(cfg, value) -> str:
+def _path(cfg, value, name) -> str:
+    """The config value under key name as a path relative to the config file."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name}: expected a path string, got {value!r}")
     return value if os.path.isabs(value) else os.path.join(cfg["_base"], value)
+
+
+def _value(kind, value, name):
+    """kind(value) for the config value under key name (kind is float, int, ...)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _section(cfg, key) -> dict:
+    """The config object under key, {} when absent."""
+    sec = cfg.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{key}: expected an object, got {sec!r}")
+    return sec
 
 
 def _read(cfg, section, key, name):
@@ -56,7 +75,7 @@ def _read(cfg, section, key, name):
     if not isinstance(section, dict) or key not in section:
         raise ConfigError(f"{name}: missing key")
     try:
-        return read_matrix_csv(_path(cfg, section[key]))
+        return read_matrix_csv(_path(cfg, section[key], name))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -85,23 +104,24 @@ def _resolve_plant(cfg):
                                E=_read(cfg, pc, "e", "perf.e"))
     if "pattern" in cfg or "basis" in cfg:
         key = "pattern" if "pattern" in cfg else "basis"
+        path = _path(cfg, cfg[key], key)
         try:
             if key == "pattern":
-                sub = from_pattern(read_pattern_csv(_path(cfg, cfg[key])))
+                sub = from_pattern(read_pattern_csv(path))
             else:
-                sub = from_basis(read_basis_csv(_path(cfg, cfg[key])))
+                sub = from_basis(read_basis_csv(path))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     if "x0" in cfg:
-        x0 = np.asarray(cfg["x0"], dtype=float)
+        x0 = _value(lambda v: np.asarray(v, dtype=float), cfg["x0"], "x0")
     return plant, perf, sub, x0
 
 
 def _solver_options(cfg) -> SolverOptions:
-    sc = cfg.get("solver", {})
-    return SolverOptions(tol_feas=float(sc.get("tol_feas", 1e-8)),
-                         tol_gap=float(sc.get("tol_gap", 1e-7)),
-                         max_iter=int(sc.get("max_iter", 200)))
+    sc = _section(cfg, "solver")
+    return SolverOptions(tol_feas=_value(float, sc.get("tol_feas", 1e-8), "solver.tol_feas"),
+                         tol_gap=_value(float, sc.get("tol_gap", 1e-7), "solver.tol_gap"),
+                         max_iter=_value(int, sc.get("max_iter", 200), "solver.max_iter"))
 
 
 def _design_options(cfg, design, subspace) -> DesignOptions:
@@ -109,27 +129,39 @@ def _design_options(cfg, design, subspace) -> DesignOptions:
         raise ConfigError(f"unknown design {design!r}; choose from {DESIGNS}")
     if design != "D1" and subspace is None:
         raise ConfigError(f"{design} needs a 'pattern' or 'basis' in the config")
+    gamma = cfg.get("gamma")
     return DesignOptions(design=design,
                          subspace=None if design == "D1" else subspace,
                          sharing=bool(cfg.get("sharing", False)),
-                         eta=float(cfg.get("eta", 1e-3)),
-                         gamma=cfg.get("gamma"),
+                         eta=_value(float, cfg.get("eta", 1e-3), "eta"),
+                         gamma=None if gamma is None else _value(float, gamma, "gamma"),
                          solver=_solver_options(cfg))
 
 
 def _noise_cfg(cfg):
-    nc = cfg.get("noise", {})
-    T = int(nc.get("T", 20))
+    nc = _section(cfg, "noise")
+    T = _value(int, nc.get("T", 20), "noise.T")
     if T < 1:
         raise ConfigError("T must be >= 1")
-    eps = float(nc.get("eps", 0.1))
+    eps = _value(float, nc.get("eps", 0.1), "noise.eps")
     if eps < 0:
         raise ConfigError("eps must be nonnegative")
-    return eps, T, int(nc.get("seed", 0)), int(nc.get("exponent", 1))
+    return (eps, T, _value(int, nc.get("seed", 0), "noise.seed"),
+            _value(int, nc.get("exponent", 1), "noise.exponent"))
+
+
+def _load_data(cfg):
+    """The batch saved under data_dir, for mode 'data'."""
+    if cfg.get("data_dir") is None:
+        raise ConfigError("mode 'data' needs a data_dir with a saved batch")
+    try:
+        return load_batch(_path(cfg, cfg["data_dir"], "data_dir"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"could not load batch: {exc}") from exc
 
 
 def _out_dir(cfg) -> str:
-    out = _path(cfg, cfg.get("output_dir", "out"))
+    out = _path(cfg, cfg.get("output_dir", "out"), "output_dir")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -140,7 +172,10 @@ def cmd_simulate(cfg) -> int:
     batch, W = simulate(plant, x0, None, eps, seed=seed, exponent=exponent, T=T)
     resid = float(np.abs(batch.xplus - (plant.A @ batch.xminus
                                         + plant.B @ batch.uminus + W)).max())
-    outdir = _path(cfg, cfg.get("data_dir", os.path.join(cfg.get("output_dir", "out"), "batch")))
+    if "data_dir" in cfg:
+        outdir = _path(cfg, cfg["data_dir"], "data_dir")
+    else:
+        outdir = os.path.join(_path(cfg, cfg.get("output_dir", "out"), "output_dir"), "batch")
     save_batch(batch, outdir)
     print(f"T={T} eps={eps:g} residual={resid:.17g}")
     print(f"wrote batch to {outdir}")
@@ -174,13 +209,7 @@ def cmd_design(cfg) -> int:
     mode = cfg.get("mode", "model")
     batch = None
     if mode == "data":
-        ddir = cfg.get("data_dir")
-        if ddir is None:
-            raise ConfigError("mode 'data' needs a data_dir with a saved batch")
-        try:
-            batch = load_batch(_path(cfg, ddir))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"could not load batch: {exc}") from exc
+        batch = _load_data(cfg)
     elif mode != "model":
         raise ConfigError(f"mode must be 'model' or 'data', got {mode!r}")
     outdir = _out_dir(cfg)
@@ -219,11 +248,14 @@ def _cell(res: SynthesisResult) -> str:
 def cmd_sweep(cfg) -> int:
     plant, perf, sub, x0 = _resolve_plant(cfg)
     designs = cfg.get("designs", list(DESIGNS))
-    sweep = cfg.get("sweep")
+    sweep = _section(cfg, "sweep")
     if not sweep:
         raise ConfigError("sweep command needs a 'sweep' section")
-    eps_list = [float(v) for v in sweep.get("eps", [])]
-    t_list = [int(v) for v in sweep.get("T", [])]
+    eps_list, t_list = sweep.get("eps", []), sweep.get("T", [])
+    if not (isinstance(eps_list, list) and isinstance(t_list, list)):
+        raise ConfigError("sweep 'eps' and 'T' must be lists")
+    eps_list = [_value(float, v, "sweep.eps") for v in eps_list]
+    t_list = [_value(int, v, "sweep.T") for v in t_list]
     if not eps_list or not t_list:
         raise ConfigError("sweep needs non-empty 'eps' and 'T' lists")
     if len(eps_list) > 1 and len(t_list) > 1:
@@ -276,12 +308,12 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
-    vc = cfg.get("verify", {})
+    vc = _section(cfg, "verify")
     kpath = vc.get("k")
     if kpath is None:
         raise ConfigError("verify needs 'verify.k' pointing at a gain CSV")
     try:
-        K = read_matrix_csv(_path(cfg, kpath))
+        K = read_matrix_csv(_path(cfg, kpath, "verify.k"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"could not read K: {exc}") from exc
     plant, perf, sub, _ = _resolve_plant(cfg)
@@ -290,22 +322,20 @@ def cmd_verify(cfg) -> int:
     sharing = bool(cfg.get("sharing", False))
     mode = cfg.get("mode", "model")
     if mode == "data":
-        ddir = cfg.get("data_dir")
-        if ddir is None:
-            raise ConfigError("mode 'data' needs a data_dir with a saved batch")
-        try:
-            batch = load_batch(_path(cfg, ddir))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"could not load batch: {exc}") from exc
+        batch = _load_data(cfg)
         gamma = vc.get("gamma")
         if gamma is None and "result" in vc:
-            with open(_path(cfg, vc["result"]), "r", encoding="ascii") as fh:
-                gamma = json.load(fh).get("gamma")
+            try:
+                with open(_path(cfg, vc["result"], "verify.result"), "r",
+                          encoding="ascii") as fh:
+                    gamma = json.load(fh).get("gamma")
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"verify.result: {exc}") from exc
         if gamma is None:
             raise ConfigError("data verification needs 'verify.gamma' or 'verify.result'")
-        report = verify_data(batch, perf, K, float(gamma),
-                             samples=int(vc.get("samples", 200)),
-                             seed=int(vc.get("seed", 0)),
+        report = verify_data(batch, perf, K, _value(float, gamma, "verify.gamma"),
+                             samples=_value(int, vc.get("samples", 200), "verify.samples"),
+                             seed=_value(int, vc.get("seed", 0), "verify.seed"),
                              subspace=sub, sharing=sharing,
                              truth=plant if cfg.get("plant") is not None else None)
     else:

@@ -10,8 +10,7 @@ lowers everything to the standard conic form
 in scaled symmetric vectorization (off-diagonals times sqrt(2), so plain dot
 products agree with matrix inner products), along with an invertible decode
 map back to named variables. A pin/alias presolve removes equalities touching
-at most two scalar unknowns; structured-gain couplings consist entirely of
-such rows, which keeps the compiled problems dense-solver sized.
+at most two scalar unknowns.
 """
 
 from __future__ import annotations
@@ -300,7 +299,6 @@ class LmiProblem:
     vars: list = field(default_factory=list)
     blocks: list = field(default_factory=list)
     eq_exprs: list = field(default_factory=list)
-    eq_rows: list = field(default_factory=list)   # (dict[global_idx, coef], rhs)
     objective: MatExpr | None = None
 
     def declare_var(self, name, rows, cols, kind="rectangular", mask=None) -> MatrixVar:
@@ -327,14 +325,6 @@ class LmiProblem:
         expr = expr if isinstance(expr, MatExpr) else MatExpr.constant(expr)
         self._check_declared(expr)
         self.eq_exprs.append(expr)
-
-    def add_equality_rows(self, rows) -> None:
-        """Raw sparse equalities over global free indices: (coeffs, rhs) pairs."""
-        self.eq_rows.extend((dict(r), float(rhs)) for r, rhs in rows)
-
-    def global_index(self, var: MatrixVar, i: int, j: int) -> int | None:
-        f = var.entry_free(i, j)
-        return None if f is None else var.offset + f
 
     def trace_leq(self, Q: MatrixVar, g: MatrixVar) -> None:
         """Add the 1x1 block g - Tr(Q) >= 0."""
@@ -382,7 +372,6 @@ class LmiProblem:
                         coeffs[gi] = coeffs.get(gi, 0.0) + float(cmat[e, f])
                 if coeffs or consts[e] != 0.0:
                     rows.append((coeffs, -float(consts[e])))
-        rows.extend((dict(r), rhs) for r, rhs in self.eq_rows)
 
         if presolve:
             sub, kept, bad = _presolve(rows, N)

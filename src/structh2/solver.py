@@ -37,14 +37,17 @@ from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .lmi import ConicForm, svec_len, svec_tables
 
+# fraction of the step to the cone boundary that each iteration takes
+_STEP_FRAC = 0.98
+# relative residual below which an infeasibility or unboundedness ray certifies
+_TOL_INFEAS = 1e-9
+
 
 @dataclass
 class SolverOptions:
     tol_feas: float = 1e-8
     tol_gap: float = 1e-7
-    tol_infeas: float = 1e-9
     max_iter: int = 200
-    step_frac: float = 0.98
     verbose: bool = False
 
 
@@ -438,7 +441,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             res = np.abs(G0.T @ Zc + (A0.T @ Yc if p else 0.0)).max(initial=0.0)
             scale_c = 1.0 + max(np.abs(Zc).max(initial=0.0),
                                 np.abs(Yc).max(initial=0.0))
-            if res <= opts.tol_infeas * scale_c:
+            if res <= _TOL_INFEAS * scale_c:
                 return SolveReport(status="Infeasible", x=None, objective=None,
                                    residuals={"feas": res, "gap": 0.0},
                                    iterations=it,
@@ -454,7 +457,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             res = np.abs(G0 @ Xc + Sc).max(initial=0.0)
             if p:
                 res = max(res, np.abs(A0 @ Xc).max())
-            if res <= opts.tol_infeas * (1.0 + np.abs(Xc).max(initial=0.0)):
+            if res <= _TOL_INFEAS * (1.0 + np.abs(Xc).max(initial=0.0)):
                 return SolveReport(status="Unbounded", x=None, objective=None,
                                    residuals={"feas": res, "gap": 0.0},
                                    iterations=it,
@@ -552,7 +555,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             break
         dx, dy, dz, ds, dtau, dkappa = step
 
-        alpha = min(1.0, opts.step_frac * boundary_step(dz, ds, dtau, dkappa))
+        alpha = min(1.0, _STEP_FRAC * boundary_step(dz, ds, dtau, dkappa))
         if not np.isfinite(alpha) or alpha <= 0:
             break
         stall = stall + 1 if alpha < 1e-4 else 0

@@ -6,10 +6,13 @@ the common special case; basis order for patterns is the row-major scan of
 the free positions, so representation matrices and constraint indices are
 reproducible.
 
-Upsilon(S) is the convex set of square matrices R for which membership of L
-in S plus invertibility of R force L R^{-1} back into S. It is encoded as the
-linear system S(I_k (x) Q) = S(Lam (x) I_n) in (Q, Lam); Lam stays an explicit
-unknown (eliminated only in the least-squares membership test below).
+Upsilon(S) is the set of square matrices R for which membership of L in S
+plus invertibility of R force L R^{-1} back into S. The paper writes it as
+S(I_k (x) R) = S(M (x) I_n) with a k-by-k multiplier M; block l reads
+S_l R = sum_t M[t, l] S_t, and since the S_t are independent M is fixed by R.
+Upsilon(S) = {R : S_l R in S for every l} is therefore itself a subspace,
+returned by `upsilon_constraints`; the least-squares membership test
+`upsilon_member` keeps the multiplier as an independent check.
 """
 
 from __future__ import annotations
@@ -40,10 +43,15 @@ class SubspaceSpec:
         """Horizontal concatenation [S_1 ... S_k], shape m x (n*k)."""
         return np.hstack(self.basis)
 
+    @property
+    def vec_basis(self) -> np.ndarray:
+        """Row-major vecs of the basis as columns, shape (m*n) x k."""
+        return np.column_stack([S.reshape(-1) for S in self.basis])
+
     def project(self, K) -> np.ndarray:
         """Orthogonal projection of K onto the subspace."""
         K = as_matrix(K, rows=self.m, cols=self.n, name="K")
-        B = np.column_stack([S.reshape(-1) for S in self.basis])
+        B = self.vec_basis
         coef, *_ = np.linalg.lstsq(B, K.reshape(-1), rcond=None)
         return (B @ coef).reshape(self.m, self.n)
 
@@ -59,13 +67,7 @@ def from_pattern(pattern) -> SubspaceSpec:
     if not np.all((P == 0) | (P == 1)):
         raise ValueError("pattern entries must be 0 or 1")
     m, n = P.shape
-    basis = []
-    for i in range(m):
-        for j in range(n):
-            if P[i, j] == 1:
-                S = np.zeros((m, n))
-                S[i, j] = 1.0
-                basis.append(S)
+    basis = [np.eye(1, m * n, f).reshape(m, n) for f in np.flatnonzero(P == 1)]
     if not basis:
         raise EmptySubspace("pattern has no free entries")
     return SubspaceSpec(m=m, n=n, basis=tuple(basis), pattern=P.astype(int))
@@ -93,92 +95,46 @@ def contains(spec: SubspaceSpec, K, tol: float = 1e-7) -> bool:
     return bool(resid <= tol * (1.0 + np.linalg.norm(K)))
 
 
-@dataclass(frozen=True)
-class UpsilonConstraint:
-    """Linear equalities on (Q in R^{n x n}, Lam in R^{k x k}) entrywise equal to
-    S(I_k (x) Q) = S(Lam (x) I_n).
+def upsilon_constraints(spec: SubspaceSpec) -> SubspaceSpec:
+    """Upsilon(S) = {R : S_l R in S for every l} as a subspace of n-by-n matrices.
 
-    Each equation is (q_terms, lam_terms) with terms ((row, col), coefficient);
-    the equation reads sum(q_terms on Q) + sum(lam_terms on Lam) = 0.
+    A pattern subspace gives the pattern of `upsilon_free_mask`. A general
+    basis gives the null space of R -> (P vec(S_l R))_l, where P projects onto
+    the complement of span(S) and row-major vec(S_l R) = (S_l (x) I_n) vec(R).
+    The rank tolerance scales with the S_l, not with the map's largest
+    singular value: when Upsilon(S) is everything the map is pure roundoff.
     """
-
-    n: int
-    k: int
-    equations: tuple
-
-    def residual(self, Q, Lam) -> float:
-        Q = as_matrix(Q, rows=self.n, cols=self.n, name="Q")
-        Lam = as_matrix(Lam, rows=self.k, cols=self.k, name="Lam")
-        worst = 0.0
-        for q_terms, lam_terms in self.equations:
-            val = sum(c * Q[r, s] for (r, s), c in q_terms)
-            val += sum(c * Lam[t, l] for (t, l), c in lam_terms)
-            worst = max(worst, abs(val))
-        return worst
+    if spec.pattern is not None:
+        return from_pattern(upsilon_free_mask(spec))
+    n = spec.n
+    U, _ = np.linalg.qr(spec.vec_basis)
+    M = np.vstack([K - U @ (U.T @ K)
+                   for K in (np.kron(S, np.eye(n)) for S in spec.basis)])
+    _, sv, Vt = np.linalg.svd(M)
+    tol = max(M.shape) * np.finfo(float).eps * max(np.linalg.norm(S, 2) for S in spec.basis)
+    return from_basis(Vt[int(np.count_nonzero(sv > tol)):].reshape(-1, n, n))
 
 
-def upsilon_constraints(spec: SubspaceSpec) -> UpsilonConstraint:
-    """Entrywise equations of S(I_k (x) Q) = S(Lam (x) I_n).
+def _lambda_lstsq(spec: SubspaceSpec, Q: np.ndarray):
+    """Least-squares Lam for S(I (x) Q) = S(Lam (x) I) and its residual.
 
-    Block l of the left side is S_l Q; block l of the right side is
-    sum_t Lam[t, l] S_t. One equation per (block, row, col), identically-zero
-    rows dropped. Lam is a general k-by-k unknown here: the sparsity example
-    and the reproduced designs require the general multiplier (see also
-    `upsilon_free_mask`). A caller that declares Lam symmetric restricts to
-    the symmetric variant, a smaller (more conservative) set.
+    Block l reads S_l Q = sum_t Lam[t, l] S_t: one fit per column of Lam.
     """
-    k = spec.k
-    eqs = []
-    for l, Sl in enumerate(spec.basis):
-        for a in range(spec.m):
-            for c in range(spec.n):
-                q_terms = tuple((((r, c), float(Sl[a, r])))
-                                for r in range(spec.n) if Sl[a, r] != 0.0)
-                lam_terms = tuple((((t, l), float(-St[a, c])))
-                                  for t, St in enumerate(spec.basis) if St[a, c] != 0.0)
-                if q_terms or lam_terms:
-                    eqs.append((q_terms, lam_terms))
-    return UpsilonConstraint(n=spec.n, k=k, equations=tuple(eqs))
+    B = spec.vec_basis
+    target = np.column_stack([(S @ Q).reshape(-1) for S in spec.basis])
+    Lam, *_ = np.linalg.lstsq(B, target, rcond=None)
+    return Lam, float(np.linalg.norm(B @ Lam - target))
 
 
-def _lambda_lstsq(spec: SubspaceSpec, Q: np.ndarray, symmetric_lambda: bool):
-    """Least-squares Lam for S(I (x) Q) = S(Lam (x) I) and its residual."""
-    k, m, n = spec.k, spec.m, spec.n
-    target = np.hstack([S @ Q for S in spec.basis]).reshape(-1)
-    # columns: d(target)/d(Lam[t, l]) = vec of S_t placed in block l
-    if symmetric_lambda:
-        pairs = [(t, l) for t in range(k) for l in range(t, k)]
-    else:
-        pairs = [(t, l) for t in range(k) for l in range(k)]
-    cols = np.zeros((m * n * k, len(pairs)))
-    for idx, (t, l) in enumerate(pairs):
-        block = np.zeros((m, n * k))
-        block[:, l * n:(l + 1) * n] = spec.basis[t]
-        cols[:, idx] = block.reshape(-1)
-        if symmetric_lambda and t != l:
-            block2 = np.zeros((m, n * k))
-            block2[:, t * n:(t + 1) * n] = spec.basis[l]
-            cols[:, idx] += block2.reshape(-1)
-    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    resid = np.linalg.norm(cols @ coef - target)
-    Lam = np.zeros((k, k))
-    for idx, (t, l) in enumerate(pairs):
-        Lam[t, l] = coef[idx]
-        if symmetric_lambda:
-            Lam[l, t] = coef[idx]
-    return Lam, float(resid)
-
-
-def upsilon_member(spec: SubspaceSpec, Q, tol: float = 1e-7,
-                   symmetric_lambda: bool = False) -> bool:
+def upsilon_member(spec: SubspaceSpec, Q, tol: float = 1e-7) -> bool:
     """True iff some Lam achieves ||S(I (x) Q) - S(Lam (x) I)||_F <= tol * (1 + ||Q||_F)."""
     Q = as_matrix(Q, rows=spec.n, cols=spec.n, name="Q")
-    _, resid = _lambda_lstsq(spec, Q, symmetric_lambda)
+    _, resid = _lambda_lstsq(spec, Q)
     return bool(resid <= tol * (1.0 + np.linalg.norm(Q)))
 
 
 def upsilon_free_mask(spec: SubspaceSpec) -> np.ndarray:
-    """Free-entry mask of Upsilon(S) for pattern subspaces (general Lam).
+    """Free-entry mask of Upsilon(S) for pattern subspaces.
 
     Entry (j, c) of Q may be nonzero iff every pattern row i with a free
     (i, j) also has (i, c) free. For the 2x3 example pattern this reproduces
@@ -188,18 +144,9 @@ def upsilon_free_mask(spec: SubspaceSpec) -> np.ndarray:
     """
     if spec.pattern is None:
         raise ValueError("upsilon_free_mask needs a pattern-derived subspace")
-    P = spec.pattern
-    n = spec.n
-    mask = np.ones((n, n), dtype=bool)
-    for j in range(n):
-        rows = np.where(P[:, j] == 1)[0]
-        if rows.size == 0:
-            continue
-        allowed = np.ones(n, dtype=bool)
-        for i in rows:
-            allowed &= P[i, :] == 1
-        mask[j, :] = allowed
-    return mask
+    # (j, c) is blocked by each row i with (i, j) free and (i, c) not
+    free = (spec.pattern == 1).astype(int)
+    return free.T @ (1 - free) == 0
 
 
 def read_pattern_csv(path) -> np.ndarray:

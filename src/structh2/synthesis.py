@@ -7,7 +7,7 @@ structure handling:
   D1  unstructured gain (no subspace constraint),
   D2  P = R diagonal with L in the subspace,
   D3  R diagonal with L in the subspace,
-  D4  R in Upsilon(S) (explicit multiplier coupling) with L in the subspace.
+  D4  R in Upsilon(S) = {R : S_l R in S for every l} with L in the subspace.
 
 Every design minimizes gamma^2 (kept linear as a scalar variable g) subject
 to the two coupled PSD blocks in (P, Q, R, L); strict definiteness is handled
@@ -73,7 +73,6 @@ class DesignOptions:
     eta: float = 1e-3
     gamma: float | None = None            # None: minimize; value: feasibility test
     eta_beta: float = 1e-9                # replaces the open condition beta > 0
-    symmetric_lambda: bool = False
     fixed_alpha: float | None = None      # pins the S-procedure multiplier (tests)
     solver: SolverOptions = field(default_factory=SolverOptions)
 
@@ -99,55 +98,34 @@ class SynthesisResult:
     conic: object = None
 
 
+def _subspace_var(prob: LmiProblem, name: str, spec: SubspaceSpec) -> MatExpr:
+    """A variable ranging over spec: masked for a pattern, otherwise a
+    coefficient vector times the basis."""
+    if spec.pattern is not None:
+        return MatExpr.of(prob.declare_var(name, spec.m, spec.n,
+                                           mask=spec.pattern.astype(bool)))
+    coef = prob.declare_var(name, spec.k, 1)
+    return MatExpr(spec.m, spec.n, coeff={coef.vid: spec.vec_basis})
+
+
 def _declare_gain_vars(prob: LmiProblem, opts: DesignOptions, n: int, m: int):
-    """Declare (P, R, L) per design; returns expressions plus decode closures."""
+    """Declare (P, R, L) per design; returns their expressions."""
     spec = opts.subspace
-    if opts.design == "D1":
-        P = prob.declare_var("P", n, n, kind="symmetric")
-        R = prob.declare_var("R", n, n)
-        Pe, Re = MatExpr.of(P), MatExpr.of(R)
-    elif opts.design == "D2":
+    if opts.design == "D2":
         PR = prob.declare_var("P", n, n, kind="symmetric", mask=np.eye(n, dtype=bool))
         Pe = Re = MatExpr.of(PR)
-    elif opts.design == "D3":
-        P = prob.declare_var("P", n, n, kind="symmetric")
-        R = prob.declare_var("R", n, n, mask=np.eye(n, dtype=bool))
-        Pe, Re = MatExpr.of(P), MatExpr.of(R)
-    else:  # D4
-        P = prob.declare_var("P", n, n, kind="symmetric")
-        R = prob.declare_var("R", n, n)
-        Pe, Re = MatExpr.of(P), MatExpr.of(R)
-        ups = upsilon_constraints(spec)
-        k = spec.k
-        lam_kind = "symmetric" if opts.symmetric_lambda else "rectangular"
-        Lam = prob.declare_var("Lam", k, k, kind=lam_kind)
-        Rv = prob.vars[R.vid]
-        rows = []
-        for q_terms, lam_terms in ups.equations:
-            coeffs = {}
-            for (r, s), cv in q_terms:
-                gi = prob.global_index(Rv, r, s)
-                if gi is not None:
-                    coeffs[gi] = coeffs.get(gi, 0.0) + cv
-            for (t, l), cv in lam_terms:
-                gi = prob.global_index(Lam, t, l)
-                if gi is not None:
-                    coeffs[gi] = coeffs.get(gi, 0.0) + cv
-            if coeffs:
-                rows.append((coeffs, 0.0))
-        prob.add_equality_rows(rows)
-
-    if opts.design == "D1":
-        L = prob.declare_var("L", m, n)
-        Le = MatExpr.of(L)
-    elif spec.pattern is not None:
-        L = prob.declare_var("L", m, n, mask=spec.pattern.astype(bool))
-        Le = MatExpr.of(L)
     else:
-        # general subspace: L = sum_l a_l S_l through a coefficient vector
-        a = prob.declare_var("Lcoef", spec.k, 1)
-        basis = np.column_stack([S.reshape(-1) for S in spec.basis])
-        Le = MatExpr(m, n, coeff={a.vid: basis.copy()})
+        Pe = MatExpr.of(prob.declare_var("P", n, n, kind="symmetric"))
+        if opts.design == "D1":
+            Re = MatExpr.of(prob.declare_var("R", n, n))
+        elif opts.design == "D3":
+            Re = MatExpr.of(prob.declare_var("R", n, n, mask=np.eye(n, dtype=bool)))
+        else:  # D4
+            Re = _subspace_var(prob, "R", upsilon_constraints(spec))
+    if opts.design == "D1":
+        Le = MatExpr.of(prob.declare_var("L", m, n))
+    else:
+        Le = _subspace_var(prob, "L", spec)
     return Pe, Re, Le
 
 
@@ -165,7 +143,7 @@ def _finish(opts: DesignOptions, report: SolveReport, conic, values: dict,
         return SynthesisResult(status=report.status, report=report, conic=conic,
                                **(data_vals or {}))
     P = symmetrize(values["P"])
-    R = values["R"] if "R" in values else P.copy()
+    R = values["R"]
     Q = symmetrize(values["Q"])
     L = values["L"]
     inner = min_eig(R + R.T - P)
@@ -186,12 +164,11 @@ def _finish(opts: DesignOptions, report: SolveReport, conic, values: dict,
     return out
 
 
-def _decode_values(conic, report: SolveReport, opts: DesignOptions) -> dict:
+def _decode_values(conic, report: SolveReport, gain_exprs) -> dict:
+    """Named variable values, with P, R and L evaluated from their expressions."""
     values = conic.decode(report.x)
-    if "Lcoef" in values:
-        spec = opts.subspace
-        coef = values["Lcoef"].reshape(-1)
-        values["L"] = sum(c * S for c, S in zip(coef, spec.basis))
+    assign = conic.local_assign(report.x)
+    values.update(zip("PRL", (e.value(assign) for e in gain_exprs)))
     return values
 
 
@@ -229,7 +206,7 @@ def design_model(plant: PlantPair, perf: PerformanceSpec, opts: DesignOptions) -
 
     conic = prob.compile()
     report = solve(conic, opts.solver)
-    values = _decode_values(conic, report, opts) if report.status == "Optimal" else {}
+    values = _decode_values(conic, report, (Pe, Re, Le)) if report.status == "Optimal" else {}
     return _finish(opts, report, conic, values)
 
 
@@ -323,7 +300,7 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
     report = solve(conic, opts.solver)
     if report.status != "Optimal":
         return SynthesisResult(status=report.status, report=report, conic=conic)
-    values = _decode_values(conic, report, opts)
+    values = _decode_values(conic, report, (Pe, Re, Le))
     data_vals = {"alpha": float(values["alpha"][0, 0]), "beta": float(values["beta"][0, 0])}
     return _finish(opts, report, conic, values, data_vals=data_vals)
 

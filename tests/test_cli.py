@@ -295,3 +295,18 @@ class TestConfigErrors:
         code, err = self._design_exit(tmp_path, capsys, plant=plant)
         assert code == 2
         assert err.startswith("config error: plant.b:")
+
+    def test_non_string_path(self, tmp_path, capsys):
+        code, err = self._design_exit(tmp_path, capsys, plant="example1", pattern=5)
+        assert code == 2
+        assert err.startswith("config error: pattern:")
+
+    @pytest.mark.parametrize("key, cfg", [("solver.max_iter", {"solver": {"max_iter": "abc"}}),
+                                          ("eta", {"eta": "x"}),
+                                          ("gamma", {"gamma": "g"}),
+                                          ("x0", {"x0": ["a", 0, 0]}),
+                                          ("solver", {"solver": 3})])
+    def test_malformed_value(self, tmp_path, capsys, key, cfg):
+        code, err = self._design_exit(tmp_path, capsys, plant="example1", **cfg)
+        assert code == 2
+        assert err.startswith(f"config error: {key}:")

@@ -81,10 +81,7 @@ class TestOptimal:
         a = prob.declare_scalar("a")
         b = prob.declare_scalar("b")
         c = prob.declare_scalar("c")
-        rows = [({prob.global_index(a, 0, 0): 1.0,
-                  prob.global_index(b, 0, 0): 1.0,
-                  prob.global_index(c, 0, 0): 1.0}, 3.0)]
-        prob.add_equality_rows(rows)
+        prob.add_equality(MatExpr.of(a) + MatExpr.of(b) + MatExpr.of(c) - 3.0)
         for v in (a, b, c):
             prob.add_psd(MatExpr.of(v))
         prob.minimize(a)

@@ -71,8 +71,7 @@ class TestUpsilon:
             if pat.sum() == 0:
                 pat[0, 0] = 1
             spec = from_pattern(pat)
-            ups = upsilon_constraints(spec)
-            assert ups.residual(np.eye(4), np.eye(spec.k)) == 0.0
+            assert contains(upsilon_constraints(spec), np.eye(4), 0.0)
 
     def test_elimination_forces_expected_zeros(self):
         # row-support elimination of the example pattern zeroes exactly
@@ -99,29 +98,43 @@ class TestUpsilon:
         assert not upsilon_member(spec, Q)
 
     def test_diagonal_q_with_matching_lambda(self):
-        # Lam = diag(Q[j_l, j_l]) over basis column indices solves the
-        # coupling for any diagonal Q
+        # S_l Q = Q[j_l, j_l] S_l for the column j_l of each pattern basis
+        # element, so every diagonal Q is a member
         rng = np.random.default_rng(4)
         for trial in range(5):
             pat = (rng.uniform(size=(3, 3)) < 0.6).astype(int)
             if pat.sum() == 0:
                 pat[0, 0] = 1
             spec = from_pattern(pat)
-            ups = upsilon_constraints(spec)
             Q = np.diag(rng.standard_normal(3))
-            cols = [int(np.argmax(S.sum(axis=0))) for S in spec.basis]
-            Lam = np.diag([Q[j, j] for j in cols])
-            assert ups.residual(Q, Lam) <= 1e-12
             assert upsilon_member(spec, Q)
 
-    def test_symmetric_lambda_is_strictly_smaller(self):
-        # with the symmetric multiplier the example pattern also forces
-        # Q12 = 0, so a Q that is fine under the general multiplier fails
-        spec = from_pattern(PATTERN)
-        Q = np.diag([1.0, 2.0, 3.0])
-        Q[0, 1] = 0.7
-        assert upsilon_member(spec, Q)
-        assert not upsilon_member(spec, Q, symmetric_lambda=True)
+    @pytest.mark.parametrize("case", ["pattern", "equal_rows", "rotated"])
+    def test_subspace_agrees_with_membership(self, case):
+        rng = np.random.default_rng(6)
+        if case == "pattern":
+            spec = from_pattern(PATTERN)
+        elif case == "equal_rows":
+            # S R keeps equal rows for every R, so Upsilon(S) is all of R^{2x2}
+            spec = from_basis([np.array([[1.0, 0.0], [1.0, 0.0]]),
+                               np.array([[0.0, 1.0], [0.0, 1.0]])])
+        else:
+            U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+            V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            spec = from_basis([U @ S @ V for S in from_pattern(PATTERN).basis])
+        ups = upsilon_constraints(spec)
+        assert (ups.m, ups.n) == (spec.n, spec.n)
+        if case == "pattern":
+            assert np.array_equal(ups.pattern, upsilon_free_mask(spec))
+        if case == "equal_rows":
+            assert ups.k == 4
+        for _ in range(10):
+            R = sum(a * B for a, B in zip(rng.standard_normal(ups.k), ups.basis))
+            assert upsilon_member(spec, R)
+            Z = rng.standard_normal((spec.n, spec.n))
+            Z -= ups.project(Z)
+            if ups.k < spec.n ** 2:
+                assert not upsilon_member(spec, Z / np.linalg.norm(Z))
 
     def test_closure_property(self):
         # membership of L plus the coupling on R force L R^{-1} back into

@@ -51,10 +51,12 @@ class TestDesignModel:
         assert gams["D4"] <= gams["D3"] * (1 + 1e-4)
         assert gams["D3"] <= gams["D2"] * (1 + 1e-4)
 
-    def test_symmetric_multiplier_collapses_to_diagonal(self, plant, perf, subspace):
-        res = design_model(plant, perf, opts_for("D4", subspace, symmetric_lambda=True))
-        ref = design_model(plant, perf, opts_for("D3", subspace))
-        assert res.gamma == pytest.approx(ref.gamma, rel=1e-4)
+    def test_d4_declares_r_in_upsilon(self, plant, perf, subspace):
+        # R ranges over Upsilon(S) directly: no multiplier and no equality
+        # row is left for presolve to eliminate
+        res = design_model(plant, perf, opts_for("D4", subspace))
+        assert res.conic.n_full == res.conic.n_reduced == 31
+        assert res.conic.A.shape[0] == 0
 
     def test_fixed_gamma_feasibility(self, plant, perf):
         feasible = design_model(plant, perf, DesignOptions(design="D1", gamma=5.0))
@@ -105,6 +107,27 @@ class TestDesignModel:
                            DesignOptions(design="D4", subspace=spec))
         assert res.status == "Optimal"
         assert contains(spec, res.K, 1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rotated_basis_d4(self, seed):
+        # a pattern basis rotated as U S V has no pattern, so R ranges over
+        # a computed null space; linearly dependent coupling rows here would
+        # make the solver's p x p equality matrix singular (seeds 4 and 5)
+        from scipy.stats import ortho_group
+        from structh2 import from_basis, verify_model
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((4, 4))
+        A *= 0.95 / spectral_radius(A)
+        B = rng.standard_normal((4, 2))
+        pat = (rng.uniform(size=(2, 4)) < 0.6).astype(int)
+        pat[0, 0] = pat[1, 1] = 1
+        U = ortho_group.rvs(2, random_state=seed)
+        V = ortho_group.rvs(4, random_state=seed + 50)
+        spec = from_basis([U @ S @ V for S in from_pattern(pat).basis])
+        plant, perf = PlantPair(A=A, B=B), default_perf(4, 2)
+        res = design_model(plant, perf, DesignOptions(design="D4", subspace=spec))
+        assert res.status == "Optimal"
+        assert verify_model(plant, perf, res.K, subspace=spec).ok
 
 
 class TestCertifyFixedK:
