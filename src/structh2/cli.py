@@ -55,11 +55,24 @@ def _path(cfg, value, name) -> str:
 
 
 def _value(kind, value, name):
-    """kind(value) for the config value under key name (kind is float, int, ...)."""
+    """kind(value) for the config value under key name (kind is float, int, ...).
+
+    An int key refuses a non-integral number rather than truncate it.
+    """
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _designs(cfg, default) -> list:
+    """The config's list of design names."""
+    designs = cfg.get("designs", default)
+    if not isinstance(designs, list):
+        raise ConfigError(f"designs: expected a list such as [\"D4\"], got {designs!r}")
+    return designs
 
 
 def _section(cfg, key) -> dict:
@@ -203,7 +216,7 @@ def _write_design_outputs(outdir, design, res: SynthesisResult, eta) -> None:
 
 def cmd_design(cfg) -> int:
     plant, perf, sub, _ = _resolve_plant(cfg)
-    designs = cfg.get("designs", ["D4"])
+    designs = _designs(cfg, ["D4"])
     if not designs:
         raise ConfigError("designs list is empty")
     mode = cfg.get("mode", "model")
@@ -247,7 +260,7 @@ def _cell(res: SynthesisResult) -> str:
 
 def cmd_sweep(cfg) -> int:
     plant, perf, sub, x0 = _resolve_plant(cfg)
-    designs = cfg.get("designs", list(DESIGNS))
+    designs = _designs(cfg, list(DESIGNS))
     sweep = _section(cfg, "sweep")
     if not sweep:
         raise ConfigError("sweep command needs a 'sweep' section")

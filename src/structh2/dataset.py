@@ -1,17 +1,23 @@
 """Trajectory data, noise models, and the consistency set Sigma_D.
 
-A batch holds (X-, U-, X+) plus the noise-model matrix Phi over the unknown
-process-noise block. The assembled quadratic form Psi (dimension 2n+m) defines
-the set of plants consistent with the data; this module also provides exact
-membership margins and a seeded sampler over that set, which is the
-independent oracle used to verify data-driven certificates.
+A batch holds (X-, U-, X+) plus a noise model: the matrix Phi over the
+unknown process-noise block. A per-sample ball bound is kept as
+(n, T, eps, exponent) and its diagonal (n+T)^2 Phi is never formed on the
+data path; only a Phi a user supplies is held dense. The assembled quadratic
+form Psi (dimension 2n+m, whatever T is) defines the set of plants consistent
+with the data; this module also provides exact membership margins and a
+seeded sampler over that set, which is the independent oracle used to verify
+data-driven certificates.
+
+On disk a batch is a directory of xminus.csv, uminus.csv and xplus.csv plus
+noise.json for a ball model or phi.csv for a user-supplied Phi.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,48 +48,73 @@ class PlantPair:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class NoiseModel:
     """Quadratic noise bound [I; W^T]^T Phi [I; W^T] >= 0 with Phi in S^{n+T}.
 
-    Phi11 must be PSD and -Phi22 positive definite. `eps`/`exponent` are kept
-    when the model came from the per-sample ball bound, for serialization.
+    Either a dense user-supplied Phi (`NoiseModel(phi=..., n=..., T=...)`),
+    validated here: Phi11 must be PSD and -Phi22 positive definite. Or the
+    per-sample ball bound of `phi_ball`, Phi = blkdiag(T*eps^exponent*I_n,
+    -I_T), kept as (n, T, eps, exponent) alone: no (n+T)^2 array is held, and
+    `phi` and its blocks are built on each access.
     """
 
-    phi: np.ndarray
     n: int
     T: int
-    eps: float | None = None
-    exponent: int | None = None
+    eps: float | None
+    exponent: int | None
+    _phi: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        phi = symmetrize(as_matrix(self.phi, rows=self.n + self.T,
-                                   cols=self.n + self.T, name="Phi"), name="Phi")
-        object.__setattr__(self, "phi", phi)
-        if min_eig(self.phi11) < -1e-9:
-            raise ValueError("Phi11 must be positive semidefinite")
-        phi22 = self.phi22
-        diag = np.diagonal(phi22)
-        if np.count_nonzero(phi22) == np.count_nonzero(diag):
-            # a diagonal Phi22 (every ball model) has its diagonal as its
-            # spectrum; eigvalsh on the T x T block would dominate long records
-            definite = bool(np.all(-diag > 0.0))
+    def __init__(self, phi: np.ndarray | None, n: int, T: int, eps: float | None = None,
+                 exponent: int | None = None):
+        if phi is not None:
+            if eps is not None or exponent is not None:
+                raise ValueError("give either phi or a ball bound (eps, exponent), not both")
+            phi = symmetrize(as_matrix(phi, rows=n + T, cols=n + T, name="Phi"), name="Phi")
+            if min_eig(phi[:n, :n]) < -1e-9:
+                raise ValueError("Phi11 must be positive semidefinite")
+            if not min_eig(-phi[n:, n:]) > 0.0:
+                raise ValueError("-Phi22 must be positive definite")
         else:
-            definite = min_eig(-phi22) > 0.0
-        if not definite:
-            raise ValueError("-Phi22 must be positive definite")
+            if T < 1:
+                raise ValueError("T must be >= 1")
+            if eps is None or eps < 0:
+                raise ValueError("eps must be nonnegative")
+            if exponent not in (1, 2):
+                raise ValueError("exponent must be 1 or 2")
+            eps = float(eps)
+        for name, value in (("n", n), ("T", T), ("eps", eps), ("exponent", exponent),
+                            ("_phi", phi)):
+            object.__setattr__(self, name, value)
+
+    def _ball_phi11(self) -> float:
+        return self.T * (self.eps ** self.exponent)
+
+    def _ball_diagonal(self) -> np.ndarray:
+        """Diagonal [T*eps^exponent*1_n, -1_T] of a ball model's Phi."""
+        return np.concatenate([np.full(self.n, self._ball_phi11()), -np.ones(self.T)])
+
+    @property
+    def phi(self) -> np.ndarray:
+        return np.diag(self._ball_diagonal()) if self._phi is None else self._phi
 
     @property
     def phi11(self) -> np.ndarray:
-        return self.phi[:self.n, :self.n]
+        if self._phi is None:
+            return self._ball_phi11() * np.eye(self.n)
+        return self._phi[:self.n, :self.n]
 
     @property
     def phi12(self) -> np.ndarray:
-        return self.phi[:self.n, self.n:]
+        if self._phi is None:
+            return np.zeros((self.n, self.T))
+        return self._phi[:self.n, self.n:]
 
     @property
     def phi22(self) -> np.ndarray:
-        return self.phi[self.n:, self.n:]
+        if self._phi is None:
+            return -np.eye(self.T)
+        return self._phi[self.n:, self.n:]
 
 
 def phi_ball(n: int, T: int, eps: float, exponent: int = 1) -> NoiseModel:
@@ -93,17 +124,9 @@ def phi_ball(n: int, T: int, eps: float, exponent: int = 1) -> NoiseModel:
     exponent=2 substitutes T*eps^2*I_n, the bound actually implied by
     sum_t w(t) w(t)^T <= T*eps^2*I (tight whenever eps != 1; the two coincide
     at eps = 1). Tables of certified bounds in this package use exponent=2.
+    The model is stored as (n, T, eps, exponent); see `NoiseModel`.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if exponent not in (1, 2):
-        raise ValueError("exponent must be 1 or 2")
-    phi = np.zeros((n + T, n + T))
-    phi[:n, :n] = T * (eps ** exponent) * np.eye(n)
-    phi[n:, n:] = -np.eye(T)
-    return NoiseModel(phi=phi, n=n, T=T, eps=float(eps), exponent=exponent)
+    return NoiseModel(None, n, T, eps, exponent)
 
 
 @dataclass(frozen=True)
@@ -202,12 +225,20 @@ def simulate(truth: PlantPair, x0, inputs, eps: float, seed: int,
 
 
 def assemble_psi(batch: DataBatch) -> np.ndarray:
-    """Psi = M Phi M^T with M = [[I, X+], [0, -X-], [0, -U-]], in S^{2n+m}."""
+    """Psi = M Phi M^T with M = [[I, X+], [0, -X-], [0, -U-]], in S^{2n+m}.
+
+    A ball model's Phi is diagonal, so M Phi is M with its columns scaled by
+    that diagonal: the same product, exactly, in O(T (2n+m)) time and memory
+    where the dense Phi takes O(T^2). Psi then costs O(T (2n+m)^2).
+    """
     n, m, T = batch.n, batch.m, batch.T
     M = np.block([[np.eye(n), batch.xplus],
                   [np.zeros((n, n)), -batch.xminus],
                   [np.zeros((m, n)), -batch.uminus]])
-    return symmetrize(M @ batch.noise.phi @ M.T)
+    noise = batch.noise
+    if noise.eps is None:
+        return symmetrize(M @ noise.phi @ M.T)
+    return symmetrize((M * noise._ball_diagonal()) @ M.T)
 
 
 def consistency(batch: DataBatch, plant: PlantPair) -> float:
@@ -293,22 +324,24 @@ _BATCH_FILES = ("xminus.csv", "uminus.csv", "xplus.csv")
 
 
 def save_batch(batch: DataBatch, outdir) -> None:
-    """Write xminus/uminus/xplus CSVs plus phi.csv, and noise.json when the
-    model is a ball bound."""
+    """Write xminus/uminus/xplus CSVs plus the noise model: noise.json for a
+    ball model, phi.csv for a user-supplied Phi."""
     os.makedirs(outdir, exist_ok=True)
     for name, M in zip(_BATCH_FILES, (batch.xminus, batch.uminus, batch.xplus)):
         write_matrix_csv(os.path.join(outdir, name), M)
-    write_matrix_csv(os.path.join(outdir, "phi.csv"), batch.noise.phi)
-    if batch.noise.eps is not None:
-        doc = {"type": "ball", "eps": batch.noise.eps, "T": batch.noise.T,
-               "exponent": batch.noise.exponent}
-        with open(os.path.join(outdir, "noise.json"), "w", encoding="ascii") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+    noise = batch.noise
+    if noise.eps is None:
+        write_matrix_csv(os.path.join(outdir, "phi.csv"), noise.phi)
+        return
+    doc = {"type": "ball", "eps": noise.eps, "T": noise.T, "exponent": noise.exponent}
+    with open(os.path.join(outdir, "noise.json"), "w", encoding="ascii") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def load_batch(indir) -> DataBatch:
-    """Read a batch directory; noise.json takes precedence over phi.csv."""
+    """Read a batch directory; noise.json takes precedence over phi.csv, which
+    is read only when there is no noise.json."""
     mats = [read_matrix_csv(os.path.join(indir, name)) for name in _BATCH_FILES]
     xm, um, xp = mats
     n, T = xm.shape

@@ -35,8 +35,10 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "T=20" in out and "eps=0.1" in out and "residual=0" in out
-        for name in ("xminus.csv", "uminus.csv", "xplus.csv", "phi.csv", "noise.json"):
+        for name in ("xminus.csv", "uminus.csv", "xplus.csv", "noise.json"):
             assert (tmp_path / "batch" / name).exists()
+        # a ball model is stored as noise.json alone, without its (n+T)^2 Phi
+        assert not (tmp_path / "batch" / "phi.csv").exists()
 
     def test_noiseless_residual_prints_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", plant="example1",
@@ -310,3 +312,43 @@ class TestConfigErrors:
         code, err = self._design_exit(tmp_path, capsys, plant="example1", **cfg)
         assert code == 2
         assert err.startswith(f"config error: {key}:")
+
+    @pytest.mark.parametrize("command, key, cfg", [
+        ("simulate", "noise.T", {"noise": {"T": 20.7}}),
+        ("simulate", "noise.seed", {"noise": {"seed": 1.5}}),
+        ("simulate", "noise.exponent", {"noise": {"exponent": 1.5}}),
+        ("design", "solver.max_iter", {"designs": ["D4"], "solver": {"max_iter": 50.5}}),
+        ("sweep", "sweep.T", {"sweep": {"eps": [0.1], "T": [10, 20.5]}}),
+        ("verify", "verify.samples", {"verify": {"samples": 10.5}}),
+        ("verify", "verify.seed", {"verify": {"seed": 0.5}}),
+    ])
+    def test_non_integral_int_key(self, tmp_path, capsys, command, key, cfg):
+        # an integer key must not truncate a float: T = 20.7 is not T = 20
+        (tmp_path / "k.csv").write_text("0,0,0\n0,0,0\n")
+        sim = write_cfg(tmp_path / "sim.json", plant="example1", noise={"T": 20},
+                        data_dir=str(tmp_path / "batch"))
+        assert main(["simulate", "--config", sim]) == 0
+        cfg = {**cfg, "verify": {**cfg.get("verify", {}), "k": str(tmp_path / "k.csv"),
+                                 "gamma": 1.0}}
+        path = write_cfg(tmp_path / "c.json", plant="example1", mode="data",
+                         data_dir=str(tmp_path / "batch"), output_dir=str(tmp_path / "out"),
+                         **cfg)
+        capsys.readouterr()
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: expected an integer"), err
+
+    def test_integral_float_accepted(self, tmp_path, capsys):
+        path = write_cfg(tmp_path / "c.json", plant="example1",
+                         noise={"T": 20.0, "seed": 1.0, "exponent": 2.0},
+                         data_dir=str(tmp_path / "batch"))
+        assert main(["simulate", "--config", path]) == 0
+        assert "T=20 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_designs_must_be_a_list(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path / "c.json", plant="example1", designs="D4",
+                         sweep={"eps": [0.1], "T": [10, 20]},
+                         output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: designs: expected a list")

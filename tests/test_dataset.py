@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from structh2 import (DataBatch, DimensionMismatch, EmptyInterior, NoiseModel,
                       PlantPair, RankDeficientData, assemble_psi, center_plant,
                       consistency, load_batch, min_eig, phi_ball,
-                      sample_consistent, save_batch, simulate)
+                      sample_consistent, save_batch, simulate, write_matrix_csv)
 from structh2.plants import EXAMPLE1_X0
 
 
@@ -48,6 +49,10 @@ class TestPhiBall:
         phi = np.diag([1.0, -1.0, -2.0, entry])
         with pytest.raises(ValueError, match="Phi22"):
             NoiseModel(phi=phi, n=1, T=3)
+
+    def test_phi_and_ball_bound_exclusive(self):
+        with pytest.raises(ValueError, match="not both"):
+            NoiseModel(phi=phi_ball(1, 2, 0.5).phi, n=1, T=2, eps=0.5, exponent=1)
 
     def test_nondiagonal_phi22_checked_by_eigenvalues(self):
         # every diagonal entry of Phi22 is negative, but its eigenvalues are
@@ -129,6 +134,18 @@ class TestPsi:
                            [2.0, -1.0, -1.0]])
         assert np.allclose(batch.psi, expect, atol=1e-14)
 
+    @pytest.mark.parametrize("n, m, T, exponent", [(3, 2, 20, 2), (1, 1, 1, 1), (4, 3, 57, 1),
+                                                 (6, 2, 300, 2)])
+    def test_ball_psi_matches_dense_phi(self, n, m, T, exponent):
+        # the ball model's column scaling gives M Phi M^T of the dense Phi bit
+        # for bit
+        rng = np.random.default_rng(n * 1000 + T)
+        xm, um, xp = (rng.standard_normal((r, T)) for r in (n, m, n))
+        ball = DataBatch(xm, um, xp, phi_ball(n, T, 0.37, exponent))
+        dense = DataBatch(xm, um, xp, NoiseModel(phi=ball.noise.phi, n=n, T=T))
+        assert dense.noise.eps is None
+        assert np.array_equal(ball.psi, assemble_psi(dense))
+
     def test_congruence_recompute(self, batch):
         n, m, T = batch.n, batch.m, batch.T
         M = np.block([[np.eye(n), batch.xplus],
@@ -206,6 +223,7 @@ class TestDiskFormat:
 
     def test_phi_csv_fallback(self, batch, tmp_path):
         save_batch(batch, tmp_path / "b")
+        write_matrix_csv(tmp_path / "b" / "phi.csv", batch.noise.phi)
         os.remove(tmp_path / "b" / "noise.json")
         again = load_batch(tmp_path / "b")
         assert np.array_equal(again.noise.phi, batch.noise.phi)
@@ -222,9 +240,34 @@ class TestDiskFormat:
 
     def test_prefix_needs_ball_model(self, batch, tmp_path):
         save_batch(batch, tmp_path / "b")
+        write_matrix_csv(tmp_path / "b" / "phi.csv", batch.noise.phi)
         os.remove(tmp_path / "b" / "noise.json")
         with pytest.raises(ValueError):
             load_batch(tmp_path / "b").prefix(5)
+
+    def test_round_trip_user_phi(self, batch, tmp_path):
+        noise = NoiseModel(phi=batch.noise.phi, n=batch.n, T=batch.T)
+        save_batch(DataBatch(batch.xminus, batch.uminus, batch.xplus, noise), tmp_path / "b")
+        assert not os.path.exists(tmp_path / "b" / "noise.json")
+        again = load_batch(tmp_path / "b")
+        assert np.array_equal(again.noise.phi, batch.noise.phi)
+        assert np.array_equal(again.psi, batch.psi)
+
+    def test_long_record_stays_linear_in_T(self, plant, tmp_path):
+        # one dense (n+T)^2 Phi at T = 5000 would be 200 MB; the ball model
+        # keeps the whole data path at O(T) memory
+        T = 5000
+        tracemalloc.start()
+        try:
+            batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.1, seed=2, exponent=2, T=T)
+            save_batch(batch, tmp_path / "b")
+            again = load_batch(tmp_path / "b").prefix(T)
+            psi = again.psi
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.shape == (8, 8)
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_column_count_validation(self):
         noise = phi_ball(2, 3, 0.5)
