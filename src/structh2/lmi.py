@@ -2,15 +2,17 @@
 
 A problem collects matrix decision variables (symmetric, rectangular, scalar,
 optionally with zero masks), affine PSD block constraints with a margin shift
-for strict inequalities, linear equalities, and a linear objective. `compile`
+for strict inequalities, and a linear objective. There are no equality
+constraints: a linear restriction on a variable is expressed by declaring it
+over a subspace (a mask, or a coefficient vector times a basis). `compile`
 lowers everything to the standard conic form
 
-    minimize c^T x   s.t.   A x = b,   G x + s = h,   s in (product of PSD cones)
+    minimize c^T x   s.t.   G x + s = h,   s in (product of PSD cones)
 
 in scaled symmetric vectorization (off-diagonals times sqrt(2), so plain dot
-products agree with matrix inner products), along with an invertible decode
-map back to named variables. A pin/alias presolve removes equalities touching
-at most two scalar unknowns.
+products agree with matrix inner products). x stacks the free entries of the
+variables in declaration order, so decoding is slicing by each variable's
+offset.
 """
 
 from __future__ import annotations
@@ -298,7 +300,6 @@ class _PsdBlock:
 class LmiProblem:
     vars: list = field(default_factory=list)
     blocks: list = field(default_factory=list)
-    eq_exprs: list = field(default_factory=list)
     objective: MatExpr | None = None
 
     def declare_var(self, name, rows, cols, kind="rectangular", mask=None) -> MatrixVar:
@@ -319,12 +320,6 @@ class LmiProblem:
             raise DimensionMismatch("PSD blocks must be square")
         self._check_declared(expr)
         self.blocks.append(_PsdBlock(name or f"psd{len(self.blocks)}", expr, float(margin)))
-
-    def add_equality(self, expr) -> None:
-        """Require every entry of expr to equal zero."""
-        expr = expr if isinstance(expr, MatExpr) else MatExpr.constant(expr)
-        self._check_declared(expr)
-        self.eq_exprs.append(expr)
 
     def trace_leq(self, Q: MatrixVar, g: MatrixVar) -> None:
         """Add the 1x1 block g - Tr(Q) >= 0."""
@@ -348,147 +343,32 @@ class LmiProblem:
     def num_free(self) -> int:
         return sum(v.nfree for v in self.vars)
 
-    def compile(self, presolve: bool = True) -> "ConicForm":
+    def compile(self) -> "ConicForm":
         N = self.num_free
-        c_full = np.zeros(N)
+        c = np.zeros(N)
         obj_const = 0.0
         if self.objective is not None:
             obj_const = float(self.objective.const[0, 0])
             for v, cmat in self.objective.coeff.items():
                 var = self.vars[v]
-                c_full[var.offset:var.offset + var.nfree] += cmat[0]
-
-        rows = []
-        for expr in self.eq_exprs:
-            consts = expr.const.reshape(-1)
-            per_var = {v: c for v, c in expr.coeff.items()}
-            for e in range(expr.rows * expr.cols):
-                coeffs = {}
-                for v, cmat in per_var.items():
-                    var = self.vars[v]
-                    nz = np.nonzero(cmat[e])[0]
-                    for f in nz:
-                        gi = var.offset + int(f)
-                        coeffs[gi] = coeffs.get(gi, 0.0) + float(cmat[e, f])
-                if coeffs or consts[e] != 0.0:
-                    rows.append((coeffs, -float(consts[e])))
-
-        if presolve:
-            sub, kept, bad = _presolve(rows, N)
-        else:
-            sub, kept, bad = {}, rows, []
-
-        root = np.arange(N)
-        mult = np.ones(N)
-        shift = np.zeros(N)
-        for i in range(N):
-            j, a, b0 = _resolve(sub, i)
-            if j is None:
-                root[i], mult[i], shift[i] = -1, 0.0, b0
-            else:
-                root[i], mult[i], shift[i] = j, a, b0
-        free = sorted({int(r) for r in root if r >= 0})
-        red = {g: idx for idx, g in enumerate(free)}
-        Nred = len(free)
-        red_col = np.array([red[r] if r >= 0 else -1 for r in root])
-
-        c = np.zeros(Nred)
-        np.add.at(c, red_col[red_col >= 0], (c_full * mult)[red_col >= 0])
-        obj_const += float(c_full @ shift)
-
-        A = np.zeros((len(kept), Nred))
-        b = np.zeros(len(kept))
-        for r, (coeffs, rhs) in enumerate(kept):
-            acc = rhs
-            for gi, cv in coeffs.items():
-                if red_col[gi] >= 0:
-                    A[r, red_col[gi]] += cv * mult[gi]
-                acc -= cv * shift[gi]
-            b[r] = acc
+                c[var.offset:var.offset + var.nfree] += cmat[0]
 
         Gs, hs, dims, names = [], [], [], []
         for blk in self.blocks:
             d = blk.expr.rows
-            hvec = svec(blk.expr.const - blk.margin * np.eye(d))
-            Gb = np.zeros((svec_len(d), Nred))
+            Gb = np.zeros((svec_len(d), N))
             for v, cmat in blk.expr.coeff.items():
                 var = self.vars[v]
-                cs = vecrow_to_svec(cmat, d)          # (dsvec, nfree_v)
-                gidx = np.arange(var.offset, var.offset + var.nfree)
-                cols = red_col[gidx]
-                keep = cols >= 0
-                if np.any(keep):
-                    np.add.at(Gb.T, cols[keep], (cs[:, keep] * mult[gidx][keep]).T)
-                hvec += cs @ shift[gidx]
+                Gb[:, var.offset:var.offset + var.nfree] += vecrow_to_svec(cmat, d)
             Gs.append(-Gb)
-            hs.append(hvec)
+            hs.append(svec(blk.expr.const - blk.margin * np.eye(d)))
             dims.append(d)
             names.append(blk.name)
 
-        G = np.vstack(Gs) if Gs else np.zeros((0, Nred))
+        G = np.vstack(Gs) if Gs else np.zeros((0, N))
         h = np.concatenate(hs) if hs else np.zeros(0)
-        return ConicForm(c=c, obj_const=obj_const, A=A, b=b, G=G, h=h,
-                         dims=tuple(dims), block_names=tuple(names),
-                         vars=tuple(self.vars), red_col=red_col, mult=mult,
-                         shift=shift, n_full=N, bad_rows=tuple(bad))
-
-
-def _resolve(sub: dict, i: int):
-    """Follow substitution chains x_i = a x_j + b; returns (j|None, a, b)."""
-    a, b = 1.0, 0.0
-    seen = 0
-    while i in sub:
-        j, aj, bj = sub[i]
-        b += a * bj
-        a *= aj
-        if j is None:
-            return None, 0.0, b
-        i = j
-        seen += 1
-        if seen > len(sub) + 1:
-            raise RuntimeError("substitution cycle")  # defensive; cannot happen
-    return i, a, b
-
-
-def _presolve(rows, N):
-    """Pin/alias propagation for equalities with <= 2 surviving unknowns."""
-    sub = {}
-    bad = []
-    pending = list(rows)
-    while True:
-        changed = False
-        kept = []
-        for coeffs, rhs in pending:
-            acc = {}
-            r = rhs
-            for i, cv in coeffs.items():
-                j, a, b0 = _resolve(sub, i)
-                r -= cv * b0
-                if j is not None and a != 0.0:
-                    acc[j] = acc.get(j, 0.0) + cv * a
-            scale = max((abs(v) for v in acc.values()), default=0.0)
-            acc = {i: v for i, v in acc.items() if abs(v) > 1e-12 * max(scale, 1.0)}
-            if not acc:
-                if abs(r) > 1e-9:
-                    bad.append((coeffs, rhs))
-                continue
-            if len(acc) == 1:
-                (i, cv), = acc.items()
-                sub[i] = (None, 0.0, r / cv)
-                changed = True
-            elif len(acc) == 2:
-                (i1, c1), (i2, c2) = sorted(acc.items())
-                # eliminate the entry with the larger coefficient for stability
-                if abs(c1) >= abs(c2):
-                    sub[i1] = (i2, -c2 / c1, r / c1)
-                else:
-                    sub[i2] = (i1, -c1 / c2, r / c2)
-                changed = True
-            else:
-                kept.append((acc, r))
-        pending = kept
-        if not changed:
-            return sub, kept, bad
+        return ConicForm(c=c, obj_const=obj_const, G=G, h=h, dims=tuple(dims),
+                         block_names=tuple(names), vars=tuple(self.vars))
 
 
 @dataclass(frozen=True)
@@ -497,62 +377,45 @@ class ConicForm:
 
     c: np.ndarray
     obj_const: float
-    A: np.ndarray
-    b: np.ndarray
     G: np.ndarray
     h: np.ndarray
     dims: tuple
     block_names: tuple
     vars: tuple
-    red_col: np.ndarray
-    mult: np.ndarray
-    shift: np.ndarray
-    n_full: int
-    bad_rows: tuple = ()
 
     @property
     def n_reduced(self) -> int:
         return self.c.size
 
-    def full_vector(self, x: np.ndarray) -> np.ndarray:
-        xf = self.shift.copy()
-        ok = self.red_col >= 0
-        xf[ok] += self.mult[ok] * x[self.red_col[ok]]
-        return xf
+    # n_full and A exist only because the benchmark tracer perfbench/spans.py reads them
+    @property
+    def n_full(self) -> int:
+        return self.n_reduced
 
-    def decode(self, x: np.ndarray) -> dict:
-        """Named variable values from a reduced solution vector."""
-        xf = self.full_vector(x)
-        return {v.name: v.value(xf[v.offset:v.offset + v.nfree]) for v in self.vars}
-
-    def encode(self, assign: dict) -> np.ndarray:
-        """Reduced vector from named full matrices (inverse of decode)."""
-        xf = np.zeros(self.n_full)
-        for v in self.vars:
-            xf[v.offset:v.offset + v.nfree] = v.free_values(assign[v.name])
-        x = np.zeros(self.n_reduced)
-        counted = np.zeros(self.n_reduced, dtype=bool)
-        for i in range(self.n_full):
-            rc = self.red_col[i]
-            if rc >= 0 and not counted[rc] and self.mult[i] != 0.0:
-                x[rc] = (xf[i] - self.shift[i]) / self.mult[i]
-                counted[rc] = True
-        return x
+    @property
+    def A(self) -> np.ndarray:
+        return np.zeros((0, self.n_reduced))
 
     def local_assign(self, x: np.ndarray) -> dict:
-        xf = self.full_vector(x)
-        return {v.vid: xf[v.offset:v.offset + v.nfree] for v in self.vars}
+        """Local free-entry vectors by variable id."""
+        return {v.vid: x[v.offset:v.offset + v.nfree] for v in self.vars}
+
+    def decode(self, x: np.ndarray) -> dict:
+        """Named variable values from a solution vector."""
+        return {v.name: v.value(x[v.offset:v.offset + v.nfree]) for v in self.vars}
+
+    def encode(self, assign: dict) -> np.ndarray:
+        """Solution vector from named full matrices (inverse of decode)."""
+        return np.concatenate([v.free_values(assign[v.name]) for v in self.vars])
 
     def dump(self, path) -> None:
         """Self-describing text export: dimensions plus sparse triplets."""
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"conic_form n={self.n_reduced} eq={self.A.shape[0]} "
-                     f"cone_rows={self.G.shape[0]}\n")
+            fh.write(f"conic_form n={self.n_reduced} cone_rows={self.G.shape[0]}\n")
             fh.write("psd_dims " + " ".join(str(d) for d in self.dims) + "\n")
             fh.write("c " + " ".join(f"{i}:{v:.17g}" for i, v in enumerate(self.c) if v) + "\n")
             fh.write(f"obj_const {self.obj_const:.17g}\n")
-            for tag, M, rhs in (("A", self.A, self.b), ("G", self.G, self.h)):
-                for r in range(M.shape[0]):
-                    nz = np.nonzero(M[r])[0]
-                    trip = " ".join(f"{cix}:{M[r, cix]:.17g}" for cix in nz)
-                    fh.write(f"{tag} {r} rhs={rhs[r]:.17g} {trip}\n")
+            for r in range(self.G.shape[0]):
+                nz = np.nonzero(self.G[r])[0]
+                trip = " ".join(f"{cix}:{self.G[r, cix]:.17g}" for cix in nz)
+                fh.write(f"G {r} rhs={self.h[r]:.17g} {trip}\n")

@@ -13,6 +13,10 @@ S_l R = sum_t M[t, l] S_t, and since the S_t are independent M is fixed by R.
 Upsilon(S) = {R : S_l R in S for every l} is therefore itself a subspace,
 returned by `upsilon_constraints`; the least-squares membership test
 `upsilon_member` keeps the multiplier as an independent check.
+
+The sharing constraint 1^T K = 0 is one more subspace: with L in
+{L in S : 1^T L = 0}, returned by `sharing_subspace`, and R in Upsilon(S),
+K = L R^{-1} satisfies 1^T K = (1^T L) R^{-1} = 0.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ class SubspaceSpec:
     @property
     def vec_basis(self) -> np.ndarray:
         """Row-major vecs of the basis as columns, shape (m*n) x k."""
+        if not self.basis:
+            return np.zeros((self.m * self.n, 0))
         return np.column_stack([S.reshape(-1) for S in self.basis])
 
     def project(self, K) -> np.ndarray:
@@ -113,6 +119,21 @@ def upsilon_constraints(spec: SubspaceSpec) -> SubspaceSpec:
     _, sv, Vt = np.linalg.svd(M)
     tol = max(M.shape) * np.finfo(float).eps * max(np.linalg.norm(S, 2) for S in spec.basis)
     return from_basis(Vt[int(np.count_nonzero(sv > tol)):].reshape(-1, n, n))
+
+
+def sharing_subspace(spec: SubspaceSpec) -> SubspaceSpec:
+    """{L in S : 1^T L = 0}: the null space of c -> 1^T (sum_i c_i S_i).
+
+    The result has dimension k - rank of that map. When it is {0} the
+    returned spec has an empty basis (k = 0), which `from_basis` rejects.
+    """
+    M = np.column_stack([S.sum(axis=0) for S in spec.basis])
+    _, sv, Vt = np.linalg.svd(M)
+    tol = max(M.shape) * np.finfo(float).eps * max(np.linalg.norm(S, 2) for S in spec.basis)
+    null = Vt[int(np.count_nonzero(sv > tol)):]
+    if not null.size:
+        return SubspaceSpec(m=spec.m, n=spec.n, basis=())
+    return from_basis((null @ spec.vec_basis.T).reshape(-1, spec.m, spec.n))
 
 
 def _lambda_lstsq(spec: SubspaceSpec, Q: np.ndarray):

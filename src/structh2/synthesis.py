@@ -16,6 +16,11 @@ is replaced by the S-procedure form with multipliers alpha >= 0, beta > 0 and
 the data matrix Psi, certifying the bound for every plant consistent with the
 batch. The gain is always recovered as K = L R^{-1}. Builders are stateless: each
 call assembles an independent problem, so concurrent synthesis calls are safe.
+
+With sharing (1^T K = 0), L is declared over {L in S : 1^T L = 0}
+(`subspace.sharing_subspace`; D1 starts from all m x n gains) and R exactly as
+without it, since 1^T K = (1^T L) R^{-1}. Every restriction is a subspace the
+variables are declared over, so the compiled problems have no equality rows.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .errors import (DimensionMismatch, RankDeficientDataWarning,
 from .linalg import as_matrix, min_eig, spectral_radius, symmetrize
 from .lmi import LmiProblem, MatExpr, block
 from .solver import SolveReport, SolverOptions, solve
-from .subspace import SubspaceSpec, contains, upsilon_constraints
+from .subspace import (SubspaceSpec, contains, from_pattern, sharing_subspace,
+                       upsilon_constraints)
 
 DESIGNS = ("D1", "D2", "D3", "D4")
 
@@ -73,7 +79,6 @@ class DesignOptions:
     eta: float = 1e-3
     gamma: float | None = None            # None: minimize; value: feasibility test
     eta_beta: float = 1e-9                # replaces the open condition beta > 0
-    fixed_alpha: float | None = None      # pins the S-procedure multiplier (tests)
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -100,10 +105,12 @@ class SynthesisResult:
 
 def _subspace_var(prob: LmiProblem, name: str, spec: SubspaceSpec) -> MatExpr:
     """A variable ranging over spec: masked for a pattern, otherwise a
-    coefficient vector times the basis."""
+    coefficient vector times the basis; the zero matrix when spec is {0}."""
     if spec.pattern is not None:
         return MatExpr.of(prob.declare_var(name, spec.m, spec.n,
                                            mask=spec.pattern.astype(bool)))
+    if spec.k == 0:
+        return MatExpr(spec.m, spec.n)
     coef = prob.declare_var(name, spec.k, 1)
     return MatExpr(spec.m, spec.n, coeff={coef.vid: spec.vec_basis})
 
@@ -122,7 +129,10 @@ def _declare_gain_vars(prob: LmiProblem, opts: DesignOptions, n: int, m: int):
             Re = MatExpr.of(prob.declare_var("R", n, n, mask=np.eye(n, dtype=bool)))
         else:  # D4
             Re = _subspace_var(prob, "R", upsilon_constraints(spec))
-    if opts.design == "D1":
+    if opts.sharing:
+        base = from_pattern(np.ones((m, n))) if opts.design == "D1" else spec
+        Le = _subspace_var(prob, "L", sharing_subspace(base))
+    elif opts.design == "D1":
         Le = MatExpr.of(prob.declare_var("L", m, n))
     else:
         Le = _subspace_var(prob, "L", spec)
@@ -201,8 +211,6 @@ def design_model(plant: PlantPair, perf: PerformanceSpec, opts: DesignOptions) -
     if opts.design != "D1":
         prob.add_psd(Pe, margin=opts.eta, name="P_pd")
     prob.add_psd(gexpr - MatExpr.of(Q).trace(), name="trace_bound")
-    if opts.sharing:
-        prob.add_equality(np.ones((1, m)) @ Le)
 
     conic = prob.compile()
     report = solve(conic, opts.solver)
@@ -291,10 +299,6 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
     prob.add_psd(MatExpr.of(alpha), name="alpha_nonneg")
     prob.add_psd(MatExpr.of(beta) - opts.eta_beta * np.eye(1), name="beta_pos")
     prob.add_psd(gexpr - MatExpr.of(Q).trace(), name="trace_bound")
-    if opts.sharing:
-        prob.add_equality(np.ones((1, m)) @ Le)
-    if opts.fixed_alpha is not None:
-        prob.add_equality(MatExpr.of(alpha) - opts.fixed_alpha * np.eye(1))
 
     conic = prob.compile()
     report = solve(conic, opts.solver)

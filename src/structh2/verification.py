@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import DataBatch, PlantPair, consistency, sample_consistent
-from .linalg import as_matrix, h2_norm, spectral_radius
+from .errors import UnstableMatrix
+from .linalg import as_matrix, h2_norm
 from .subspace import SubspaceSpec, contains
 from .synthesis import PerformanceSpec
 
@@ -72,6 +73,15 @@ def _structure_checks(K, subspace: SubspaceSpec | None, sharing: bool, violation
     return structure_ok, sharing_ok
 
 
+def _h2_or_none(Acl, E, Ccl):
+    """H2 norm of a closed loop, or None when `h2_norm` rejects it as
+    unstable: its Lyapunov solve is the one stability test."""
+    try:
+        return h2_norm(Acl, E, Ccl)
+    except UnstableMatrix:
+        return None
+
+
 def verify_model(plant: PlantPair, perf: PerformanceSpec, K,
                  subspace: SubspaceSpec | None = None,
                  sharing: bool = False) -> VerificationReport:
@@ -80,17 +90,12 @@ def verify_model(plant: PlantPair, perf: PerformanceSpec, K,
     Acl = plant.A + plant.B @ K
     Ccl = perf.C + perf.D @ K
     violations = []
-    stable = spectral_radius(Acl) < 1.0
-    if stable:
-        h2 = h2_norm(Acl, perf.E, Ccl)
-        unstable = False
-    else:
-        h2 = None
-        unstable = True
+    h2 = _h2_or_none(Acl, perf.E, Ccl)
+    if h2 is None:
         violations.append("closed loop is not Schur stable")
     structure_ok, sharing_ok = _structure_checks(K, subspace, sharing, violations)
-    return VerificationReport(stable=stable, h2=h2, structure_ok=structure_ok,
-                              sharing_ok=sharing_ok, unstable=unstable,
+    return VerificationReport(stable=h2 is not None, h2=h2, structure_ok=structure_ok,
+                              sharing_ok=sharing_ok, unstable=h2 is None,
                               violations=violations)
 
 
@@ -103,8 +108,9 @@ def verify_data(batch: DataBatch, perf: PerformanceSpec, K, gamma: float,
 
     Half the samples sit on the boundary of the set (where certified bounds
     are near-tight), half in the interior. A violation is any sample with
-    spectral radius >= 1 or h2 > gamma * (1 + 1e-4). With samples = 0 only
-    the membership of `truth` (when given) is reported.
+    spectral radius >= 1 - 1e-9 (the margin of `solve_dlyap`) or h2 > gamma
+    * (1 + 1e-4). With samples = 0 only the membership of `truth` (when
+    given) is reported.
     """
     K = as_matrix(K, rows=batch.m, cols=batch.n, name="K")
     violations = []
@@ -122,13 +128,12 @@ def verify_data(batch: DataBatch, perf: PerformanceSpec, K, gamma: float,
     unstable = False
     stable_all = True
     for idx, plant in enumerate(plants):
-        Acl = plant.A + plant.B @ K
-        if spectral_radius(Acl) >= 1.0:
+        val = _h2_or_none(plant.A + plant.B @ K, perf.E, perf.C + perf.D @ K)
+        if val is None:
             stable_all = False
             unstable = True
             violations.append(f"sample {idx}: closed loop unstable")
             continue
-        val = h2_norm(Acl, perf.E, perf.C + perf.D @ K)
         worst = val if worst is None else max(worst, val)
         if val > gamma * (1.0 + H2_REL_TOL):
             violations.append(f"sample {idx}: h2 {val:.6f} exceeds gamma {gamma:.6f}")

@@ -146,46 +146,6 @@ class TestCompile:
         assert decoded["L"][0, 2] == 0.0
         assert decoded["L"][1, 0] == 0.0
 
-    def test_presolve_matches_unreduced(self):
-        # aliasing and pinning must not change the optimum
-        def build():
-            prob = LmiProblem()
-            a = prob.declare_scalar("a")
-            bb = prob.declare_scalar("b")
-            cc = prob.declare_scalar("c")
-            prob.add_equality(MatExpr.of(a) - MatExpr.of(bb))            # a = b
-            prob.add_equality(MatExpr.of(cc) - 2.0 * np.eye(1))          # c = 2
-            prob.add_psd(MatExpr.of(a) - np.eye(1))                      # a >= 1
-            prob.add_psd(MatExpr.of(cc) - MatExpr.of(bb))                # b <= c
-            prob.minimize(-1.0 * MatExpr.of(bb))                         # max b
-            return prob
-
-        full = solve(build().compile(presolve=False))
-        red = solve(build().compile(presolve=True))
-        assert full.status == red.status == "Optimal"
-        assert full.objective == pytest.approx(red.objective, abs=1e-7)
-        assert red.objective == pytest.approx(-2.0, abs=1e-6)
-
-    def test_presolve_shrinks_reduced_dimension(self):
-        prob = LmiProblem()
-        a = prob.declare_scalar("a")
-        bb = prob.declare_scalar("b")
-        prob.add_equality(MatExpr.of(a) - MatExpr.of(bb))
-        prob.add_psd(MatExpr.of(a))
-        conic = prob.compile()
-        assert conic.n_reduced == 1
-        assert conic.A.shape[0] == 0
-
-    def test_contradictory_equalities_flagged(self):
-        prob = LmiProblem()
-        a = prob.declare_scalar("a")
-        prob.add_equality(MatExpr.of(a) - np.eye(1))
-        prob.add_equality(MatExpr.of(a) - 2.0 * np.eye(1))
-        prob.add_psd(MatExpr.of(a))
-        conic = prob.compile()
-        assert conic.bad_rows
-        assert solve(conic).status == "Infeasible"
-
     def test_margin_shifts_constant(self):
         prob = LmiProblem()
         x = prob.declare_scalar("x")

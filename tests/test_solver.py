@@ -75,24 +75,8 @@ class TestOptimal:
         assert rep.residuals["feas"] <= 1e-8
         assert rep.residuals["gap"] <= 1e-7
 
-    def test_equality_handling(self):
-        # alias pair a + b = 2 plus a bound through a 3-variable row
-        prob = LmiProblem()
-        a = prob.declare_scalar("a")
-        b = prob.declare_scalar("b")
-        c = prob.declare_scalar("c")
-        prob.add_equality(MatExpr.of(a) + MatExpr.of(b) + MatExpr.of(c) - 3.0)
-        for v in (a, b, c):
-            prob.add_psd(MatExpr.of(v))
-        prob.minimize(a)
-        conic = prob.compile()
-        assert conic.A.shape[0] == 1     # the 3-variable row survives presolve
-        rep = solve(conic)
-        assert rep.status == "Optimal"
-        assert rep.objective == pytest.approx(0.0, abs=1e-6)
-
     def test_unused_variable(self):
-        # a variable no cone or equality row touches leaves the KKT system
+        # a variable no cone row touches leaves the KKT system
         # singular in its column; with zero cost it stays at zero
         prob = LmiProblem()
         x = prob.declare_scalar("x")
@@ -152,10 +136,10 @@ class TestCertificates:
 
 
 class TestKktSolve:
-    def random_system(self, seed=5, zero_col=False):
+    def random_system(self, seed=5):
         rng = np.random.default_rng(seed)
         cone = _Cone((3, 2))
-        N, p, M = 5, 2, cone.total
+        N, M = 5, cone.total
 
         def interior_point():
             v = np.zeros(M)
@@ -165,23 +149,18 @@ class TestKktSolve:
             return v
 
         W = _Scaling(cone, interior_point(), interior_point())
-        A = rng.standard_normal((p, N))
         G = rng.standard_normal((M, N))
         G[:svec_len(3), 0] = 0.0          # a column that misses the first block
-        if zero_col:
-            G[:, 1] = 0.0                 # a column that touches no cone, only A
         WtW = np.column_stack([W.wtw_apply(e) for e in np.eye(M)])
-        K3 = np.block([[np.zeros((N, N)), A.T, G.T],
-                       [A, np.zeros((p, p)), np.zeros((p, M))],
-                       [G, np.zeros((M, p)), -WtW]])
-        return A, G, W, cone, K3, rng.standard_normal(N + p + M)
+        K2 = np.block([[np.zeros((N, N)), G.T],
+                       [G, -WtW]])
+        return G, W, cone, K2, rng.standard_normal(N + M)
 
-    @pytest.mark.parametrize("zero_col", [False, True])
-    def test_kkt_matches_dense_solve(self, zero_col):
-        A, G, W, cone, K3, rhs = self.random_system(zero_col=zero_col)
-        sol, err = _KKT(A, G, W, _g_blocks(cone, G)).solve(rhs)
+    def test_kkt_matches_dense_solve(self):
+        G, W, cone, K2, rhs = self.random_system()
+        sol, err = _KKT(G, W, _g_blocks(cone, G)).solve(rhs)
         assert err <= 1e-10
-        assert np.allclose(sol, np.linalg.solve(K3, rhs), rtol=1e-8, atol=1e-10)
+        assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
 
     @pytest.mark.parametrize("design", ["D1", "D2"])
     def test_data_endgame_stays_optimal(self, design):
@@ -217,7 +196,10 @@ class TestKktSolve:
         assert res.status == "Optimal"
         assert abs(res.report.iterations - 11) <= 1
         assert res.gamma == pytest.approx(4.621524740281538, rel=1e-6)
-        # one QR factorization of the stacked cone and equality rows per iteration
-        assert len(factored) == res.report.iterations
+        # L ranges over the sharing subspace: 12 fewer columns than the
+        # pattern's free entries, and no equality rows
         conic = res.conic
-        assert set(factored) == {(conic.G.shape[0] + conic.A.shape[0], conic.n_reduced)}
+        assert conic.n_reduced == 402
+        # one QR factorization of the cone rows per iteration
+        assert len(factored) == res.report.iterations
+        assert set(factored) == {(conic.G.shape[0], conic.n_reduced)}

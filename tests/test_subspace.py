@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from structh2 import (DimensionMismatch, EmptySubspace, contains, from_basis,
-                      from_pattern, upsilon_constraints, upsilon_free_mask,
-                      upsilon_member)
+from structh2 import (EXAMPLE1_PATTERN, DimensionMismatch, EmptySubspace, contains,
+                      from_basis, from_pattern, sharing_subspace, upsilon_constraints,
+                      upsilon_free_mask, upsilon_member)
 
 PATTERN = np.array([[1, 1, 0], [0, 1, 1]])
 
@@ -61,6 +61,35 @@ def test_from_basis_general_subspace():
     assert not contains(spec, np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError, match="dependent"):
         from_basis([S1, 2.0 * S1])
+
+
+@pytest.mark.parametrize("case", ["dense", "rotated", "example1", "zero"])
+def test_sharing_subspace(case):
+    rng = np.random.default_rng(7)
+    if case == "dense":
+        spec = from_pattern(np.ones((3, 4)))
+    elif case == "rotated":
+        U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        spec = from_basis([U @ S @ V for S in from_pattern(PATTERN).basis])
+    elif case == "example1":
+        spec = from_pattern(EXAMPLE1_PATTERN)
+    else:
+        # each input owns one state: only L = 0 has zero column sums
+        spec = from_pattern(np.array([[1, 0, 0], [0, 1, 0]]))
+    share = sharing_subspace(spec)
+    col_sums = np.column_stack([S.sum(axis=0) for S in spec.basis])
+    assert (share.m, share.n) == (spec.m, spec.n)
+    assert share.k == spec.k - np.linalg.matrix_rank(col_sums)
+    assert share.k == {"dense": 8, "example1": 1, "zero": 0}.get(case, share.k)
+    for _ in range(10):
+        L = (share.vec_basis @ rng.standard_normal(share.k)).reshape(spec.m, spec.n)
+        assert np.abs(L.sum(axis=0)).max() <= 1e-12
+        assert contains(spec, L)
+        assert contains(share, L)
+    # a unit element of S with a nonzero column sum lies outside
+    outside = next(S for S in spec.basis if np.abs(S.sum(axis=0)).max() > 1e-6)
+    assert not contains(share, outside / np.linalg.norm(outside))
 
 
 class TestUpsilon:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from structh2 import (DesignOptions, PerformanceSpec, PlantPair, VerificationReport,
-                      design_data, h2_norm, verify_data, verify_model)
+                      default_perf, design_data, h2_norm, verify_data, verify_model)
 
 K_BENCH = np.array([[0.5359, 0.1875, 0.0],
                       [0.0, -0.6245, 0.2226]])
@@ -31,6 +31,16 @@ class TestVerifyModel:
         assert report.unstable
         assert report.h2 is None
         assert not report.ok
+
+    def test_marginal_loop_flagged(self):
+        # spectral radius 1 - 1e-10 lies inside the stability margin of the
+        # Lyapunov solve: a violation to report, not an exception
+        plant = PlantPair(A=(1.0 - 1e-10) * np.eye(2), B=np.eye(2))
+        report = verify_model(plant, default_perf(2, 2), np.zeros((2, 2)))
+        assert not report.stable
+        assert report.unstable
+        assert report.h2 is None
+        assert report.violations == ["closed loop is not Schur stable"]
 
     def test_structure_violation_detected(self, plant, perf, subspace):
         K = K_BENCH.copy()
