@@ -67,6 +67,14 @@ def _value(kind, value, name):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _flag(value, name) -> bool:
+    """The config value under key name, which must be a JSON boolean: bool()
+    would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}: expected true or false, got {value!r}")
+    return value
+
+
 def _designs(cfg, default) -> list:
     """The config's list of design names."""
     designs = cfg.get("designs", default)
@@ -132,9 +140,13 @@ def _resolve_plant(cfg):
 
 def _solver_options(cfg) -> SolverOptions:
     sc = _section(cfg, "solver")
-    return SolverOptions(tol_feas=_value(float, sc.get("tol_feas", 1e-8), "solver.tol_feas"),
-                         tol_gap=_value(float, sc.get("tol_gap", 1e-7), "solver.tol_gap"),
-                         max_iter=_value(int, sc.get("max_iter", 200), "solver.max_iter"))
+    tol_feas = _value(float, sc.get("tol_feas", 1e-8), "solver.tol_feas")
+    tol_gap = _value(float, sc.get("tol_gap", 1e-7), "solver.tol_gap")
+    max_iter = _value(int, sc.get("max_iter", 200), "solver.max_iter")
+    try:
+        return SolverOptions(tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
+    except ValueError as exc:
+        raise ConfigError(f"solver.max_iter: {exc}") from exc
 
 
 def _design_options(cfg, design, subspace) -> DesignOptions:
@@ -145,7 +157,7 @@ def _design_options(cfg, design, subspace) -> DesignOptions:
     gamma = cfg.get("gamma")
     return DesignOptions(design=design,
                          subspace=None if design == "D1" else subspace,
-                         sharing=bool(cfg.get("sharing", False)),
+                         sharing=_flag(cfg.get("sharing", False), "sharing"),
                          eta=_value(float, cfg.get("eta", 1e-3), "eta"),
                          gamma=None if gamma is None else _value(float, gamma, "gamma"),
                          solver=_solver_options(cfg))
@@ -330,9 +342,9 @@ def cmd_verify(cfg) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"could not read K: {exc}") from exc
     plant, perf, sub, _ = _resolve_plant(cfg)
-    if not vc.get("structure", True):
+    if not _flag(vc.get("structure", True), "verify.structure"):
         sub = None
-    sharing = bool(cfg.get("sharing", False))
+    sharing = _flag(cfg.get("sharing", False), "sharing")
     mode = cfg.get("mode", "model")
     if mode == "data":
         batch = _load_data(cfg)

@@ -18,12 +18,18 @@ to the cone boundary. Columns and cone rows are Ruiz-equilibrated (one scalar
 per PSD block, so cones are preserved), but convergence is declared on
 residuals of the original data. Everything is deterministic dense numpy.
 
+Every step renormalizes the iterate to tau = 1, which the embedding's positive
+homogeneity allows, so tau is exactly 1 at the top of each iteration and is
+no state of the loop.
+
 Each iteration solves its KKT systems through one QR factorization of the
 NT-scaled cone rows W^{-T} G and refines every solution against the residual
 of the full (N+M)^2 system using products with G and the per-block W^T W
 only. The factor's error grows with the condition number of W^{-T} G rather
 than its square, which keeps the data-driven endgame, where W degenerates,
-solvable.
+solvable. A KKT solve with no finite residual raises `LinAlgError`, as a
+failed scaling or factorization does; one handler ends the solve
+NumericalTrouble with its best iterate.
 """
 
 from __future__ import annotations
@@ -51,6 +57,10 @@ class SolverOptions:
     max_iter: int = 200
     verbose: bool = False
 
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+
 
 @dataclass
 class SolveReport:
@@ -71,18 +81,25 @@ class _Cone:
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
-        self.offsets = []
+        self.slices = []
         off = 0
         for d in self.dims:
-            self.offsets.append(off)
+            self.slices.append(slice(off, off + svec_len(d)))
             off += svec_len(d)
         self.total = off
         self.degree = sum(self.dims)
         self._tables = {d: svec_tables(d) for d in set(self.dims)}
 
-    def blocks(self, v):
-        for d, off in zip(self.dims, self.offsets):
-            yield d, v[off:off + svec_len(d)]
+    def map(self, fn, *vs):
+        """The svec of fn(i, d, smat blocks of vs...) per block, concatenated."""
+        return np.concatenate([
+            self.svec(d, fn(i, d, *(self.smat(d, v[sl]) for v in vs)))
+            for i, (d, sl) in enumerate(zip(self.dims, self.slices))])
+
+    def max_violation(self, v):
+        """The largest negated minimum eigenvalue over the blocks, at least 0."""
+        return max([0.0] + [-float(np.linalg.eigvalsh(self.smat(d, v[sl]))[0])
+                            for d, sl in zip(self.dims, self.slices)])
 
     def smat(self, d, v):
         _, _, pos, _, div = self._tables[d]
@@ -104,10 +121,7 @@ class _Cone:
         return 0.5 * (M[:, up] + M[:, lo]) * scale
 
     def identity(self):
-        e = np.zeros(self.total)
-        for d, off in zip(self.dims, self.offsets):
-            e[off:off + svec_len(d)] = self.svec(d, np.eye(d))
-        return e
+        return self.map(lambda i, d: np.eye(d))
 
 
 class _Scaling:
@@ -120,9 +134,9 @@ class _Scaling:
     def __init__(self, cone: _Cone, s, z):
         self.cone = cone
         self.R, self.Rinv, self.lam = [], [], []
-        for (d, sb), (_, zb) in zip(cone.blocks(s), cone.blocks(z)):
-            S = cone.smat(d, sb)
-            Z = cone.smat(d, zb)
+        for d, sl in zip(cone.dims, cone.slices):
+            S = cone.smat(d, s[sl])
+            Z = cone.smat(d, z[sl])
             Ls = np.linalg.cholesky(S)
             Lz = np.linalg.cholesky(Z)
             U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
@@ -135,12 +149,7 @@ class _Scaling:
         self._wm_ext = [(R @ R.T).astype(np.longdouble) for R in self.R]
 
     def _map(self, v, left, right):
-        out = np.empty_like(v)
-        for i, (d, vb) in enumerate(self.cone.blocks(v)):
-            M = self.cone.smat(d, vb)
-            out[self.cone.offsets[i]:self.cone.offsets[i] + svec_len(d)] = \
-                self.cone.svec(d, left[i] @ M @ right[i])
-        return out
+        return self.cone.map(lambda i, d, M: left[i] @ M @ right[i], v)
 
     def w_apply(self, dz):
         """W dz = svec(R^T mat(dz) R)."""
@@ -166,28 +175,19 @@ class _Scaling:
 
     def lam_vec(self):
         """svec of the diagonal scaled point Lambda."""
-        out = np.zeros(self.cone.total)
-        for i, d in enumerate(self.cone.dims):
-            out[self.cone.offsets[i]:self.cone.offsets[i] + svec_len(d)] = \
-                self.cone.svec(d, np.diag(self.lam[i]))
-        return out
+        return self.cone.map(lambda i, d: np.diag(self.lam[i]))
 
     def lam_solve(self, v):
         """Solve lambda o u = v in svec coordinates (Lambda is diagonal)."""
-        out = np.empty_like(v)
-        for i, (d, vb) in enumerate(self.cone.blocks(v)):
-            M = self.cone.smat(d, vb)
-            denom = 0.5 * (self.lam[i][:, None] + self.lam[i][None, :])
-            out[self.cone.offsets[i]:self.cone.offsets[i] + svec_len(d)] = \
-                self.cone.svec(d, M / denom)
-        return out
+        return self.cone.map(
+            lambda i, d, M: M / (0.5 * (self.lam[i][:, None] + self.lam[i][None, :])), v)
 
     def max_step(self, dtilde):
         """Largest alpha with Lambda + alpha*mat(dtilde) staying PSD."""
         alpha = np.inf
-        for i, (d, db) in enumerate(self.cone.blocks(dtilde)):
-            M = self.cone.smat(d, db)
-            sq = np.sqrt(self.lam[i])
+        for d, sl, lam in zip(self.cone.dims, self.cone.slices, self.lam):
+            M = self.cone.smat(d, dtilde[sl])
+            sq = np.sqrt(lam)
             lmin = float(np.linalg.eigvalsh(M / np.outer(sq, sq))[0])
             if lmin < 0:
                 alpha = min(alpha, -1.0 / lmin)
@@ -196,27 +196,16 @@ class _Scaling:
 
 def _sym_prod(cone: _Cone, u, v):
     """Jordan product (UV + VU)/2 in svec coordinates."""
-    out = np.empty_like(u)
-    for i, ((d, ub), (_, vb)) in enumerate(zip(cone.blocks(u), cone.blocks(v))):
-        U = cone.smat(d, ub)
-        V = cone.smat(d, vb)
-        out[cone.offsets[i]:cone.offsets[i] + svec_len(d)] = \
-            cone.svec(d, 0.5 * (U @ V + V @ U))
-    return out
+    return cone.map(lambda i, d, U, V: 0.5 * (U @ V + V @ U), u, v)
 
 
 # --- equilibration ----------------------------------------------------------
 
-def _equilibrate(G, h, c, dims, iters: int = 4):
+def _equilibrate(G, h, c, cone: _Cone, iters: int = 4):
     """Ruiz-style scaling; PSD blocks get one uniform row scale each."""
     M, N = G.shape
     drG = np.ones(M)
     dcol = np.ones(N)
-    starts = []
-    off = 0
-    for d in dims:
-        starts.append((off, off + svec_len(d)))
-        off += svec_len(d)
     Gs = G.copy()
     for _ in range(iters):
         cm = np.abs(Gs).max(axis=0, initial=0.0)
@@ -224,11 +213,11 @@ def _equilibrate(G, h, c, dims, iters: int = 4):
         sc[cm == 0.0] = 1.0
         dcol *= sc
         Gs *= sc[None, :]
-        for lo, hi in starts:
-            rm = np.abs(Gs[lo:hi]).max(initial=0.0)
+        for sl in cone.slices:
+            rm = np.abs(Gs[sl]).max(initial=0.0)
             sr = 1.0 if rm == 0.0 else 1.0 / np.sqrt(max(rm, 1e-8))
-            drG[lo:hi] *= sr
-            Gs[lo:hi] *= sr
+            drG[sl] *= sr
+            Gs[sl] *= sr
     hs = drG * h
     cs = dcol * c
     cscale = 1.0 / max(1.0, np.abs(cs).max(initial=0.0))
@@ -250,8 +239,8 @@ _KKT_REFINE = 3
 def _g_blocks(cone: _Cone, G):
     """Per PSD block: the columns of G that touch it and their smat stack."""
     out = []
-    for d, off in zip(cone.dims, cone.offsets):
-        Gb = G[off:off + svec_len(d)]
+    for d, sl in zip(cone.dims, cone.slices):
+        Gb = G[sl]
         cols = np.flatnonzero(np.any(Gb != 0.0, axis=0))
         out.append((cols, cone.smat_batch(d, Gb[:, cols].T)))
     return out
@@ -279,9 +268,8 @@ class _KKT:
         N, M = G.shape[1], cone.total
         idle = np.flatnonzero(~np.any(G, axis=0))
         Gt = np.zeros((M + idle.size, N), order="F")
-        for i, (cols, mats) in enumerate(gblocks):
-            d, off, Ri = cone.dims[i], cone.offsets[i], W.Rinv[i]
-            Gt[off:off + svec_len(d), cols] = cone.svec_batch(d, Ri @ mats @ Ri.T).T
+        for (cols, mats), d, sl, Ri in zip(gblocks, cone.dims, cone.slices, W.Rinv):
+            Gt[sl, cols] = cone.svec_batch(d, Ri @ mats @ Ri.T).T
         Gt[M + np.arange(idle.size), idle] = 1.0
         if Gt.shape[0] < N:
             raise np.linalg.LinAlgError("fewer cone rows than variables")
@@ -317,7 +305,9 @@ class _KKT:
         return rhs - np.concatenate([self.G.T @ dz, self.G @ dx - self.W.wtw_apply(dz)])
 
     def solve(self, rhs):
-        """Refined solution and the max-norm residual of the full system."""
+        """Refined solution and the max-norm residual of the full system.
+
+        Raises LinAlgError when no solution has a finite residual."""
         tol = 1e-13 * (1.0 + np.abs(rhs).max(initial=0.0))
         sol = self._solve(rhs)
         best_sol, best_err = sol, np.inf
@@ -330,6 +320,8 @@ class _KKT:
             if err <= tol or k == _KKT_REFINE:
                 break
             sol = sol + self._solve(resid)
+        if not np.isfinite(best_err):
+            raise np.linalg.LinAlgError("the KKT solve has no finite residual")
         return best_sol, best_err
 
 
@@ -338,34 +330,31 @@ class _KKT:
 def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
     opts = opts or SolverOptions()
     G0, h0, c0 = conic.G, conic.h, conic.c
-    dims = conic.dims
-    if not dims:
+    if not conic.dims:
         raise ValueError("the solver needs at least one PSD block")
     N = conic.n_reduced
-    cone = _Cone(dims)
+    cone = _Cone(conic.dims)
 
-    G, h, c, drG, dcol, cscale = _equilibrate(G0, h0, c0, dims)
+    G, h, c, drG, dcol, cscale = _equilibrate(G0, h0, c0, cone)
 
     x = np.zeros(N)
     s = cone.identity()
     z = cone.identity()
-    tau, kappa = 1.0, 1.0
+    kappa = 1.0
     nu = cone.degree + 1
 
-    def candidates():
-        X = dcol * (x / tau)
-        Z = (drG * z) / (tau * cscale)
-        return X, Z
-
-    def residual_metrics(X, Z):
+    gblocks = _g_blocks(cone, G)
+    best = None      # (score, X, pobj, metrics, iteration)
+    stall = 0
+    for it in range(opts.max_iter + 1):
+        # --- termination checks on the original data
+        X = dcol * x
+        Zr = drG * z
+        Z = Zr / cscale
         # primal feasibility is the conic violation of the candidate itself:
         # downstream consumers evaluate eigenvalues of h - G x, not the
-        # solver's internal slack iterate
-        slack = h0 - G0 @ X
-        viol = 0.0
-        for d, vb in cone.blocks(slack):
-            viol = max(viol, -float(np.linalg.eigvalsh(cone.smat(d, vb))[0]))
-        pres = max(viol, 0.0)    # absolute: consumers check block eigenvalues
+        # solver's internal slack iterate; absolute, as they check it
+        pres = cone.max_violation(h0 - G0 @ X)
         gtz = G0.T @ Z
         # normalized by the size of the dual terms, as is standard: the raw
         # residual cannot cancel below roundoff of the terms that form it
@@ -374,22 +363,12 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         pobj = float(c0 @ X)
         dobj = float(-h0 @ Z)
         gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        return pres, dres, gap, pobj, dobj
-
-    gblocks = _g_blocks(cone, G)
-    best = None      # (score, X, pobj, metrics, iteration)
-    stall = 0
-    it = 0
-    for it in range(opts.max_iter + 1):
-        # --- termination checks on the original data
-        X, Z = candidates()
-        pres, dres, gap, pobj, dobj = residual_metrics(X, Z)
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
             best = (score, X.copy(), pobj, {"feas": max(pres, dres), "gap": gap}, it)
         if opts.verbose:
             print(f"  it={it:3d} pres={pres:.2e} dres={dres:.2e} gap={gap:.2e} "
-                  f"tau={tau:.2e} kappa={kappa:.2e}")
+                  f"kappa={kappa:.2e}")
         if pres <= opts.tol_feas and dres <= opts.tol_feas and gap <= opts.tol_gap:
             return SolveReport(status="Optimal", x=X,
                                objective=pobj + conic.obj_const,
@@ -397,7 +376,6 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
                                residuals={"feas": max(pres, dres), "gap": gap},
                                iterations=it)
         # primal infeasibility: z ray with G^T z = 0, h^T z < 0
-        Zr = drG * z
         denom = -float(h0 @ Zr)
         if denom > 0:
             Zc = Zr / denom
@@ -409,11 +387,9 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
                                    certificate={"kind": "primal_infeasibility",
                                                 "z": Zc, "residual": float(res)})
         # unboundedness: x ray with G x + s = 0, c^T x < 0
-        Xr = dcol * x
-        Sr = s / drG
-        cdx = float(c0 @ Xr)
+        cdx = float(c0 @ X)
         if cdx < 0:
-            Xc, Sc = Xr / (-cdx), Sr / (-cdx)
+            Xc, Sc = X / (-cdx), s / drG / (-cdx)
             res = np.abs(G0 @ Xc + Sc).max(initial=0.0)
             if res <= _TOL_INFEAS * (1.0 + np.abs(Xc).max(initial=0.0)):
                 return SolveReport(status="Unbounded", x=None, objective=None,
@@ -429,86 +405,70 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             break  # no progress for several iterations; grinding on noise
 
         # --- residuals of the homogeneous model (scaled data)
-        rx = G.T @ z + c * tau
-        rz = -G @ x + h * tau - s
+        rx = G.T @ z + c
+        rz = -G @ x + h - s
         rtau = -float(c @ x) - float(h @ z) - kappa
-        mu = (float(s @ z) + tau * kappa) / nu
-
-        try:
-            W = _Scaling(cone, s, z)
-            kkt = _KKT(G, W, gblocks)
-        except np.linalg.LinAlgError:
-            break
-        lam = W.lam_vec()
-
-        def solve2(rxh, rzh):
-            sol, err = kkt.solve(np.concatenate([rxh, -rzh]))
-            if not np.isfinite(err):
-                return None
-            return sol[:N], sol[N:]
-
-        u1 = solve2(c, h)
-        if u1 is None or not np.all(np.isfinite(u1[0])):
-            break
-        dx1, dz1 = u1
+        mu = (float(s @ z) + kappa) / nu
 
         def hdot(u, v):
             return np.dot(u.astype(np.longdouble), v.astype(np.longdouble))
 
-        g1 = hdot(c, dx1) + hdot(h, dz1)
+        def solve2(rxh, rzh):
+            sol, _ = kkt.solve(np.concatenate([rxh, -rzh]))
+            return sol[:N], sol[N:]
 
         def direction(sigma, eta_s, eta_kappa):
             ds0 = W.wt_apply(W.lam_solve(eta_s))
-            u2 = solve2(-(1 - sigma) * rx, -(1 - sigma) * rz + ds0)
-            if u2 is None:
-                return None
-            dx2, dz2 = u2
+            dx2, dz2 = solve2(-(1 - sigma) * rx, -(1 - sigma) * rz + ds0)
             # the tau pivot and the slack update both suffer catastrophic
             # cancellation at small mu; extended precision keeps them honest
             g2 = hdot(c, dx2) + hdot(h, dz2)
-            dtau = float((g2 + eta_kappa / tau - (1 - sigma) * rtau)
-                         / (g1 + kappa / tau))
+            dtau = float((g2 + eta_kappa - (1 - sigma) * rtau) / (g1 + kappa))
             dx = dx2 - dtau * dx1
             dz = dz2 - dtau * dz1
             ds = ds0 - W.wtw_apply(dz)
-            dkappa = (eta_kappa - kappa * dtau) / tau
+            dkappa = eta_kappa - kappa * dtau
             return dx, dz, ds, dtau, dkappa
 
         def boundary_step(dz, ds, dtau, dkappa):
             alpha = min(W.max_step(W.w_apply(dz)), W.max_step(W.winvt_apply(ds)))
             if dtau < 0:
-                alpha = min(alpha, -tau / dtau)
+                alpha = min(alpha, -1.0 / dtau)
             if dkappa < 0:
                 alpha = min(alpha, -kappa / dkappa)
             return alpha
 
-        # predictor
-        lam_sq = _sym_prod(cone, lam, lam)
-        da = direction(0.0, -lam_sq, -tau * kappa)
-        if da is None:
-            break
-        a_aff = min(1.0, boundary_step(*da[1:]))
-        mu_aff = (float((s + a_aff * da[2]) @ (z + a_aff * da[1]))
-                  + (tau + a_aff * da[3]) * (kappa + a_aff * da[4])) / nu
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+        try:
+            W = _Scaling(cone, s, z)
+            kkt = _KKT(G, W, gblocks)
+            lam = W.lam_vec()
+            dx1, dz1 = solve2(c, h)
+            g1 = hdot(c, dx1) + hdot(h, dz1)
 
-        # corrector, dropped when its lambda-inverse amplification would
-        # swamp the base right-hand side and inject roundoff into the
-        # linear rows (only happens very near the central-path endgame)
-        base = sigma * mu * cone.identity() - lam_sq
-        corr = _sym_prod(cone, W.winvt_apply(da[2]), W.w_apply(da[1]))
-        base_amp = np.abs(W.lam_solve(base)).max(initial=0.0)
-        corr_amp = np.abs(W.lam_solve(corr)).max(initial=0.0)
-        if corr_amp <= 100.0 * (1.0 + base_amp):
-            eta_s = base - corr
-            eta_kappa = sigma * mu - tau * kappa - da[3] * da[4]
-        else:
-            eta_s = base
-            eta_kappa = sigma * mu - tau * kappa
-        step = direction(sigma, eta_s, eta_kappa)
-        if step is None:
+            # predictor
+            lam_sq = _sym_prod(cone, lam, lam)
+            da = direction(0.0, -lam_sq, -kappa)
+            a_aff = min(1.0, boundary_step(*da[1:]))
+            mu_aff = (float((s + a_aff * da[2]) @ (z + a_aff * da[1]))
+                      + (1.0 + a_aff * da[3]) * (kappa + a_aff * da[4])) / nu
+            sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+
+            # corrector, dropped when its lambda-inverse amplification would
+            # swamp the base right-hand side and inject roundoff into the
+            # linear rows (only happens very near the central-path endgame)
+            base = sigma * mu * cone.identity() - lam_sq
+            corr = _sym_prod(cone, W.winvt_apply(da[2]), W.w_apply(da[1]))
+            base_amp = np.abs(W.lam_solve(base)).max(initial=0.0)
+            corr_amp = np.abs(W.lam_solve(corr)).max(initial=0.0)
+            if corr_amp <= 100.0 * (1.0 + base_amp):
+                eta_s = base - corr
+                eta_kappa = sigma * mu - kappa - da[3] * da[4]
+            else:
+                eta_s = base
+                eta_kappa = sigma * mu - kappa
+            dx, dz, ds, dtau, dkappa = direction(sigma, eta_s, eta_kappa)
+        except np.linalg.LinAlgError:
             break
-        dx, dz, ds, dtau, dkappa = step
 
         alpha = min(1.0, _STEP_FRAC * boundary_step(dz, ds, dtau, dkappa))
         if not np.isfinite(alpha) or alpha <= 0:
@@ -518,31 +478,24 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         x += alpha * dx
         z += alpha * dz
         s += alpha * ds
-        tau += alpha * dtau
+        tau = 1.0 + alpha * dtau
         kappa += alpha * dkappa
         if not (np.isfinite(tau) and np.isfinite(kappa) and tau > 0 and kappa > 0
                 and np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
             break
         # the embedding is positively homogeneous: renormalizing the iterate
         # to tau = 1 keeps the recovered candidates free of 1/tau noise
-        # amplification without changing the trajectory
+        # amplification without changing the trajectory (x /= tau would
+        # round differently from x *= 1 / tau)
         rescale = 1.0 / tau
         x *= rescale
         z *= rescale
         s *= rescale
         kappa *= rescale
-        tau = 1.0
 
-    if best is not None:
-        return SolveReport(status="NumericalTrouble", x=best[1],
-                           objective=best[2] + conic.obj_const,
-                           residuals=best[3], iterations=it)
-    X, Z = candidates()
-    pres, dres, gap, pobj, dobj = residual_metrics(X, Z)
-    return SolveReport(status="NumericalTrouble", x=X,
-                       objective=pobj + conic.obj_const,
-                       residuals={"feas": max(pres, dres), "gap": gap},
-                       iterations=it)
+    return SolveReport(status="NumericalTrouble", x=best[1],
+                       objective=best[2] + conic.obj_const,
+                       residuals=best[3], iterations=it)
 
 
 def infeasibility_residual(conic: ConicForm, certificate: dict) -> float:
@@ -553,9 +506,5 @@ def infeasibility_residual(conic: ConicForm, certificate: dict) -> float:
         return np.inf
     z = z / denom
     res = conic.G.T @ z
-    cone = _Cone(conic.dims)
-    eig_viol = 0.0
-    for d, zb in cone.blocks(z):
-        eig_viol = max(eig_viol, -float(np.linalg.eigvalsh(cone.smat(d, zb))[0]))
-    return max(float(np.abs(res).max(initial=0.0)), eig_viol)
+    return max(float(np.abs(res).max(initial=0.0)), _Cone(conic.dims).max_violation(z))
 

@@ -40,6 +40,8 @@ from .subspace import (SubspaceSpec, contains, from_pattern, sharing_subspace,
                        upsilon_constraints)
 
 DESIGNS = ("D1", "D2", "D3", "D4")
+# lower bound on beta in data-driven designs: replaces the open condition beta > 0
+_ETA_BETA = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ class DesignOptions:
     sharing: bool = False
     eta: float = 1e-3
     gamma: float | None = None            # None: minimize; value: feasibility test
-    eta_beta: float = 1e-9                # replaces the open condition beta > 0
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -262,7 +263,7 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
     Assembles the (3n+m)-dimensional S-procedure block coupling the
     certificate matrices with alpha * Psi, plus the output block, minimizing
     gamma^2. The margin eta shifts both PSD blocks; beta is bounded below by
-    eta_beta. alpha and beta are reported alongside the certificate.
+    _ETA_BETA. alpha and beta are reported alongside the certificate.
     """
     n, m = batch.n, batch.m
     if perf.n != n or perf.m != m:
@@ -297,7 +298,7 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
     prob.add_psd(block([[MatExpr.of(Q), CRDL], [CRDL.T, RRP]]),
                  margin=opts.eta, name="h2_output")
     prob.add_psd(MatExpr.of(alpha), name="alpha_nonneg")
-    prob.add_psd(MatExpr.of(beta) - opts.eta_beta * np.eye(1), name="beta_pos")
+    prob.add_psd(MatExpr.of(beta) - _ETA_BETA * np.eye(1), name="beta_pos")
     prob.add_psd(gexpr - MatExpr.of(Q).trace(), name="trace_bound")
 
     conic = prob.compile()

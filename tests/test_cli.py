@@ -307,7 +307,8 @@ class TestConfigErrors:
                                           ("eta", {"eta": "x"}),
                                           ("gamma", {"gamma": "g"}),
                                           ("x0", {"x0": ["a", 0, 0]}),
-                                          ("solver", {"solver": 3})])
+                                          ("solver", {"solver": 3}),
+                                          ("solver.max_iter", {"solver": {"max_iter": -1}})])
     def test_malformed_value(self, tmp_path, capsys, key, cfg):
         code, err = self._design_exit(tmp_path, capsys, plant="example1", **cfg)
         assert code == 2
@@ -337,6 +338,21 @@ class TestConfigErrors:
         assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: expected an integer"), err
+
+    @pytest.mark.parametrize("command, key, cfg", [
+        ("design", "sharing", {"sharing": "false"}),
+        ("verify", "sharing", {"sharing": 0}),
+        ("verify", "verify.structure", {"verify": {"structure": "false"}}),
+    ])
+    def test_boolean_key(self, tmp_path, capsys, command, key, cfg):
+        # bool("false") is True: a flag must be a JSON boolean
+        (tmp_path / "k.csv").write_text("0,0,0\n0,0,0\n")
+        cfg = {**cfg, "verify": {**cfg.get("verify", {}), "k": str(tmp_path / "k.csv")}}
+        path = write_cfg(tmp_path / "c.json", plant="example1", designs=["D4"],
+                         output_dir=str(tmp_path / "out"), **cfg)
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: expected true or false"), err
 
     def test_integral_float_accepted(self, tmp_path, capsys):
         path = write_cfg(tmp_path / "c.json", plant="example1",

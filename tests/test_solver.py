@@ -134,6 +134,15 @@ class TestCertificates:
         rep = solve(trace_floor_problem(M), SolverOptions(max_iter=1))
         assert rep.status == "NumericalTrouble"
 
+    def test_max_iter_floor(self):
+        # zero iterations still report the starting point; fewer is an error
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverOptions(max_iter=-1)
+        rep = solve(trace_floor_problem(np.eye(3)), SolverOptions(max_iter=0))
+        assert rep.status == "NumericalTrouble"
+        assert rep.iterations == 0
+        assert rep.x is not None
+
 
 class TestKktSolve:
     def random_system(self, seed=5):
@@ -143,9 +152,9 @@ class TestKktSolve:
 
         def interior_point():
             v = np.zeros(M)
-            for d, off in zip(cone.dims, cone.offsets):
+            for d, sl in zip(cone.dims, cone.slices):
                 X = rng.standard_normal((d, d))
-                v[off:off + svec_len(d)] = cone.svec(d, X @ X.T + 0.1 * np.eye(d))
+                v[sl] = cone.svec(d, X @ X.T + 0.1 * np.eye(d))
             return v
 
         W = _Scaling(cone, interior_point(), interior_point())
@@ -161,6 +170,13 @@ class TestKktSolve:
         sol, err = _KKT(G, W, _g_blocks(cone, G)).solve(rhs)
         assert err <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
+
+    def test_nonfinite_solve_raises(self):
+        # the solver's one failure exit catches LinAlgError
+        G, W, cone, _, rhs = self.random_system()
+        rhs[0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _KKT(G, W, _g_blocks(cone, G)).solve(rhs)
 
     @pytest.mark.parametrize("design", ["D1", "D2"])
     def test_data_endgame_stays_optimal(self, design):
@@ -203,3 +219,34 @@ class TestKktSolve:
         # one QR factorization of the cone rows per iteration
         assert len(factored) == res.report.iterations
         assert set(factored) == {(conic.G.shape[0], conic.n_reduced)}
+
+
+# Status, iteration count and gamma of example1 designs, recorded with the
+# solver as it stood when this test was added. The solver is deterministic, so
+# a rewrite of the IPM loop that keeps its arithmetic keeps these exactly; one
+# that changes the arithmetic fails here and must say why the numbers moved.
+RECORDED = {
+    ("model", "D1"): ("Optimal", 10, 2.1570510918237864),
+    ("model", "D2"): ("Optimal", 10, 3.5701048524631824),
+    ("model", "D3"): ("Optimal", 11, 3.012718850422498),
+    ("model", "D4"): ("Optimal", 11, 2.9831891589986066),
+    # the fresh eps = 0.05, T = 20 record of the benchmark's small-sdp workload
+    ("data", "D1"): ("Optimal", 13, 2.3940246266894345),
+    ("data", "D2"): ("Optimal", 13, 4.388124249127456),
+    ("data", "D3"): ("Optimal", 14, 3.5321048531113837),
+    ("data", "D4"): ("Optimal", 12, 3.4833890639619955),
+}
+
+
+@pytest.mark.parametrize("mode, design", sorted(RECORDED))
+def test_recorded_trajectory(mode, design, plant, perf, subspace):
+    opts = DesignOptions(design=design, subspace=None if design == "D1" else subspace)
+    if mode == "model":
+        res = design_model(plant, perf, opts)
+    else:
+        batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
+        res = design_data(batch, perf, opts)
+    status, iterations, gamma = RECORDED[mode, design]
+    assert res.status == status
+    assert res.report.iterations == iterations
+    assert res.gamma == pytest.approx(gamma, rel=1e-12)
