@@ -1,7 +1,7 @@
 """Structured state-feedback H2 synthesis from models or noisy data."""
 
-from .dataset import (DataBatch, NoiseModel, PlantPair, assemble_psi, center_plant,
-                      consistency, load_batch, phi_ball, sample_consistent,
+from .dataset import (DataBatch, NoiseModel, PlantPair, PlantStack, assemble_psi,
+                      center_plant, consistency, load_batch, phi_ball, sample_consistent,
                       save_batch, simulate)
 from .errors import (ConfigError, DimensionMismatch, EmptyInterior, EmptySubspace,
                      RankDeficientData, RankDeficientDataWarning,

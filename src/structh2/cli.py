@@ -57,10 +57,14 @@ def _path(cfg, value, name) -> str:
 def _value(kind, value, name):
     """kind(value) for the config value under key name (kind is float, int, ...).
 
-    An int key refuses a non-integral number rather than truncate it.
+    An int key refuses a non-integral number rather than truncate it, and a
+    number key refuses a JSON boolean, which Python reads as 0 or 1.
     """
-    if kind is int and isinstance(value, float) and not value.is_integer():
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if kind is float and isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -146,7 +150,8 @@ def _solver_options(cfg) -> SolverOptions:
     try:
         return SolverOptions(tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
     except ValueError as exc:
-        raise ConfigError(f"solver.max_iter: {exc}") from exc
+        # SolverOptions starts each message with the field it rejects
+        raise ConfigError(f"solver.{str(exc).split()[0]}: {exc}") from exc
 
 
 def _design_options(cfg, design, subspace) -> DesignOptions:

@@ -48,6 +48,27 @@ class PlantPair:
         return self.B.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class PlantStack:
+    """S plants as stacks A (S, n, n) and B (S, n, m), as `sample_consistent`
+    returns them. It reads like a list of `PlantPair`: `len`, iteration, an
+    integer index (a `PlantPair`) and a slice (a `PlantStack`)."""
+
+    A: np.ndarray
+    B: np.ndarray
+
+    def __len__(self) -> int:
+        return self.A.shape[0]
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return PlantStack(A=self.A[idx], B=self.B[idx])
+        return PlantPair(A=self.A[idx], B=self.B[idx])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class NoiseModel:
     """Quadratic noise bound [I; W^T]^T Phi [I; W^T] >= 0 with Phi in S^{n+T}.
@@ -285,13 +306,17 @@ def center_plant(batch: DataBatch) -> PlantPair:
 
 
 def sample_consistent(batch: DataBatch, count: int, mode: str = "interior",
-                      seed: int = 0) -> list:
+                      seed: int = 0) -> PlantStack:
     """Seeded plants from Sigma_D via Z = Zc + (-Psi22)^(-1/2) C Delta^(1/2).
 
     C is a random (n+m) x n contraction: spectral norm == 1 in "boundary"
     mode (margin 0 up to roundoff), <= 1 uniform-scaled in "interior" mode.
-    Raises RankDeficientData when Psi22 is not negative definite and
-    EmptyInterior when the Schur slack Delta is not PSD.
+    Returns a `PlantStack` of `count` plants. The loop only draws, in the
+    order of one plant at a time (normal C, then its uniform scale); the
+    norms and products run once on the whole (count, n+m, n) stack, through
+    the same LAPACK and BLAS calls per matrix. Raises RankDeficientData
+    when Psi22 is not negative definite and EmptyInterior when the Schur
+    slack Delta is not PSD.
     """
     if mode not in ("interior", "boundary"):
         raise ValueError("mode must be 'interior' or 'boundary'")
@@ -306,16 +331,17 @@ def sample_consistent(batch: DataBatch, count: int, mode: str = "interior",
     neg_inv_sqrt = _sqrt_psd(np.linalg.inv(-psi22), name="(-Psi22)^{-1}")
     delta_sqrt = _sqrt_psd(delta, name="Delta")
     rng = np.random.default_rng(seed)
-    plants = []
-    for _ in range(count):
-        C = rng.standard_normal((n + m, n))
-        sv = np.linalg.svd(C, compute_uv=False)[0]
-        C /= sv
+    C = np.empty((count, n + m, n))
+    scale = np.empty(count)
+    for i in range(count):
+        C[i] = rng.standard_normal((n + m, n))
         if mode == "interior":
-            C *= rng.uniform()
-        Z = Zc + neg_inv_sqrt @ C @ delta_sqrt
-        plants.append(PlantPair(A=Z[:n, :].T, B=Z[n:, :].T))
-    return plants
+            scale[i] = rng.uniform()
+    C /= np.linalg.svd(C, compute_uv=False)[:, :1, None]
+    if mode == "interior":
+        C *= scale[:, None, None]
+    Z = Zc + neg_inv_sqrt @ C @ delta_sqrt
+    return PlantStack(A=Z[:, :n, :].swapaxes(1, 2), B=Z[:, n:, :].swapaxes(1, 2))
 
 
 # --- on-disk format -------------------------------------------------------

@@ -43,11 +43,28 @@ def symmetrize(M, name="matrix") -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def spectral_radius(A) -> float:
-    A = as_matrix(A, name="A")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"spectral_radius needs a square matrix, got {A.shape}")
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
+def _square_stack(A, name):
+    """A square matrix, or a stack of them along a leading axis, as a float
+    (S, n, n) array; also whether a single matrix was given."""
+    A = np.asarray(A, dtype=float)
+    single = A.ndim <= 2
+    if single:
+        A = as_matrix(A, name=name)[None]
+    elif A.ndim != 3:
+        raise DimensionMismatch(f"{name} must be 2-D or a 3-D stack, got ndim={A.ndim}")
+    elif not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if A.shape[1] != A.shape[2]:
+        raise DimensionMismatch(f"{name} must be square, got {A.shape[1:]}")
+    return A, single
+
+
+def spectral_radius(A):
+    """Largest eigenvalue modulus: a float for a matrix, an (S,) array for a
+    stack of S matrices."""
+    A, single = _square_stack(A, "A")
+    rho = np.abs(np.linalg.eigvals(A)).max(axis=-1)
+    return float(rho[0]) if single else rho
 
 
 def min_eig(M) -> float:
@@ -65,22 +82,61 @@ def is_psd(M, shift: float = 0.0) -> bool:
         return False
 
 
+# Kronecker-system entries per batched solve (8 MB of float64): a stack is
+# solved in chunks, so memory stays bounded at n = 12-24 whatever its length
+_SOLVE_CHUNK = 2 ** 20
+_UNSTABLE = "solve_dlyap needs spectral_radius(Acl) < 1 - 1e-9"
+
+
+def _dlyap_stack(Acl, M):
+    """solve_dlyap on an (S, n, n) stack: P with nan matrices where
+    unstable, and the (S,) stability mask.
+
+    I - Acl (x) Acl is built by broadcasting, with the single products
+    `np.kron` forms, and each system goes through the same LAPACK solve
+    alone or in a stack, so every member's P is bit for bit its 2-D result.
+    """
+    S, n, _ = Acl.shape
+    stable = spectral_radius(Acl) < 1.0 - STABILITY_MARGIN
+    idx = np.flatnonzero(stable)
+    P = np.full((S, n, n), np.nan)
+    step = max(1, _SOLVE_CHUNK // n ** 4)
+    for lo in range(0, idx.size, step):
+        part = idx[lo:lo + step]
+        P[part] = _kron_solve(Acl[part], M)
+    return 0.5 * (P + P.swapaxes(-1, -2)), stable
+
+
+def _kron_solve(A, M) -> np.ndarray:
+    """vec^-1 of (I - A (x) A)^{-1} vec(M) for each matrix of the stack A."""
+    k, n, _ = A.shape
+    lhs = (A[:, :, None, :, None] * A[:, None, :, None, :]).reshape(k, n * n, n * n)
+    # 0 - x (where -x would turn +0.0 into -0.0), then + 1 on the diagonal:
+    # bit for bit the entries of eye(n*n) - kron(A, A)
+    np.subtract(0.0, lhs, out=lhs)
+    diag = np.arange(n * n)
+    lhs[:, diag, diag] += 1.0
+    return np.linalg.solve(lhs, M.reshape(-1, 1)).reshape(k, n, n)
+
+
 def solve_dlyap(Acl, M) -> np.ndarray:
     """Solve P = Acl P Acl^T + M for symmetric M and Schur-stable Acl.
 
     Vectorized linear solve through (I - Acl (x) Acl); exact at the problem
-    sizes used here, preferred over iteration for verification duty.
+    sizes used here, preferred over iteration for verification duty. A
+    single Acl raises UnstableMatrix when its spectral radius is >= 1 - 1e-9.
+    A stack (S, n, n) sharing one M gives (S, n, n), all nan for each such
+    member, and each member bit for bit its 2-D result.
     """
-    Acl = as_matrix(Acl, name="Acl")
-    n = Acl.shape[0]
-    if Acl.shape[1] != n:
-        raise DimensionMismatch(f"Acl must be square, got {Acl.shape}")
-    M = symmetrize(as_matrix(M, rows=n, cols=n, name="M"), name="M")
-    if spectral_radius(Acl) >= 1.0 - STABILITY_MARGIN:
-        raise UnstableMatrix("solve_dlyap needs spectral_radius(Acl) < 1 - 1e-9")
-    lhs = np.eye(n * n) - np.kron(Acl, Acl)
-    P = np.linalg.solve(lhs, M.reshape(-1)).reshape(n, n)
-    return symmetrize(P)
+    Acl, single = _square_stack(Acl, "Acl")
+    n = Acl.shape[1]
+    P, stable = _dlyap_stack(Acl, symmetrize(as_matrix(M, rows=n, cols=n, name="M"),
+                                             name="M"))
+    if not single:
+        return P
+    if not stable[0]:
+        raise UnstableMatrix(_UNSTABLE)
+    return P[0]
 
 
 def dlyap_series(Acl, M, terms: int = 200) -> np.ndarray:
@@ -95,19 +151,29 @@ def dlyap_series(Acl, M, terms: int = 200) -> np.ndarray:
     return symmetrize(P)
 
 
-def h2_norm(Acl, E, Ccl) -> float:
+def h2_norm(Acl, E, Ccl):
     """H2 norm of Ccl (zI - Acl)^{-1} E for a Schur-stable Acl.
 
     Computed as sqrt(trace(Ccl Pc Ccl^T)) with Pc the controllability Gramian
-    from `solve_dlyap(Acl, E E^T)`. Raises UnstableMatrix otherwise.
+    from `solve_dlyap(Acl, E E^T)`. A single Acl gives a float and raises
+    UnstableMatrix when its spectral radius is >= 1 - 1e-9. A stack
+    (S, n, n) of closed loops sharing E and Ccl gives an (S,) array, nan for
+    each such member, and each entry bit for bit its 2-D result.
     """
-    Acl = as_matrix(Acl, name="Acl")
-    n = Acl.shape[0]
+    Acl, single = _square_stack(Acl, "Acl")
+    n = Acl.shape[1]
     E = as_matrix(E, rows=n, name="E")
     Ccl = as_matrix(Ccl, cols=n, name="Ccl")
-    Pc = solve_dlyap(Acl, E @ E.T)
-    val = float(np.trace(Ccl @ Pc @ Ccl.T))
-    return float(np.sqrt(max(val, 0.0)))
+    Pc, stable = _dlyap_stack(Acl, symmetrize(E @ E.T))
+    # each diagonal is copied out and summed alone, in the order np.trace
+    # sums a 2-D product's diagonal
+    val = np.diagonal(Ccl @ Pc @ Ccl.T, axis1=1, axis2=2).copy().sum(axis=1)
+    h2 = np.sqrt(np.where(val < 0.0, 0.0, val))     # max(val, 0.0), nan kept
+    if not single:
+        return h2
+    if not stable[0]:
+        raise UnstableMatrix(_UNSTABLE)
+    return float(h2[0])
 
 
 def read_matrix_csv(path) -> np.ndarray:

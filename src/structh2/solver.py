@@ -34,6 +34,7 @@ NumericalTrouble with its best iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,11 @@ class SolverOptions:
     verbose: bool = False
 
     def __post_init__(self):
+        # each message starts with the field it names
+        for name in ("tol_feas", "tol_gap"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 

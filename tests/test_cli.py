@@ -308,7 +308,11 @@ class TestConfigErrors:
                                           ("gamma", {"gamma": "g"}),
                                           ("x0", {"x0": ["a", 0, 0]}),
                                           ("solver", {"solver": 3}),
-                                          ("solver.max_iter", {"solver": {"max_iter": -1}})])
+                                          ("solver.max_iter", {"solver": {"max_iter": -1}}),
+                                          ("solver.tol_feas", {"solver": {"tol_feas": -1}}),
+                                          ("solver.tol_feas",
+                                           {"solver": {"tol_feas": float("nan")}}),
+                                          ("solver.tol_gap", {"solver": {"tol_gap": 0}})])
     def test_malformed_value(self, tmp_path, capsys, key, cfg):
         code, err = self._design_exit(tmp_path, capsys, plant="example1", **cfg)
         assert code == 2
@@ -325,6 +329,28 @@ class TestConfigErrors:
     ])
     def test_non_integral_int_key(self, tmp_path, capsys, command, key, cfg):
         # an integer key must not truncate a float: T = 20.7 is not T = 20
+        err = self._number_key_exit(tmp_path, capsys, command, cfg)
+        assert err.startswith(f"config error: {key}: expected an integer"), err
+
+    @pytest.mark.parametrize("command, key, cfg, kind", [
+        ("simulate", "noise.T", {"noise": {"T": True}}, "an integer"),
+        ("simulate", "noise.seed", {"noise": {"seed": True}}, "an integer"),
+        ("simulate", "noise.exponent", {"noise": {"exponent": True}}, "an integer"),
+        ("simulate", "noise.eps", {"noise": {"eps": True}}, "a number"),
+        ("design", "solver.max_iter", {"designs": ["D4"], "solver": {"max_iter": True}},
+         "an integer"),
+        ("sweep", "sweep.T", {"sweep": {"eps": [0.1], "T": [10, True]}}, "an integer"),
+        ("verify", "verify.samples", {"verify": {"samples": True}}, "an integer"),
+        ("verify", "verify.seed", {"verify": {"seed": False}}, "an integer"),
+    ])
+    def test_boolean_number_key(self, tmp_path, capsys, command, key, cfg, kind):
+        # a JSON true is not the number 1: {"T": true} must not simulate T = 1
+        err = self._number_key_exit(tmp_path, capsys, command, cfg)
+        assert err.startswith(f"config error: {key}: expected {kind}"), err
+
+    def _number_key_exit(self, tmp_path, capsys, command, cfg):
+        """Run command on a data-mode example1 config with cfg merged in;
+        asserts exit code 2 and returns stderr."""
         (tmp_path / "k.csv").write_text("0,0,0\n0,0,0\n")
         sim = write_cfg(tmp_path / "sim.json", plant="example1", noise={"T": 20},
                         data_dir=str(tmp_path / "batch"))
@@ -336,8 +362,7 @@ class TestConfigErrors:
                          **cfg)
         capsys.readouterr()
         assert main([command, "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key}: expected an integer"), err
+        return capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key, cfg", [
         ("design", "sharing", {"sharing": "false"}),

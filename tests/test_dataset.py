@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from structh2 import (DataBatch, DimensionMismatch, EmptyInterior, NoiseModel,
-                      PlantPair, RankDeficientData, assemble_psi, center_plant,
+                      PlantPair, PlantStack, RankDeficientData, assemble_psi, center_plant,
                       consistency, load_batch, min_eig, phi_ball,
                       sample_consistent, save_batch, simulate, write_matrix_csv)
+from structh2.dataset import _psi_split, _sqrt_psd
 from structh2.plants import EXAMPLE1_X0
 
 
@@ -208,6 +209,41 @@ class TestSampler:
     def test_mode_validation(self, batch):
         with pytest.raises(ValueError):
             sample_consistent(batch, 5, mode="edge", seed=0)
+
+    @pytest.mark.parametrize("mode", ["boundary", "interior"])
+    def test_matches_one_plant_at_a_time(self, batch, mode):
+        # the formula the sampler stacks, one draw and one product per plant
+        psi11, psi12, psi22 = _psi_split(batch)
+        Zc = -np.linalg.solve(psi22, psi12.T)
+        left = _sqrt_psd(np.linalg.inv(-psi22))
+        right = _sqrt_psd(psi11 + psi12 @ Zc)
+        rng = np.random.default_rng(4)
+        plants = sample_consistent(batch, 30, mode=mode, seed=4)
+        assert len(plants) == 30
+        for p in plants:
+            C = rng.standard_normal((batch.n + batch.m, batch.n))
+            C /= np.linalg.svd(C, compute_uv=False)[0]
+            if mode == "interior":
+                C *= rng.uniform()
+            Z = Zc + left @ C @ right
+            assert np.array_equal(p.A, Z[:batch.n].T)
+            assert np.array_equal(p.B, Z[batch.n:].T)
+
+    def test_plant_stack_reads_like_a_list(self, batch):
+        plants = sample_consistent(batch, 7, mode="interior", seed=3)
+        assert isinstance(plants, PlantStack)
+        assert len(plants) == 7
+        assert plants.A.shape == (7, 3, 3) and plants.B.shape == (7, 3, 2)
+        members = list(plants)
+        assert len(members) == 7
+        for i, p in enumerate(members):
+            assert isinstance(p, PlantPair)
+            assert np.array_equal(p.A, plants.A[i]) and np.array_equal(p.B, plants.B[i])
+        assert np.array_equal(plants[-1].A, plants.A[6])
+        head = plants[2:5]
+        assert isinstance(head, PlantStack) and len(head) == 3
+        assert np.array_equal(head.A, plants.A[2:5]) and np.array_equal(head.B, plants.B[2:5])
+        assert len(sample_consistent(batch, 0, seed=3)) == 0
 
 
 class TestDiskFormat:

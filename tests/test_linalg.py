@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
+from structh2 import linalg
 from structh2 import (DimensionMismatch, UnstableMatrix, dlyap_series, h2_norm,
                       is_psd, min_eig, read_matrix_csv, solve_dlyap,
                       spectral_radius, symmetrize, write_matrix_csv)
@@ -81,6 +82,66 @@ class TestH2Norm:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableMatrix):
             h2_norm([[2.0]], [[1.0]], [[1.0]])
+
+
+def mixed_stack(n=4, seed=7):
+    """Closed loops with spectral radius 0.3 ... 1.5, including marginal ones
+    in [1 - 1e-9, 1) that the Lyapunov solve must reject."""
+    rng = np.random.default_rng(seed)
+    radii = np.array([0.3, 0.9, 0.999, 1.0 - 2e-9, 1.0 - 5e-10, 1.0 - 1e-10, 1.0, 1.5, 0.5])
+    A = rng.standard_normal((radii.size, n, n))
+    A *= (radii / spectral_radius(A))[:, None, None]
+    return A, rng.standard_normal((n, 2)), rng.standard_normal((3, n))
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("chunk", [None, 2 * 4 ** 4])
+    def test_h2_matches_2d_bit_for_bit(self, monkeypatch, chunk):
+        if chunk is not None:               # several batched solves per stack
+            monkeypatch.setattr(linalg, "_SOLVE_CHUNK", chunk)
+        A, E, C = mixed_stack()
+        rho = spectral_radius(A)
+        assert np.any((rho >= 1.0 - 1e-9) & (rho < 1.0))
+        h2 = h2_norm(A, E, C)
+        assert h2.shape == (A.shape[0],)
+        for i in range(A.shape[0]):
+            try:
+                assert h2[i] == h2_norm(A[i], E, C)
+            except UnstableMatrix:
+                assert np.isnan(h2[i])
+                assert rho[i] >= 1.0 - 1e-9
+            else:
+                assert rho[i] < 1.0 - 1e-9
+        assert 0 < np.isnan(h2).sum() < A.shape[0]
+
+    def test_dlyap_and_radius_match_2d(self):
+        A, E, _ = mixed_stack(n=3, seed=8)
+        M = E @ E.T
+        P = solve_dlyap(A, M)
+        rho = spectral_radius(A)
+        for i in range(A.shape[0]):
+            assert rho[i] == spectral_radius(A[i])
+            try:
+                assert np.array_equal(P[i], solve_dlyap(A[i], M))
+            except UnstableMatrix:
+                assert np.isnan(P[i]).all()
+
+    def test_2d_contract_kept(self):
+        assert type(h2_norm([[0.5]], [[1.0]], [[1.0]])) is float
+        assert type(spectral_radius([[0.5]])) is float
+        with pytest.raises(UnstableMatrix):
+            solve_dlyap(np.eye(2) * (1.0 - 5e-10), np.eye(2))
+
+    def test_empty_stack(self):
+        assert h2_norm(np.empty((0, 3, 3)), np.eye(3), np.eye(3)).shape == (0,)
+
+    def test_bad_stack_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            h2_norm(np.ones((2, 2, 3)), np.eye(2), np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            spectral_radius(np.ones((2, 2, 2, 2)))
+        with pytest.raises(ValueError):
+            h2_norm(np.full((2, 2, 2), np.nan), np.eye(2), np.eye(2))
 
 
 class TestSpectra:

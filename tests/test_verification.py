@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from structh2 import (DesignOptions, PerformanceSpec, PlantPair, VerificationReport,
-                      default_perf, design_data, h2_norm, verify_data, verify_model)
+from structh2 import (DesignOptions, PerformanceSpec, PlantPair, UnstableMatrix,
+                      VerificationReport, contains, default_perf, design_data,
+                      design_model, h2_norm, sample_consistent, simulate,
+                      spectral_radius, verify_data, verify_model)
 
 K_BENCH = np.array([[0.5359, 0.1875, 0.0],
                       [0.0, -0.6245, 0.2226]])
@@ -93,6 +97,88 @@ class TestVerifyData:
         report = verify_data(batch, perf, certified.K, certified.gamma,
                              samples=80, seed=3)
         assert report.worst_case_h2 >= report.h2 - 1e-12
+
+
+def reference_report(batch, perf, K, gamma, samples, seed, subspace=None):
+    """verify_data written as a loop over the sampled plants, one 2-D
+    h2_norm call each."""
+    n_boundary = (samples + 1) // 2
+    plants = list(sample_consistent(batch, n_boundary, mode="boundary", seed=seed))
+    plants += list(sample_consistent(batch, samples - n_boundary, mode="interior",
+                                     seed=seed + 1))
+    violations, worst, unstable = [], None, False
+    for idx, p in enumerate(plants):
+        try:
+            val = h2_norm(p.A + p.B @ K, perf.E, perf.C + perf.D @ K)
+        except UnstableMatrix:
+            unstable = True
+            violations.append(f"sample {idx}: closed loop unstable")
+            continue
+        worst = val if worst is None else max(worst, val)
+        if val > gamma * (1.0 + 1e-4):
+            violations.append(f"sample {idx}: h2 {val:.6f} exceeds gamma {gamma:.6f}")
+    structure_ok = subspace is None or contains(subspace, K, 1e-6)
+    if not structure_ok:
+        violations.append("gain left the required subspace (tol 1e-6)")
+    return VerificationReport(stable=not unstable, h2=worst, structure_ok=structure_ok,
+                              sharing_ok=True, worst_case_h2=worst,
+                              samples_checked=len(plants), unstable=unstable,
+                              violations=violations)
+
+
+@pytest.fixture(scope="module")
+def random_case():
+    """A random (4, 2) plant whose wide consistency set (eps = 0.5) holds
+    plants that the true plant's D1 gain leaves unstable or above gamma."""
+    rng = np.random.default_rng(0)
+    n, m = 4, 2
+    A = rng.standard_normal((n, n))
+    A *= 1.05 / spectral_radius(A)
+    plant = PlantPair(A=A, B=rng.standard_normal((n, m)))
+    perf = default_perf(n, m)
+    batch, _ = simulate(plant, np.zeros(n), None, 0.5, seed=0, exponent=2, T=4 * (n + m))
+    res = design_model(plant, perf, DesignOptions(design="D1"))
+    assert res.status == "Optimal"
+    return batch, perf, res.K, res.gamma
+
+
+class TestStackedVerifyData:
+    @pytest.mark.parametrize("samples", [200, 7])
+    def test_example1_matches_reference(self, perf, subspace, batch, certified, samples):
+        for gamma in (certified.gamma, certified.gamma / 2):
+            report = verify_data(batch, perf, certified.K, gamma, samples=samples, seed=5,
+                                 subspace=subspace)
+            ref = reference_report(batch, perf, certified.K, gamma, samples, 5, subspace)
+            assert report.to_json() == ref.to_json()
+        assert report.violations and not report.unstable
+
+    def test_random_plant_matches_reference(self, random_case):
+        batch, perf, K, gamma = random_case
+        report = verify_data(batch, perf, K, gamma, samples=200, seed=0)
+        assert report.to_json() == reference_report(batch, perf, K, gamma, 200, 0).to_json()
+        kinds = {v.split(": ")[1].split()[0] for v in report.violations}
+        assert kinds == {"closed", "h2"}        # unstable and above-gamma samples
+
+    def test_memory_bounded_at_n12(self):
+        # the Kronecker systems are solved in chunks: one batched solve of all
+        # 200 144x144 systems would hold 33 MB
+        rng = np.random.default_rng(0)
+        n, m = 12, 6
+        A = rng.standard_normal((n, n))
+        A *= 0.7 / spectral_radius(A)
+        plant = PlantPair(A=A, B=rng.standard_normal((n, m)))
+        batch, _ = simulate(plant, np.zeros(n), None, 0.02, seed=0, exponent=2,
+                            T=4 * (n + m))
+        perf, K = default_perf(n, m), np.zeros((m, n))
+        batch.psi
+        tracemalloc.start()
+        try:
+            report = verify_data(batch, perf, K, 100.0, samples=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples_checked == 200 and report.ok
+        assert peak < 16 * 2 ** 20
 
 
 class TestReportSerialization:
