@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -69,6 +70,21 @@ def _value(kind, value, name):
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _vector(value, name) -> np.ndarray:
+    """The config value under key name, which must be a flat list of finite
+    numbers: np.asarray would read a JSON boolean as 0 or 1 and accept a
+    nested list or a NaN."""
+    try:
+        ok = isinstance(value, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in value)
+    except OverflowError:       # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name}: expected a flat list of finite numbers, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def _flag(value, name) -> bool:
@@ -138,7 +154,7 @@ def _resolve_plant(cfg):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     if "x0" in cfg:
-        x0 = _value(lambda v: np.asarray(v, dtype=float), cfg["x0"], "x0")
+        x0 = _vector(cfg["x0"], "x0")
     return plant, perf, sub, x0
 
 

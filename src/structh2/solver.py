@@ -30,6 +30,15 @@ than its square, which keeps the data-driven endgame, where W degenerates,
 solvable. A KKT solve with no finite residual raises `LinAlgError`, as a
 failed scaling or factorization does; one handler ends the solve
 NumericalTrouble with its best iterate.
+
+The cone layer works per block dimension, not per block, as SDPT3 (Toh, Todd
+& Tutuncu 1999) stores blocks of one kind together. The blocks of one
+dimension d form a group, and each group is held as one (k, d, d) stack of
+matrices. A cone operation then costs one gather from the svec vector, one
+stacked `@` or batched `np.linalg` call per group, and one svec back. The
+data-driven LMIs have few dimensions and several small blocks, so this
+removes most of the per-block Python work. It changes no result: each
+matrix in a stack goes through the same kernel as it would on its own.
 """
 
 from __future__ import annotations
@@ -38,10 +47,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 # unused; bound only because the benchmark tracer perfbench/spans.py hooks them
 from scipy.linalg import lu_factor, lu_solve  # noqa: F401
-from scipy.linalg.lapack import dgeqrf, dormqr
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
 from .lmi import ConicForm, svec_len, svec_tables
 
@@ -82,8 +90,15 @@ class SolveReport:
 # --- cone utilities ---------------------------------------------------------
 
 class _Cone:
-    """Index bookkeeping and gather-based smat/svec for a product of PSD blocks,
-    on the per-dimension tables of `lmi.svec_tables`."""
+    """Index bookkeeping for a product of PSD blocks, grouped by dimension.
+
+    The blocks of one dimension d form a group, in order of first appearance,
+    and every cone operation runs once per group on its (k, d, d) stack of
+    smat blocks. One gather with its divisor maps an svec vector to a flat
+    buffer that holds every group's stack back to back; one up/lo/scale
+    triple maps such a buffer back to the svec vector in block order. Both are
+    built from the per-dimension tables of `lmi.svec_tables`.
+    """
 
     def __init__(self, dims):
         self.dims = tuple(int(d) for d in dims)
@@ -94,80 +109,103 @@ class _Cone:
             off += svec_len(d)
         self.total = off
         self.degree = sum(self.dims)
-        self._tables = {d: svec_tables(d) for d in set(self.dims)}
+        members = {}
+        for i, d in enumerate(self.dims):
+            members.setdefault(d, []).append(i)
+        self.groups = [(d, len(blocks)) for d, blocks in members.items()]
+        # block i is matrix where[i][1] of group where[i][0]'s stack
+        self.where = [None] * len(self.dims)
+        flat = [0] * len(self.dims)          # block -> offset in the flat buffer
+        gather, div = [np.empty(0, np.intp)], [np.empty(0)]
+        off = 0
+        for g, (d, blocks) in enumerate(members.items()):
+            _, _, pos, _, dv = svec_tables(d)
+            for j, i in enumerate(blocks):
+                self.where[i] = (g, j)
+                flat[i] = off
+                off += d * d
+                gather.append(self.slices[i].start + pos.reshape(-1))
+                div.append(dv.reshape(-1))
+        self._gather, self._div = np.concatenate(gather), np.concatenate(div)
+        up, lo, scale = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+        for i, d in enumerate(self.dims):
+            u, l, _, sc, _ = svec_tables(d)
+            up.append(flat[i] + u)
+            lo.append(flat[i] + l)
+            scale.append(sc)
+        self._up, self._lo, self._scale = (np.concatenate(t) for t in (up, lo, scale))
+
+    def stacks(self, v):
+        """The smat blocks of v as one (k, d, d) stack per group."""
+        buf = v[self._gather] / self._div
+        out, off = [], 0
+        for d, k in self.groups:
+            out.append(buf[off:off + k * d * d].reshape(k, d, d))
+            off += k * d * d
+        return out
 
     def map(self, fn, *vs):
-        """The svec of fn(i, d, smat blocks of vs...) per block, concatenated."""
-        return np.concatenate([
-            self.svec(d, fn(i, d, *(self.smat(d, v[sl]) for v in vs)))
-            for i, (d, sl) in enumerate(zip(self.dims, self.slices))])
+        """The svec of fn(g, d, stacks of vs...) over the groups g, in block order."""
+        per = [self.stacks(v) for v in vs]
+        out = [fn(g, d, *(p[g] for p in per)).reshape(-1)
+               for g, (d, _) in enumerate(self.groups)]
+        buf = out[0] if len(out) == 1 else np.concatenate(out)
+        return 0.5 * (buf[self._up] + buf[self._lo]) * self._scale
 
     def max_violation(self, v):
         """The largest negated minimum eigenvalue over the blocks, at least 0."""
-        return max([0.0] + [-float(np.linalg.eigvalsh(self.smat(d, v[sl]))[0])
-                            for d, sl in zip(self.dims, self.slices)])
-
-    def smat(self, d, v):
-        _, _, pos, _, div = self._tables[d]
-        return v[pos] / div
-
-    def svec(self, d, M):
-        up, lo, _, scale, _ = self._tables[d]
-        M = M.reshape(-1)
-        return 0.5 * (M[up] + M[lo]) * scale
+        return max([0.0] + [e for S in self.stacks(v)
+                            for e in (-np.linalg.eigvalsh(S)[:, 0]).tolist()])
 
     def smat_batch(self, d, V):
         """(k, dsvec) rows -> (k, d, d) symmetric matrices."""
-        _, _, pos, _, div = self._tables[d]
+        _, _, pos, _, div = svec_tables(d)
         return V[:, pos] / div
 
     def svec_batch(self, d, M):
-        up, lo, _, scale, _ = self._tables[d]
+        up, lo, _, scale, _ = svec_tables(d)
         M = M.reshape(M.shape[0], d * d)
         return 0.5 * (M[:, up] + M[:, lo]) * scale
 
     def identity(self):
-        return self.map(lambda i, d: np.eye(d))
+        return self.map(lambda g, d: np.broadcast_to(np.eye(d), (self.groups[g][1], d, d)))
 
 
 class _Scaling:
     """Nesterov-Todd scaling point per block: W z = W^{-T} s = lambda.
 
     W acts on block i as v -> svec(R_i^T mat(v) R_i), so W^T W is the
-    congruence by Wm_i = R_i R_i^T, formed once per iterate.
+    congruence by Wm_i = R_i R_i^T, formed once per iterate. R, Rinv, lambda
+    and Wm are held as one stack per group of the cone.
     """
 
     def __init__(self, cone: _Cone, s, z):
         self.cone = cone
         self.R, self.Rinv, self.lam = [], [], []
-        for d, sl in zip(cone.dims, cone.slices):
-            S = cone.smat(d, s[sl])
-            Z = cone.smat(d, z[sl])
+        for S, Z in zip(cone.stacks(s), cone.stacks(z)):
             Ls = np.linalg.cholesky(S)
             Lz = np.linalg.cholesky(Z)
-            U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
-            sq = np.sqrt(sig)
-            R = Ls @ (Vt.T / sq)
-            Rinv = (U / sq).T @ Lz.T
-            self.R.append(R)
-            self.Rinv.append(Rinv)
+            U, sig, Vt = np.linalg.svd(Lz.mT @ Ls)
+            sq = np.sqrt(sig)[:, None, :]
+            self.R.append(Ls @ (Vt.mT / sq))
+            self.Rinv.append((U / sq).mT @ Lz.mT)
             self.lam.append(sig)
-        self._wm_ext = [(R @ R.T).astype(np.longdouble) for R in self.R]
+        self._wm_ext = [(R @ R.mT).astype(np.longdouble) for R in self.R]
 
     def _map(self, v, left, right):
-        return self.cone.map(lambda i, d, M: left[i] @ M @ right[i], v)
+        return self.cone.map(lambda g, d, M: left[g] @ M @ right[g], v)
 
     def w_apply(self, dz):
         """W dz = svec(R^T mat(dz) R)."""
-        return self._map(dz, [R.T for R in self.R], self.R)
+        return self._map(dz, [R.mT for R in self.R], self.R)
 
     def wt_apply(self, v):
         """W^T v = svec(R mat(v) R^T)."""
-        return self._map(v, self.R, [R.T for R in self.R])
+        return self._map(v, self.R, [R.mT for R in self.R])
 
     def winvt_apply(self, ds):
         """W^{-T} ds = svec(R^{-1} mat(ds) R^{-T})."""
-        return self._map(ds, self.Rinv, [Ri.T for Ri in self.Rinv])
+        return self._map(ds, self.Rinv, [Ri.mT for Ri in self.Rinv])
 
     def wtw_apply(self, v):
         """W^T W v = svec(Wm mat(v) Wm), formed in extended precision: it
@@ -177,32 +215,37 @@ class _Scaling:
 
     def winv_apply(self, v):
         """W^{-1} v = svec(R^{-T} mat(v) R^{-1})."""
-        return self._map(v, [Ri.T for Ri in self.Rinv], self.Rinv)
+        return self._map(v, [Ri.mT for Ri in self.Rinv], self.Rinv)
 
     def lam_vec(self):
         """svec of the diagonal scaled point Lambda."""
-        return self.cone.map(lambda i, d: np.diag(self.lam[i]))
+        def diag(g, d):
+            lam = self.lam[g]
+            M = np.zeros(lam.shape + (d,))
+            M[:, np.arange(d), np.arange(d)] = lam
+            return M
+        return self.cone.map(diag)
 
     def lam_solve(self, v):
         """Solve lambda o u = v in svec coordinates (Lambda is diagonal)."""
         return self.cone.map(
-            lambda i, d, M: M / (0.5 * (self.lam[i][:, None] + self.lam[i][None, :])), v)
+            lambda g, d, M: M / (0.5 * (self.lam[g][:, :, None] + self.lam[g][:, None, :])), v)
 
     def max_step(self, dtilde):
         """Largest alpha with Lambda + alpha*mat(dtilde) staying PSD."""
         alpha = np.inf
-        for d, sl, lam in zip(self.cone.dims, self.cone.slices, self.lam):
-            M = self.cone.smat(d, dtilde[sl])
+        for M, lam in zip(self.cone.stacks(dtilde), self.lam):
             sq = np.sqrt(lam)
-            lmin = float(np.linalg.eigvalsh(M / np.outer(sq, sq))[0])
-            if lmin < 0:
-                alpha = min(alpha, -1.0 / lmin)
+            lmin = np.linalg.eigvalsh(M / (sq[:, :, None] * sq[:, None, :]))[:, 0]
+            neg = lmin[lmin < 0]
+            if neg.size:
+                alpha = min(alpha, float((-1.0 / neg).min()))
         return alpha
 
 
 def _sym_prod(cone: _Cone, u, v):
     """Jordan product (UV + VU)/2 in svec coordinates."""
-    return cone.map(lambda i, d, U, V: 0.5 * (U @ V + V @ U), u, v)
+    return cone.map(lambda g, d, U, V: 0.5 * (U @ V + V @ U), u, v)
 
 
 # --- equilibration ----------------------------------------------------------
@@ -274,7 +317,8 @@ class _KKT:
         N, M = G.shape[1], cone.total
         idle = np.flatnonzero(~np.any(G, axis=0))
         Gt = np.zeros((M + idle.size, N), order="F")
-        for (cols, mats), d, sl, Ri in zip(gblocks, cone.dims, cone.slices, W.Rinv):
+        for (cols, mats), d, sl, (g, j) in zip(gblocks, cone.dims, cone.slices, cone.where):
+            Ri = W.Rinv[g][j]
             Gt[sl, cols] = cone.svec_batch(d, Ri @ mats @ Ri.T).T
         Gt[M + np.arange(idle.size), idle] = 1.0
         if Gt.shape[0] < N:
@@ -288,7 +332,11 @@ class _KKT:
         self.G, self.W, self.N, self.M = G, W, N, M
 
     def _tri(self, b, trans):
-        return solve_triangular(self.T, b, trans=trans, check_finite=False)
+        """T^{-1} b (trans 0) or T^{-T} b (trans 1), straight through LAPACK."""
+        x, info = dtrtrs(self.T, b, trans=trans)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
+        return x
 
     def _q(self, trans, v):
         """Q v ("N") or Q^T v ("T"), v zero-padded to the factor's rows."""
@@ -301,10 +349,10 @@ class _KKT:
         r1, r3 = rhs[:N], rhs[N:]
         r3t = self.W.winvt_apply(r3)
         # w = T dx solves T^T w = r1 + [Gt; E]^T [r3t; 0]
-        w = self._tri(r1, "T") + self._q("T", r3t)[:N]
+        w = self._tri(r1, 1) + self._q("T", r3t)[:N]
         # Gt dx = (Q [w; 0])[:M]
         v = self._q("N", w)[:M] - r3t
-        return np.concatenate([self._tri(w, "N"), self.W.winv_apply(v)])
+        return np.concatenate([self._tri(w, 0), self.W.winv_apply(v)])
 
     def residual(self, rhs, sol):
         dx, dz = sol[:self.N], sol[self.N:]

@@ -348,6 +348,15 @@ class TestConfigErrors:
         err = self._number_key_exit(tmp_path, capsys, command, cfg)
         assert err.startswith(f"config error: {key}: expected {kind}"), err
 
+    @pytest.mark.parametrize("x0", [[True, 0, 0], [[1, 0, 0]], [float("nan"), 0, 0]])
+    def test_x0_flat_finite_numbers(self, tmp_path, capsys, x0):
+        # a JSON true is not 1.0, and a nested list or a NaN is no initial state
+        path = write_cfg(tmp_path / "c.json", plant="example1", x0=x0, noise={"T": 20},
+                         data_dir=str(tmp_path / "batch"))
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: x0: expected a flat list of finite numbers"), err
+
     def _number_key_exit(self, tmp_path, capsys, command, cfg):
         """Run command on a data-mode example1 config with cfg merged in;
         asserts exit code 2 and returns stderr."""

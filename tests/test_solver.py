@@ -7,7 +7,7 @@ from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair
                       example1_perf, example1_plant, example1_subspace,
                       infeasibility_residual, min_eig, simulate, solve, spectral_radius)
 from structh2 import solver
-from structh2.lmi import svec_len
+from structh2.lmi import smat, svec, svec_len
 from structh2.solver import _KKT, _Cone, _g_blocks, _Scaling
 from structh2.subspace import from_pattern
 
@@ -154,7 +154,7 @@ class TestKktSolve:
             v = np.zeros(M)
             for d, sl in zip(cone.dims, cone.slices):
                 X = rng.standard_normal((d, d))
-                v[sl] = cone.svec(d, X @ X.T + 0.1 * np.eye(d))
+                v[sl] = svec(X @ X.T + 0.1 * np.eye(d))
             return v
 
         W = _Scaling(cone, interior_point(), interior_point())
@@ -219,6 +219,77 @@ class TestKktSolve:
         # one QR factorization of the cone rows per iteration
         assert len(factored) == res.report.iterations
         assert set(factored) == {(conic.G.shape[0], conic.n_reduced)}
+
+
+class TestGroupedCone:
+    """The cone layer works on one stack per block dimension; every operation
+    must equal, bit for bit, the same arithmetic done block by block."""
+
+    @staticmethod
+    def per_block(cone, fn, *vs):
+        """svec of fn(i, smat blocks of vs...) per block i, concatenated."""
+        return np.concatenate([svec(fn(i, *(smat(v[sl], d) for v in vs)))
+                               for i, (d, sl) in enumerate(zip(cone.dims, cone.slices))])
+
+    @pytest.mark.parametrize("dims", [(3, 1, 2, 1, 3), (1, 1, 1), (4,)])
+    def test_matches_per_block_loop(self, dims):
+        rng = np.random.default_rng(7)
+        cone = _Cone(dims)
+
+        def interior_point():
+            return np.concatenate([svec(X @ X.T + 0.1 * np.eye(d))
+                                  for d in dims for X in [rng.standard_normal((d, d))]])
+
+        s, z = interior_point(), interior_point()
+        u, v = rng.standard_normal(cone.total), rng.standard_normal(cone.total)
+        W = _Scaling(cone, s, z)
+        # the Nesterov-Todd scaling point, block by block
+        R, Rinv, lam = [], [], []
+        for d, sl in zip(cone.dims, cone.slices):
+            Ls = np.linalg.cholesky(smat(s[sl], d))
+            Lz = np.linalg.cholesky(smat(z[sl], d))
+            U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
+            sq = np.sqrt(sig)
+            R.append(Ls @ (Vt.T / sq))
+            Rinv.append((U / sq).T @ Lz.T)
+            lam.append(sig)
+        wm = [(Rb @ Rb.T).astype(np.longdouble) for Rb in R]
+
+        def loop(fn, *vs):
+            return self.per_block(cone, fn, *vs)
+
+        cases = {
+            "w_apply": (W.w_apply(v), loop(lambda i, M: R[i].T @ M @ R[i], v)),
+            "wt_apply": (W.wt_apply(v), loop(lambda i, M: R[i] @ M @ R[i].T, v)),
+            "winvt_apply": (W.winvt_apply(v), loop(lambda i, M: Rinv[i] @ M @ Rinv[i].T, v)),
+            "winv_apply": (W.winv_apply(v), loop(lambda i, M: Rinv[i].T @ M @ Rinv[i], v)),
+            "wtw_apply": (W.wtw_apply(v),
+                          loop(lambda i, M: wm[i] @ M @ wm[i],
+                               v.astype(np.longdouble)).astype(float)),
+            "lam_solve": (W.lam_solve(v),
+                          loop(lambda i, M: M / (0.5 * (lam[i][:, None] + lam[i][None, :])),
+                               v)),
+            "lam_vec": (W.lam_vec(), loop(lambda i: np.diag(lam[i]))),
+            "identity": (cone.identity(), loop(lambda i: np.eye(cone.dims[i]))),
+            "sym_prod": (solver._sym_prod(cone, u, v),
+                         loop(lambda i, U, V: 0.5 * (U @ V + V @ U), u, v)),
+        }
+        for name, (got, want) in cases.items():
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+        alpha = np.inf
+        for d, sl, lb in zip(cone.dims, cone.slices, lam):
+            sq = np.sqrt(lb)
+            lmin = float(np.linalg.eigvalsh(smat(v[sl], d) / np.outer(sq, sq))[0])
+            if lmin < 0:
+                alpha = min(alpha, -1.0 / lmin)
+        assert np.isfinite(alpha)
+        assert W.max_step(v) == alpha
+        violation = max([0.0] + [-float(np.linalg.eigvalsh(smat(v[sl], d))[0])
+                                 for d, sl in zip(cone.dims, cone.slices)])
+        assert violation > 0
+        assert cone.max_violation(v) == violation
 
 
 # Status, iteration count and gamma of example1 designs, recorded with the
