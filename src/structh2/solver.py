@@ -149,7 +149,7 @@ class _Cone:
         per = [self.stacks(v) for v in vs]
         out = [fn(g, d, *(p[g] for p in per)).reshape(-1)
                for g, (d, _) in enumerate(self.groups)]
-        buf = out[0] if len(out) == 1 else np.concatenate(out)
+        buf = np.concatenate(out)
         return 0.5 * (buf[self._up] + buf[self._lo]) * self._scale
 
     def max_violation(self, v):
@@ -185,27 +185,27 @@ class _Scaling:
         for S, Z in zip(cone.stacks(s), cone.stacks(z)):
             Ls = np.linalg.cholesky(S)
             Lz = np.linalg.cholesky(Z)
-            U, sig, Vt = np.linalg.svd(Lz.mT @ Ls)
+            U, sig, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Ls)
             sq = np.sqrt(sig)[:, None, :]
-            self.R.append(Ls @ (Vt.mT / sq))
-            self.Rinv.append((U / sq).mT @ Lz.mT)
+            self.R.append(Ls @ (Vt.swapaxes(-1, -2) / sq))
+            self.Rinv.append((U / sq).swapaxes(-1, -2) @ Lz.swapaxes(-1, -2))
             self.lam.append(sig)
-        self._wm_ext = [(R @ R.mT).astype(np.longdouble) for R in self.R]
+        self._wm_ext = [(R @ R.swapaxes(-1, -2)).astype(np.longdouble) for R in self.R]
 
     def _map(self, v, left, right):
         return self.cone.map(lambda g, d, M: left[g] @ M @ right[g], v)
 
     def w_apply(self, dz):
         """W dz = svec(R^T mat(dz) R)."""
-        return self._map(dz, [R.mT for R in self.R], self.R)
+        return self._map(dz, [R.swapaxes(-1, -2) for R in self.R], self.R)
 
     def wt_apply(self, v):
         """W^T v = svec(R mat(v) R^T)."""
-        return self._map(v, self.R, [R.mT for R in self.R])
+        return self._map(v, self.R, [R.swapaxes(-1, -2) for R in self.R])
 
     def winvt_apply(self, ds):
         """W^{-T} ds = svec(R^{-1} mat(ds) R^{-T})."""
-        return self._map(ds, self.Rinv, [Ri.mT for Ri in self.Rinv])
+        return self._map(ds, self.Rinv, [Ri.swapaxes(-1, -2) for Ri in self.Rinv])
 
     def wtw_apply(self, v):
         """W^T W v = svec(Wm mat(v) Wm), formed in extended precision: it
@@ -215,7 +215,7 @@ class _Scaling:
 
     def winv_apply(self, v):
         """W^{-1} v = svec(R^{-T} mat(v) R^{-1})."""
-        return self._map(v, [Ri.mT for Ri in self.Rinv], self.Rinv)
+        return self._map(v, [Ri.swapaxes(-1, -2) for Ri in self.Rinv], self.Rinv)
 
     def lam_vec(self):
         """svec of the diagonal scaled point Lambda."""
