@@ -7,8 +7,8 @@ from .errors import (ConfigError, DimensionMismatch, EmptyInterior, EmptySubspac
                      RankDeficientData, RankDeficientDataWarning,
                      SingularInnerBlock, StructH2Error, StructureViolation,
                      UnboundedShape, UnstableClosedLoop, UnstableMatrix)
-from .linalg import (dlyap_series, h2_norm, is_psd, min_eig, read_matrix_csv,
-                     solve_dlyap, spectral_radius, symmetrize, write_matrix_csv)
+from .linalg import (h2_norm, min_eig, read_matrix_csv, solve_dlyap, spectral_radius,
+                     symmetrize, write_matrix_csv)
 from .lmi import ConicForm, LmiProblem, MatExpr, MatrixVar, block, smat, svec
 from .plants import (EXAMPLE1_PATTERN, EXAMPLE1_X0, default_perf, example1_perf,
                      example1_plant, example1_subspace)

@@ -87,6 +87,22 @@ def _vector(value, name) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def _seed(value, name) -> int:
+    """The config value under key name as an rng seed, which must be >= 0."""
+    seed = _value(int, value, name)
+    if seed < 0:
+        raise ConfigError(f"{name}: seed must be >= 0, got {seed}")
+    return seed
+
+
+def _eps(value, name) -> float:
+    """The config value under key name as a noise bound: finite and >= 0."""
+    eps = _value(float, value, name)
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ConfigError(f"{name}: eps must be finite and nonnegative, got {eps!r}")
+    return eps
+
+
 def _flag(value, name) -> bool:
     """The config value under key name, which must be a JSON boolean: bool()
     would read the string "false" as true."""
@@ -176,24 +192,30 @@ def _design_options(cfg, design, subspace) -> DesignOptions:
     if design != "D1" and subspace is None:
         raise ConfigError(f"{design} needs a 'pattern' or 'basis' in the config")
     gamma = cfg.get("gamma")
-    return DesignOptions(design=design,
-                         subspace=None if design == "D1" else subspace,
-                         sharing=_flag(cfg.get("sharing", False), "sharing"),
-                         eta=_value(float, cfg.get("eta", 1e-3), "eta"),
-                         gamma=None if gamma is None else _value(float, gamma, "gamma"),
-                         solver=_solver_options(cfg))
+    try:
+        return DesignOptions(design=design,
+                             subspace=None if design == "D1" else subspace,
+                             sharing=_flag(cfg.get("sharing", False), "sharing"),
+                             eta=_value(float, cfg.get("eta", 1e-3), "eta"),
+                             gamma=None if gamma is None else _value(float, gamma, "gamma"),
+                             solver=_solver_options(cfg))
+    except ValueError as exc:
+        # design and subspace are checked above; DesignOptions starts its
+        # other messages with the field they reject (eta, gamma)
+        raise ConfigError(f"{str(exc).split()[0]}: {exc}") from exc
 
 
 def _noise_cfg(cfg):
     nc = _section(cfg, "noise")
     T = _value(int, nc.get("T", 20), "noise.T")
     if T < 1:
-        raise ConfigError("T must be >= 1")
-    eps = _value(float, nc.get("eps", 0.1), "noise.eps")
-    if eps < 0:
-        raise ConfigError("eps must be nonnegative")
-    return (eps, T, _value(int, nc.get("seed", 0), "noise.seed"),
-            _value(int, nc.get("exponent", 1), "noise.exponent"))
+        raise ConfigError(f"noise.T: T must be >= 1, got {T}")
+    eps = _eps(nc.get("eps", 0.1), "noise.eps")
+    seed = _seed(nc.get("seed", 0), "noise.seed")
+    exponent = _value(int, nc.get("exponent", 1), "noise.exponent")
+    if exponent not in (1, 2):
+        raise ConfigError(f"noise.exponent: exponent must be 1 or 2, got {exponent}")
+    return eps, T, seed, exponent
 
 
 def _load_data(cfg):
@@ -300,14 +322,14 @@ def cmd_sweep(cfg) -> int:
     eps_list, t_list = sweep.get("eps", []), sweep.get("T", [])
     if not (isinstance(eps_list, list) and isinstance(t_list, list)):
         raise ConfigError("sweep 'eps' and 'T' must be lists")
-    eps_list = [_value(float, v, "sweep.eps") for v in eps_list]
+    eps_list = [_eps(v, "sweep.eps") for v in eps_list]
     t_list = [_value(int, v, "sweep.T") for v in t_list]
     if not eps_list or not t_list:
         raise ConfigError("sweep needs non-empty 'eps' and 'T' lists")
     if len(eps_list) > 1 and len(t_list) > 1:
         raise ConfigError("sweep varies eps or T, not both")
-    if any(T < 1 for T in t_list):
-        raise ConfigError("T must be >= 1")
+    if min(t_list) < 1:
+        raise ConfigError(f"sweep.T: T must be >= 1, got {min(t_list)}")
     _, _, seed, exponent = _noise_cfg(cfg)
     outdir = _out_dir(cfg)
 
@@ -379,9 +401,12 @@ def cmd_verify(cfg) -> int:
                 raise ConfigError(f"verify.result: {exc}") from exc
         if gamma is None:
             raise ConfigError("data verification needs 'verify.gamma' or 'verify.result'")
-        report = verify_data(batch, perf, K, _value(float, gamma, "verify.gamma"),
-                             samples=_value(int, vc.get("samples", 200), "verify.samples"),
-                             seed=_value(int, vc.get("seed", 0), "verify.seed"),
+        gamma = _value(float, gamma, "verify.gamma")
+        samples = _value(int, vc.get("samples", 200), "verify.samples")
+        if samples < 0:
+            raise ConfigError(f"verify.samples: samples must be >= 0, got {samples}")
+        report = verify_data(batch, perf, K, gamma, samples=samples,
+                             seed=_seed(vc.get("seed", 0), "verify.seed"),
                              subspace=sub, sharing=sharing,
                              truth=plant if cfg.get("plant") is not None else None)
     else:

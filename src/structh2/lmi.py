@@ -50,21 +50,18 @@ def svec_tables(d: int):
 
 
 def svec(M: np.ndarray) -> np.ndarray:
-    """Row-major upper-triangle svec with sqrt(2) off-diagonal scaling."""
-    up, lo, _, scale, _ = svec_tables(M.shape[0])
-    M = M.reshape(-1)
-    return 0.5 * (M[up] + M[lo]) * scale
+    """Row-major upper-triangle svec with sqrt(2) off-diagonal scaling, of a
+    d x d matrix or of each matrix of a (..., d, d) stack."""
+    d = M.shape[-1]
+    up, lo, _, scale, _ = svec_tables(d)
+    M = M.reshape(M.shape[:-2] + (d * d,))
+    return 0.5 * (M[..., up] + M[..., lo]) * scale
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
+    """The symmetric d x d matrix of an svec, or of each svec of a stack."""
     _, _, pos, _, div = svec_tables(d)
-    return np.asarray(v)[pos] / div
-
-
-def vecrow_to_svec(C: np.ndarray, d: int) -> np.ndarray:
-    """Map coefficient columns from vec_row(d*d) space into svec space."""
-    up, lo, _, scale, _ = svec_tables(d)
-    return 0.5 * (C[up] + C[lo]) * scale[:, None]
+    return np.asarray(v)[..., pos] / div
 
 
 # --- variables and affine matrix expressions ------------------------------
@@ -359,7 +356,8 @@ class LmiProblem:
             Gb = np.zeros((svec_len(d), N))
             for v, cmat in blk.expr.coeff.items():
                 var = self.vars[v]
-                Gb[:, var.offset:var.offset + var.nfree] += vecrow_to_svec(cmat, d)
+                # cmat's columns are vec_row'd d x d matrices
+                Gb[:, var.offset:var.offset + var.nfree] += svec(cmat.T.reshape(-1, d, d)).T
             Gs.append(-Gb)
             hs.append(svec(blk.expr.const - blk.margin * np.eye(d)))
             dims.append(d)
@@ -403,10 +401,6 @@ class ConicForm:
     def decode(self, x: np.ndarray) -> dict:
         """Named variable values from a solution vector."""
         return {v.name: v.value(x[v.offset:v.offset + v.nfree]) for v in self.vars}
-
-    def encode(self, assign: dict) -> np.ndarray:
-        """Solution vector from named full matrices (inverse of decode)."""
-        return np.concatenate([v.free_values(assign[v.name]) for v in self.vars])
 
     def dump(self, path) -> None:
         """Self-describing text export: dimensions plus sparse triplets."""

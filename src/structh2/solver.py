@@ -51,7 +51,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .lmi import ConicForm, svec_len, svec_tables
+from .lmi import ConicForm, smat, svec, svec_len, svec_tables
 
 # fraction of the step to the cone boundary that each iteration takes
 _STEP_FRAC = 0.98
@@ -156,16 +156,6 @@ class _Cone:
         """The largest negated minimum eigenvalue over the blocks, at least 0."""
         return max([0.0] + [e for S in self.stacks(v)
                             for e in (-np.linalg.eigvalsh(S)[:, 0]).tolist()])
-
-    def smat_batch(self, d, V):
-        """(k, dsvec) rows -> (k, d, d) symmetric matrices."""
-        _, _, pos, _, div = svec_tables(d)
-        return V[:, pos] / div
-
-    def svec_batch(self, d, M):
-        up, lo, _, scale, _ = svec_tables(d)
-        M = M.reshape(M.shape[0], d * d)
-        return 0.5 * (M[:, up] + M[:, lo]) * scale
 
     def identity(self):
         return self.map(lambda g, d: np.broadcast_to(np.eye(d), (self.groups[g][1], d, d)))
@@ -291,7 +281,7 @@ def _g_blocks(cone: _Cone, G):
     for d, sl in zip(cone.dims, cone.slices):
         Gb = G[sl]
         cols = np.flatnonzero(np.any(Gb != 0.0, axis=0))
-        out.append((cols, cone.smat_batch(d, Gb[:, cols].T)))
+        out.append((cols, smat(Gb[:, cols].T, d)))
     return out
 
 
@@ -317,9 +307,9 @@ class _KKT:
         N, M = G.shape[1], cone.total
         idle = np.flatnonzero(~np.any(G, axis=0))
         Gt = np.zeros((M + idle.size, N), order="F")
-        for (cols, mats), d, sl, (g, j) in zip(gblocks, cone.dims, cone.slices, cone.where):
+        for (cols, mats), sl, (g, j) in zip(gblocks, cone.slices, cone.where):
             Ri = W.Rinv[g][j]
-            Gt[sl, cols] = cone.svec_batch(d, Ri @ mats @ Ri.T).T
+            Gt[sl, cols] = svec(Ri @ mats @ Ri.T).T
         Gt[M + np.arange(idle.size), idle] = 1.0
         if Gt.shape[0] < N:
             raise np.linalg.LinAlgError("fewer cone rows than variables")

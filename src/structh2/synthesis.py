@@ -25,6 +25,7 @@ variables are declared over, so the compiled problems have no equality rows.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -87,6 +88,11 @@ class DesignOptions:
             raise ValueError(f"design must be one of {DESIGNS}, got {self.design!r}")
         if self.design != "D1" and self.subspace is None:
             raise ValueError(f"{self.design} needs a subspace")
+        # each message below starts with the field it names
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta!r}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
 
 
 @dataclass

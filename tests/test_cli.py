@@ -312,7 +312,10 @@ class TestConfigErrors:
                                           ("solver.tol_feas", {"solver": {"tol_feas": -1}}),
                                           ("solver.tol_feas",
                                            {"solver": {"tol_feas": float("nan")}}),
-                                          ("solver.tol_gap", {"solver": {"tol_gap": 0}})])
+                                          ("solver.tol_gap", {"solver": {"tol_gap": 0}}),
+                                          ("eta", {"eta": float("nan")}),
+                                          ("gamma", {"gamma": -1}),
+                                          ("gamma", {"gamma": float("nan")})])
     def test_malformed_value(self, tmp_path, capsys, key, cfg):
         code, err = self._design_exit(tmp_path, capsys, plant="example1", **cfg)
         assert code == 2
@@ -347,6 +350,23 @@ class TestConfigErrors:
         # a JSON true is not the number 1: {"T": true} must not simulate T = 1
         err = self._number_key_exit(tmp_path, capsys, command, cfg)
         assert err.startswith(f"config error: {key}: expected {kind}"), err
+
+    @pytest.mark.parametrize("command, key, cfg", [
+        ("simulate", "noise.T", {"noise": {"T": 0}}),
+        ("simulate", "noise.eps", {"noise": {"eps": -0.1}}),
+        ("simulate", "noise.eps", {"noise": {"eps": float("nan")}}),
+        ("simulate", "noise.exponent", {"noise": {"exponent": 3}}),
+        ("simulate", "noise.seed", {"noise": {"seed": -1}}),
+        ("sweep", "sweep.eps", {"sweep": {"eps": [-0.1], "T": [10]}}),
+        ("sweep", "sweep.eps", {"sweep": {"eps": [0.1, float("inf")], "T": [10]}}),
+        ("verify", "verify.samples", {"verify": {"samples": -5}}),
+        ("verify", "verify.seed", {"verify": {"seed": -5}}),
+    ])
+    def test_out_of_range_value(self, tmp_path, capsys, command, key, cfg):
+        # a value the library would reject (or, for samples < 0, silently
+        # check nothing with) is a config error naming its key
+        err = self._number_key_exit(tmp_path, capsys, command, cfg)
+        assert err.startswith(f"config error: {key}: "), err
 
     @pytest.mark.parametrize("x0", [[True, 0, 0], [[1, 0, 0]], [float("nan"), 0, 0]])
     def test_x0_flat_finite_numbers(self, tmp_path, capsys, x0):

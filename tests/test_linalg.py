@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
-from structh2 import linalg
-from structh2 import (DimensionMismatch, UnstableMatrix, dlyap_series, h2_norm,
-                      is_psd, min_eig, read_matrix_csv, solve_dlyap,
-                      spectral_radius, symmetrize, write_matrix_csv)
+from structh2 import (DimensionMismatch, UnstableMatrix, h2_norm, min_eig, read_matrix_csv,
+                      solve_dlyap, spectral_radius, symmetrize, write_matrix_csv)
 
 
 def rand(rng, r, c):
     return rng.standard_normal((r, c))
+
+
+def kron_dlyap(A, M):
+    """Reference Lyapunov solve: vec P = (I - A (x) A)^{-1} vec M."""
+    n = A.shape[0]
+    return np.linalg.solve(np.eye(n * n) - np.kron(A, A), M.reshape(-1)).reshape(n, n)
 
 
 class TestDlyap:
@@ -27,7 +31,31 @@ class TestDlyap:
         M = rand(rng, 3, 3)
         M = M @ M.T
         P = solve_dlyap(A, M)
-        assert np.abs(P - dlyap_series(A, M, terms=200)).max() <= 1e-10
+        assert np.abs(P - kron_dlyap(A, M)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("rho, rel", [(0.5, 1e-10), (0.999, 1e-10), (1.0 - 2e-9, 1e-5)])
+    def test_stack_matches_kronecker(self, n, rho, rel):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((6, n, n))
+        A *= (rho / spectral_radius(A))[:, None, None]
+        M = rand(rng, n, n)
+        M = M @ M.T
+        P = solve_dlyap(A, M)
+        for Ai, Pi in zip(A, P):
+            ref = kron_dlyap(Ai, M)
+            assert np.abs(Pi - ref).max() <= rel * np.abs(ref).max()
+
+    def test_overflow_terminates(self):
+        # nilpotent, so stable and finite, but A @ A overflows: the doubling
+        # must stop on its step cap and report the non-finite result
+        A = np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            h2 = h2_norm(A, np.eye(3), np.eye(3))
+            stacked = h2_norm(np.stack([A, 0.5 * np.eye(3)]), np.eye(3), np.eye(3))
+        assert not np.isfinite(h2)
+        assert not np.isfinite(stacked[0])
+        assert stacked[1] == h2_norm(0.5 * np.eye(3), np.eye(3), np.eye(3))
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(4)
@@ -95,10 +123,8 @@ def mixed_stack(n=4, seed=7):
 
 
 class TestStackedOracle:
-    @pytest.mark.parametrize("chunk", [None, 2 * 4 ** 4])
-    def test_h2_matches_2d_bit_for_bit(self, monkeypatch, chunk):
-        if chunk is not None:               # several batched solves per stack
-            monkeypatch.setattr(linalg, "_SOLVE_CHUNK", chunk)
+    def test_h2_matches_2d_bit_for_bit(self):
+        # the stable members leave the doubling at different steps
         A, E, C = mixed_stack()
         rho = spectral_radius(A)
         assert np.any((rho >= 1.0 - 1e-9) & (rho < 1.0))
@@ -162,12 +188,19 @@ class TestSpectra:
         assert min_eig([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(1.0, abs=1e-9)
 
     def test_min_eig_matches_cholesky_test(self):
+        def cholesky_psd(M, shift):
+            try:
+                np.linalg.cholesky(symmetrize(M) + shift * np.eye(M.shape[0]))
+                return True
+            except np.linalg.LinAlgError:
+                return False
+
         rng = np.random.default_rng(7)
         for _ in range(40):
             n = int(rng.integers(1, 6))
             M = rand(rng, n, n)
             M = M + M.T + rng.uniform(-1, 1) * np.eye(n)
-            assert (min_eig(M) >= -1e-9) == is_psd(M, shift=1e-9)
+            assert (min_eig(M) >= -1e-9) == cholesky_psd(M, 1e-9)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatch):

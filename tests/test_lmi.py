@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structh2 import LmiProblem, MatExpr, UnboundedShape, block, min_eig, smat, solve, svec
-from structh2.lmi import vecrow_to_svec
 
 
 class TestVariables:
@@ -71,11 +70,22 @@ class TestSvec:
                                                          rel=1e-12, abs=1e-12)
 
     def test_vecrow_map_matches_svec(self):
+        # the columns of an LMI coefficient matrix are vec_row'd d x d
+        # matrices; the stacked svec of their transpose is bit for bit the
+        # svec of each, and the stacked smat inverts it
         rng = np.random.default_rng(1)
         d = 4
-        M = rng.standard_normal((d, d))
-        cols = M.reshape(-1, 1)
-        assert np.allclose(vecrow_to_svec(cols, d)[:, 0], svec(0.5 * (M + M.T)))
+        mats = rng.standard_normal((5, d, d))
+        cols = mats.reshape(5, -1).T
+        stacked = svec(cols.T.reshape(-1, d, d)).T
+        for j, M in enumerate(mats):
+            assert np.array_equal(stacked[:, j], svec(M))
+            assert np.allclose(svec(M), svec(0.5 * (M + M.T)))
+        sym = mats + mats.swapaxes(-1, -2)
+        back = smat(svec(sym.reshape(1, 5, d, d)), d)
+        assert back.shape == (1, 5, d, d)
+        for j, M in enumerate(sym):
+            assert np.array_equal(back[0, j], smat(svec(M), d))
 
 
 class TestMatExpr:
@@ -132,7 +142,8 @@ class TestCompile:
         Pm = Pm + Pm.T
         Lm = rng.standard_normal((2, 3)) * np.array([[1, 1, 0], [0, 1, 1]])
         assign = {"P": Pm, "L": Lm, "g": np.array([[2.5]])}
-        decoded = conic.decode(conic.encode(assign))
+        x = np.concatenate([v.free_values(assign[v.name]) for v in conic.vars])
+        decoded = conic.decode(x)
         for name, ref in assign.items():
             assert np.abs(decoded[name] - ref).max() <= 1e-14
 

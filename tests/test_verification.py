@@ -160,8 +160,8 @@ class TestStackedVerifyData:
         assert kinds == {"closed", "h2"}        # unstable and above-gamma samples
 
     def test_memory_bounded_at_n12(self):
-        # the Kronecker systems are solved in chunks: one batched solve of all
-        # 200 144x144 systems would hold 33 MB
+        # the doubling holds O(n^2) per sampled plant; a Kronecker solve of
+        # all 200 144x144 systems at once would hold 33 MB
         rng = np.random.default_rng(0)
         n, m = 12, 6
         A = rng.standard_normal((n, n))
