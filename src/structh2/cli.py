@@ -402,6 +402,8 @@ def cmd_verify(cfg) -> int:
         if gamma is None:
             raise ConfigError("data verification needs 'verify.gamma' or 'verify.result'")
         gamma = _value(float, gamma, "verify.gamma")
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ConfigError(f"verify.gamma: gamma must be finite and > 0, got {gamma!r}")
         samples = _value(int, vc.get("samples", 200), "verify.samples")
         if samples < 0:
             raise ConfigError(f"verify.samples: samples must be >= 0, got {samples}")

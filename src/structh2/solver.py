@@ -39,6 +39,14 @@ stacked `@` or batched `np.linalg` call per group, and one svec back. The
 data-driven LMIs have few dimensions and several small blocks, so this
 removes most of the per-block Python work. It changes no result: each
 matrix in a stack goes through the same kernel as it would on its own.
+
+The LMIs' size does not depend on the record length, so on the larger designs
+the per-iteration KKT build is the work. Its buffers are allocated once per
+solve, in a `_Workspace`: the smat stacks of G's columns per block, the
+[W^{-T} G; E] buffer that the QR factors in place, its triangle, and flat
+work arrays shared by the blocks. Each build writes into them with `out=`
+arguments, so an iteration allocates nothing proportional to G, and its
+arithmetic is that of the allocating expressions it replaces.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .lmi import ConicForm, smat, svec, svec_len, svec_tables
+from .lmi import ConicForm, smat, svec_len, svec_tables
 
 # fraction of the step to the cone boundary that each iteration takes
 _STEP_FRAC = 0.98
@@ -247,13 +255,15 @@ def _equilibrate(G, h, c, cone: _Cone, iters: int = 4):
     dcol = np.ones(N)
     Gs = G.copy()
     for _ in range(iters):
-        cm = np.abs(Gs).max(axis=0, initial=0.0)
+        # max |x| as max(max x, -min x): the same values, without an |G| copy
+        cm = np.maximum(Gs.max(axis=0, initial=0.0), -Gs.min(axis=0, initial=0.0))
         sc = 1.0 / np.sqrt(np.maximum(cm, 1e-8))
         sc[cm == 0.0] = 1.0
         dcol *= sc
         Gs *= sc[None, :]
         for sl in cone.slices:
-            rm = np.abs(Gs[sl]).max(initial=0.0)
+            Gb = Gs[sl]
+            rm = max(Gb.max(initial=0.0), -Gb.min(initial=0.0))
             sr = 1.0 if rm == 0.0 else 1.0 / np.sqrt(max(rm, 1e-8))
             drG[sl] *= sr
             Gs[sl] *= sr
@@ -275,14 +285,69 @@ def _equilibrate(G, h, c, cone: _Cone, iters: int = 4):
 _KKT_REFINE = 3
 
 
-def _g_blocks(cone: _Cone, G):
-    """Per PSD block: the columns of G that touch it and their smat stack."""
-    out = []
-    for d, sl in zip(cone.dims, cone.slices):
-        Gb = G[sl]
-        cols = np.flatnonzero(np.any(Gb != 0.0, axis=0))
-        out.append((cols, smat(Gb[:, cols].T, d)))
+def _svec_into(M, out, work):
+    """lmi.svec of a (k, d, d) stack, written into out, a (k, svec_len(d))
+    array; work is scratch of out's shape. (u + l) * (0.5 * scale) equals
+    lmi.svec's 0.5 * (u + l) * scale exactly, and mode "clip" keeps np.take
+    from buffering its output."""
+    k, d = M.shape[0], M.shape[-1]
+    up, lo, _, scale, _ = svec_tables(d)
+    flat = M.reshape(k, d * d)
+    np.take(flat, up, axis=1, out=out, mode="clip")
+    np.take(flat, lo, axis=1, out=work, mode="clip")
+    out += work
+    out *= 0.5 * scale
     return out
+
+
+class _Workspace:
+    """The buffers of one solve's KKT builds, sized once from G's pattern.
+
+    Per PSD block: the columns of G that touch it and their C-contiguous smat
+    stack. For the whole system: the columns no row touches, the F-order
+    [Gt; E] buffer that `dgeqrf` factors in place, and the F-order (N, N)
+    buffer of its triangle T. Four flat work arrays, sized for the largest
+    block, hold the congruence and svec temporaries; blocks are filled one
+    after another, so they share them.
+
+    A `_KKT` built on a workspace reads its factor from these buffers, and the
+    next build overwrites them: at most one `_KKT` per workspace is live.
+    """
+
+    def __init__(self, cone: _Cone, G):
+        N, M = G.shape[1], cone.total
+        self.blocks = []
+        for d, sl in zip(cone.dims, cone.slices):
+            Gb = G[sl]
+            cols = np.flatnonzero(np.any(Gb != 0.0, axis=0))
+            self.blocks.append((cols, smat(Gb[:, cols].T, d)))
+        self.idle = np.flatnonzero(~np.any(G, axis=0))
+        self.idle_rows = M + np.arange(self.idle.size)
+        self.stack = np.zeros((M + self.idle.size, N), order="F")
+        self.T = np.empty((N, N), order="F")
+        ks = [cols.size for cols, _ in self.blocks]
+        mat_size = max(k * d * d for k, d in zip(ks, cone.dims))
+        vec_size = max(k * svec_len(d) for k, d in zip(ks, cone.dims))
+        self._t1, self._t2 = np.empty(mat_size), np.empty(mat_size)
+        self._a, self._b = np.empty(vec_size), np.empty(vec_size)
+
+    def build(self, W: _Scaling):
+        """Write [W^{-T} G; E] into the stack buffer and return it."""
+        cone = W.cone
+        Gt = self.stack
+        Gt.fill(0.0)                       # the last factorization overwrote it
+        for (cols, mats), sl, (g, j), d in zip(self.blocks, cone.slices, cone.where,
+                                               cone.dims):
+            k, L = cols.size, svec_len(d)
+            Ri = W.Rinv[g][j]
+            t1 = self._t1[:k * d * d].reshape(k, d, d)
+            t2 = self._t2[:k * d * d].reshape(k, d, d)
+            np.matmul(Ri, mats, out=t1)
+            np.matmul(t1, Ri.T, out=t2)
+            a = _svec_into(t2, self._a[:k * L].reshape(k, L), self._b[:k * L].reshape(k, L))
+            Gt[sl, cols] = a.T
+        Gt[self.idle_rows, self.idle] = 1.0
+        return Gt
 
 
 class _KKT:
@@ -300,23 +365,22 @@ class _KKT:
     Schur complement Gt^T Gt, the factor's error grows with cond(Gt), not
     with its square. Solutions are refined against the residual of the full
     system, which needs only products with G and the per-block W^T W.
+
+    The stack, its factor and T live in the solve's `_Workspace`, built once
+    per solve: building a `_KKT` overwrites the previous one's factor, so one
+    `_KKT` per workspace is live at a time.
     """
 
-    def __init__(self, G, W: _Scaling, gblocks):
-        cone = W.cone
-        N, M = G.shape[1], cone.total
-        idle = np.flatnonzero(~np.any(G, axis=0))
-        Gt = np.zeros((M + idle.size, N), order="F")
-        for (cols, mats), sl, (g, j) in zip(gblocks, cone.slices, cone.where):
-            Ri = W.Rinv[g][j]
-            Gt[sl, cols] = svec(Ri @ mats @ Ri.T).T
-        Gt[M + np.arange(idle.size), idle] = 1.0
+    def __init__(self, G, W: _Scaling, ws: _Workspace):
+        N, M = G.shape[1], W.cone.total
+        Gt = ws.build(W)
         if Gt.shape[0] < N:
             raise np.linalg.LinAlgError("fewer cone rows than variables")
         self.qr, self.tau, _, _ = dgeqrf(Gt, lwork=64 * N, overwrite_a=1)
-        # a contiguous copy: the triangular solves are several times slower
-        # on the strided view into the factor
-        self.T = np.asfortranarray(self.qr[:N])
+        # a contiguous copy, into the workspace: the triangular solves are
+        # several times slower on the strided view into the factor
+        self.T = ws.T
+        self.T[...] = self.qr[:N]
         if not np.all(np.diagonal(self.T)):
             raise np.linalg.LinAlgError("the cone rows leave a variable free")
         self.G, self.W, self.N, self.M = G, W, N, M
@@ -382,12 +446,13 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
     G, h, c, drG, dcol, cscale = _equilibrate(G0, h0, c0, cone)
 
     x = np.zeros(N)
-    s = cone.identity()
-    z = cone.identity()
+    ident = cone.identity()
+    s = ident.copy()
+    z = ident.copy()
     kappa = 1.0
     nu = cone.degree + 1
 
-    gblocks = _g_blocks(cone, G)
+    ws = _Workspace(cone, G)
     best = None      # (score, X, pobj, metrics, iteration)
     stall = 0
     for it in range(opts.max_iter + 1):
@@ -475,16 +540,19 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             return dx, dz, ds, dtau, dkappa
 
         def boundary_step(dz, ds, dtau, dkappa):
-            alpha = min(W.max_step(W.w_apply(dz)), W.max_step(W.winvt_apply(ds)))
+            """The step to the boundary, with the scaled directions W dz and
+            W^{-T} ds that it measures it on."""
+            wdz, wds = W.w_apply(dz), W.winvt_apply(ds)
+            alpha = min(W.max_step(wdz), W.max_step(wds))
             if dtau < 0:
                 alpha = min(alpha, -1.0 / dtau)
             if dkappa < 0:
                 alpha = min(alpha, -kappa / dkappa)
-            return alpha
+            return alpha, wdz, wds
 
         try:
             W = _Scaling(cone, s, z)
-            kkt = _KKT(G, W, gblocks)
+            kkt = _KKT(G, W, ws)
             lam = W.lam_vec()
             dx1, dz1 = solve2(c, h)
             g1 = hdot(c, dx1) + hdot(h, dz1)
@@ -492,7 +560,8 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             # predictor
             lam_sq = _sym_prod(cone, lam, lam)
             da = direction(0.0, -lam_sq, -kappa)
-            a_aff = min(1.0, boundary_step(*da[1:]))
+            step_aff, wdz_aff, wds_aff = boundary_step(*da[1:])
+            a_aff = min(1.0, step_aff)
             mu_aff = (float((s + a_aff * da[2]) @ (z + a_aff * da[1]))
                       + (1.0 + a_aff * da[3]) * (kappa + a_aff * da[4])) / nu
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
@@ -500,8 +569,8 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             # corrector, dropped when its lambda-inverse amplification would
             # swamp the base right-hand side and inject roundoff into the
             # linear rows (only happens very near the central-path endgame)
-            base = sigma * mu * cone.identity() - lam_sq
-            corr = _sym_prod(cone, W.winvt_apply(da[2]), W.w_apply(da[1]))
+            base = sigma * mu * ident - lam_sq
+            corr = _sym_prod(cone, wds_aff, wdz_aff)
             base_amp = np.abs(W.lam_solve(base)).max(initial=0.0)
             corr_amp = np.abs(W.lam_solve(corr)).max(initial=0.0)
             if corr_amp <= 100.0 * (1.0 + base_amp):
@@ -514,7 +583,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         except np.linalg.LinAlgError:
             break
 
-        alpha = min(1.0, _STEP_FRAC * boundary_step(dz, ds, dtau, dkappa))
+        alpha = min(1.0, _STEP_FRAC * boundary_step(dz, ds, dtau, dkappa)[0])
         if not np.isfinite(alpha) or alpha <= 0:
             break
         stall = stall + 1 if alpha < 1e-4 else 0

@@ -111,12 +111,15 @@ def verify_data(batch: DataBatch, perf: PerformanceSpec, K, gamma: float,
     are near-tight), half in the interior. A violation is any sample with
     spectral radius >= 1 - 1e-9 (the margin of `solve_dlyap`) or h2 > gamma
     * (1 + 1e-4). With samples = 0 only the membership of `truth` (when
-    given) is reported.
+    given) is reported. gamma must be finite and > 0: a NaN or infinite
+    bound checks nothing, and a nonpositive one fails every sample.
 
     The two sampled `PlantStack`s are closed with K as one (samples, n, n)
     stack and go through one stacked `h2_norm` call, whose nan entries are
     the unstable samples; the loop over samples only words the violations.
     """
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
     K = as_matrix(K, rows=batch.m, cols=batch.n, name="K")
     violations = []
     if truth is not None:

@@ -361,12 +361,24 @@ class TestConfigErrors:
         ("sweep", "sweep.eps", {"sweep": {"eps": [0.1, float("inf")], "T": [10]}}),
         ("verify", "verify.samples", {"verify": {"samples": -5}}),
         ("verify", "verify.seed", {"verify": {"seed": -5}}),
+        ("verify", "verify.gamma", {"verify": {"gamma": float("nan")}}),
+        ("verify", "verify.gamma", {"verify": {"gamma": float("inf")}}),
+        ("verify", "verify.gamma", {"verify": {"gamma": 0}}),
+        ("verify", "verify.gamma", {"verify": {"gamma": -1}}),
     ])
     def test_out_of_range_value(self, tmp_path, capsys, command, key, cfg):
         # a value the library would reject (or, for samples < 0, silently
         # check nothing with) is a config error naming its key
         err = self._number_key_exit(tmp_path, capsys, command, cfg)
         assert err.startswith(f"config error: {key}: "), err
+
+    @pytest.mark.parametrize("text", ['{"gamma": NaN}', '{"gamma": -1}'])
+    def test_result_gamma_out_of_range(self, tmp_path, capsys, text):
+        # a gamma read from verify.result is checked as verify.gamma is
+        (tmp_path / "result.json").write_text(text)
+        err = self._number_key_exit(tmp_path, capsys, "verify",
+                                    {"verify": {"gamma": None, "result": "result.json"}})
+        assert err.startswith("config error: verify.gamma: "), err
 
     @pytest.mark.parametrize("x0", [[True, 0, 0], [[1, 0, 0]], [float("nan"), 0, 0]])
     def test_x0_flat_finite_numbers(self, tmp_path, capsys, x0):
@@ -384,8 +396,8 @@ class TestConfigErrors:
         sim = write_cfg(tmp_path / "sim.json", plant="example1", noise={"T": 20},
                         data_dir=str(tmp_path / "batch"))
         assert main(["simulate", "--config", sim]) == 0
-        cfg = {**cfg, "verify": {**cfg.get("verify", {}), "k": str(tmp_path / "k.csv"),
-                                 "gamma": 1.0}}
+        cfg = {**cfg, "verify": {"gamma": 1.0, **cfg.get("verify", {}),
+                                 "k": str(tmp_path / "k.csv")}}
         path = write_cfg(tmp_path / "c.json", plant="example1", mode="data",
                          data_dir=str(tmp_path / "batch"), output_dir=str(tmp_path / "out"),
                          **cfg)

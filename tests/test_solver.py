@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgeqrf
@@ -8,7 +10,7 @@ from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair
                       infeasibility_residual, min_eig, simulate, solve, spectral_radius)
 from structh2 import solver
 from structh2.lmi import smat, svec, svec_len
-from structh2.solver import _KKT, _Cone, _g_blocks, _Scaling
+from structh2.solver import _KKT, _Cone, _Scaling, _svec_into, _Workspace
 from structh2.subspace import from_pattern
 
 def scalar_bound_problem():
@@ -167,7 +169,7 @@ class TestKktSolve:
 
     def test_kkt_matches_dense_solve(self):
         G, W, cone, K2, rhs = self.random_system()
-        sol, err = _KKT(G, W, _g_blocks(cone, G)).solve(rhs)
+        sol, err = _KKT(G, W, _Workspace(cone, G)).solve(rhs)
         assert err <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
 
@@ -176,7 +178,7 @@ class TestKktSolve:
         G, W, cone, _, rhs = self.random_system()
         rhs[0] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
-            _KKT(G, W, _g_blocks(cone, G)).solve(rhs)
+            _KKT(G, W, _Workspace(cone, G)).solve(rhs)
 
     @pytest.mark.parametrize("design", ["D1", "D2"])
     def test_data_endgame_stays_optimal(self, design):
@@ -219,6 +221,66 @@ class TestKktSolve:
         # one QR factorization of the cone rows per iteration
         assert len(factored) == res.report.iterations
         assert set(factored) == {(conic.G.shape[0], conic.n_reduced)}
+
+
+class TestWorkspace:
+    """One workspace per solve holds every KKT build's buffers; a build on a
+    reused workspace must equal, bit for bit, one on a fresh workspace."""
+
+    @staticmethod
+    def system(seed=6, dims=(30, 30, 8, 1), N=200):
+        """A sparse G with a column that misses a block and an idle column,
+        and two scaling points. The stack buffer is 1.6 MB."""
+        rng = np.random.default_rng(seed)
+        cone = _Cone(dims)
+        G = rng.standard_normal((cone.total, N)) * (rng.uniform(size=(cone.total, N)) < 0.3)
+        G[cone.slices[0], 1] = 0.0
+        G[:, 2] = 0.0
+
+        def interior_point():
+            return np.concatenate([svec(X @ X.T + 0.1 * np.eye(d))
+                                   for d in dims for X in [rng.standard_normal((d, d))]])
+
+        W1 = _Scaling(cone, interior_point(), interior_point())
+        W2 = _Scaling(cone, interior_point(), interior_point())
+        return G, cone, W1, W2, rng.standard_normal(N + cone.total)
+
+    def test_reused_workspace_matches_fresh(self):
+        # dgeqrf factors the stack buffer in place: a second build must clear
+        # every entry the first left behind
+        G, cone, W1, W2, rhs = self.system()
+        ws = _Workspace(cone, G)
+        _KKT(G, W1, ws)
+        reused = _KKT(G, W2, ws)
+        fresh = _KKT(G, W2, _Workspace(cone, G))
+        for name in ("T", "qr", "tau"):
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+        got, want = reused.solve(rhs), fresh.solve(rhs)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    def test_build_allocates_less_than_the_stack(self):
+        # the build writes into the workspace: what it allocates (the QR work
+        # array, tau, index temporaries) stays below one copy of the stack
+        G, cone, W1, W2, _ = self.system()
+        ws = _Workspace(cone, G)
+        assert ws.stack.nbytes >= 1 << 20
+        _KKT(G, W1, ws)
+        tracemalloc.start()
+        try:
+            _KKT(G, W2, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ws.stack.nbytes
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_svec_into_matches_svec(self, d):
+        rng = np.random.default_rng(d)
+        M = rng.standard_normal((17, d, d)) * 10.0 ** rng.uniform(-8, 8, size=(17, d, d))
+        out, work = np.empty((17, svec_len(d))), np.empty((17, svec_len(d)))
+        assert _svec_into(M, out, work) is out
+        assert np.array_equal(out, svec(M))
 
 
 class TestGroupedCone:

@@ -88,6 +88,13 @@ class TestVerifyData:
         assert report.samples_checked == 0
         assert report.ok
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_gamma_must_be_finite_positive(self, perf, batch, certified, gamma):
+        # a NaN or infinite bound would check no sample, a nonpositive one
+        # would flag every sample
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            verify_data(batch, perf, certified.K, gamma, samples=20, seed=0)
+
     def test_deterministic(self, perf, batch, certified):
         r1 = verify_data(batch, perf, certified.K, certified.gamma, samples=60, seed=9)
         r2 = verify_data(batch, perf, certified.K, certified.gamma, samples=60, seed=9)
