@@ -16,6 +16,7 @@ noise.json for a ball model or phi.csv for a user-supplied Phi.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -99,10 +100,11 @@ class NoiseModel:
         else:
             if T < 1:
                 raise ValueError("T must be >= 1")
-            if eps is None or eps < 0:
-                raise ValueError("eps must be nonnegative")
-            if exponent not in (1, 2):
-                raise ValueError("exponent must be 1 or 2")
+            # a NaN passes eps < 0, and True passes exponent in (1, 2)
+            if eps is None or isinstance(eps, bool) or not (math.isfinite(eps) and eps >= 0):
+                raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+            if isinstance(exponent, bool) or exponent not in (1, 2):
+                raise ValueError(f"exponent must be 1 or 2, got {exponent!r}")
             eps = float(eps)
         for name, value in (("n", n), ("T", T), ("eps", eps), ("exponent", exponent),
                             ("_phi", phi)):
@@ -365,6 +367,23 @@ def save_batch(batch: DataBatch, outdir) -> None:
         fh.write("\n")
 
 
+def _noise_number(doc, key, path, integral, default=None):
+    """noise.json's value under key: a JSON number, and an integral one when
+    integral is set. int() would truncate a T of 20.5, float() would read a
+    JSON true as 1.0."""
+    value = doc.get(key, default)
+    if value is None:
+        raise ValueError(f"{path}: missing key {key!r}")
+    kind = "an integer" if integral else "a number"
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integral and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{path}: {key}: expected {kind}, got {value!r}")
+    try:
+        return int(value) if integral else float(value)
+    except OverflowError as exc:            # an integer beyond the float range
+        raise ValueError(f"{path}: {key}: {exc}") from exc
+
+
 def load_batch(indir) -> DataBatch:
     """Read a batch directory; noise.json takes precedence over phi.csv, which
     is read only when there is no noise.json."""
@@ -375,9 +394,17 @@ def load_batch(indir) -> DataBatch:
     if os.path.exists(noise_json):
         with open(noise_json, "r", encoding="ascii") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{noise_json}: expected a JSON object, got {doc!r}")
         if doc.get("type") != "ball":
             raise ValueError(f"{noise_json}: unsupported noise type {doc.get('type')!r}")
-        noise = phi_ball(n, int(doc["T"]), float(doc["eps"]), int(doc.get("exponent", 1)))
+        args = [_noise_number(doc, "T", noise_json, True),
+                _noise_number(doc, "eps", noise_json, False),
+                _noise_number(doc, "exponent", noise_json, True, default=1)]
+        try:
+            noise = phi_ball(n, *args)
+        except ValueError as exc:
+            raise ValueError(f"{noise_json}: {exc}") from exc
     else:
         phi = read_matrix_csv(os.path.join(indir, "phi.csv"))
         noise = NoiseModel(phi=phi, n=n, T=T)

@@ -42,16 +42,21 @@ matrix in a stack goes through the same kernel as it would on its own.
 
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. Its buffers are allocated once per
-solve, in a `_Workspace`: the smat stacks of G's columns per block, the
-[W^{-T} G; E] buffer that the QR factors in place, its triangle, and flat
-work arrays shared by the blocks. Each build writes into them with `out=`
-arguments, so an iteration allocates nothing proportional to G, and its
-arithmetic is that of the allocating expressions it replaces.
+solve, in a `_Workspace`: the [W^{-T} G; E] buffer that the QR factors in
+place, its triangle, and work arrays for one cache-sized chunk of G's
+columns. G's columns are kept per block as their nonzeros alone, as
+Fujisawa, Kojima & Nakata (1997) form the scaled system from sparse
+constraint data; each build scatters a chunk's nonzeros into its smat stack,
+applies the congruence by R^{-1} to the stack through BLAS and writes its
+svec into place, with `out=` arguments throughout. So an iteration allocates nothing proportional to G,
+the workspace holds no dense copy of G, and each column's arithmetic is that
+of the congruence of its dense smat.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +64,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .lmi import ConicForm, smat, svec_len, svec_tables
+from .lmi import ConicForm, svec_len, svec_tables
 
 # fraction of the step to the cone boundary that each iteration takes
 _STEP_FRAC = 0.98
@@ -80,8 +85,10 @@ class SolverOptions:
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        # 2.5 would fail inside the solve's range(), and True run one iteration
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 0):
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
 @dataclass
@@ -284,6 +291,12 @@ def _equilibrate(G, h, c, cone: _Cone, iters: int = 4):
 # system, each reusing the iterate's factorization.
 _KKT_REFINE = 3
 
+# Entries of one chunk's (kc, d, d) smat stack in a KKT build: G's columns are
+# expanded from their nonzeros a chunk at a time, so the stack and its
+# congruence temporaries stay in cache. Of 2^13 ... 2^17, 2^15 and 2^16 built
+# fastest on 12- and 20-state D4 designs; 2^15 needs half the buffers.
+_CHUNK_ENTRIES = 1 << 15
+
 
 def _svec_into(M, out, work):
     """lmi.svec of a (k, d, d) stack, written into out, a (k, svec_len(d))
@@ -303,12 +316,15 @@ def _svec_into(M, out, work):
 class _Workspace:
     """The buffers of one solve's KKT builds, sized once from G's pattern.
 
-    Per PSD block: the columns of G that touch it and their C-contiguous smat
-    stack. For the whole system: the columns no row touches, the F-order
-    [Gt; E] buffer that `dgeqrf` factors in place, and the F-order (N, N)
-    buffer of its triangle T. Four flat work arrays, sized for the largest
-    block, hold the congruence and svec temporaries; blocks are filled one
-    after another, so they share them.
+    G's columns that touch a PSD block are kept as chunks of at most
+    `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as the
+    nonzeros of its columns: each value, divided as `lmi.smat` divides it,
+    with the flat positions of its entry and the entry's mirror in the
+    chunk's (kc, d, d) smat stack. For the whole system: the columns no row
+    touches, the F-order [Gt; E] buffer that `dgeqrf` factors in place, and
+    the F-order (N, N) buffer of its triangle T. Four flat work arrays, sized
+    for the largest chunk, hold one chunk's smat stack, its congruence and
+    its svec; chunks are expanded one after another, so they share them.
 
     A `_KKT` built on a workspace reads its factor from these buffers, and the
     next build overwrites them: at most one `_KKT` per workspace is live.
@@ -316,36 +332,46 @@ class _Workspace:
 
     def __init__(self, cone: _Cone, G):
         N, M = G.shape[1], cone.total
-        self.blocks = []
-        for d, sl in zip(cone.dims, cone.slices):
+        # (row slice, group, member, d, columns, flat targets, values) per chunk
+        self.chunks = []
+        mat_size = vec_size = 0
+        for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
+            up, lo, _, scale, _ = svec_tables(d)
             Gb = G[sl]
             cols = np.flatnonzero(np.any(Gb != 0.0, axis=0))
-            self.blocks.append((cols, smat(Gb[:, cols].T, d)))
+            kc = max(1, min(cols.size, _CHUNK_ENTRIES // (d * d)))
+            mat_size, vec_size = max(mat_size, kc * d * d), max(vec_size, kc * svec_len(d))
+            for c0 in range(0, cols.size, kc):
+                cc = cols[c0:c0 + kc]
+                # G's negative zeros are left out, to be +0.0 in the stack: a
+                # congruence sums a zero of either sign to the same values
+                Gc = Gb[:, cc]
+                p, c = np.nonzero(Gc)
+                base = c * (d * d)
+                self.chunks.append((sl, g, j, d, cc, np.stack([base + up[p], base + lo[p]]),
+                                    Gc[p, c] / scale[p]))
         self.idle = np.flatnonzero(~np.any(G, axis=0))
         self.idle_rows = M + np.arange(self.idle.size)
         self.stack = np.zeros((M + self.idle.size, N), order="F")
         self.T = np.empty((N, N), order="F")
-        ks = [cols.size for cols, _ in self.blocks]
-        mat_size = max(k * d * d for k, d in zip(ks, cone.dims))
-        vec_size = max(k * svec_len(d) for k, d in zip(ks, cone.dims))
-        self._t1, self._t2 = np.empty(mat_size), np.empty(mat_size)
+        self._m1, self._m2 = np.empty(mat_size), np.empty(mat_size)
         self._a, self._b = np.empty(vec_size), np.empty(vec_size)
 
     def build(self, W: _Scaling):
         """Write [W^{-T} G; E] into the stack buffer and return it."""
-        cone = W.cone
         Gt = self.stack
         Gt.fill(0.0)                       # the last factorization overwrote it
-        for (cols, mats), sl, (g, j), d in zip(self.blocks, cone.slices, cone.where,
-                                               cone.dims):
-            k, L = cols.size, svec_len(d)
+        for sl, g, j, d, cc, targets, values in self.chunks:
+            k, L = cc.size, svec_len(d)
             Ri = W.Rinv[g][j]
-            t1 = self._t1[:k * d * d].reshape(k, d, d)
-            t2 = self._t2[:k * d * d].reshape(k, d, d)
-            np.matmul(Ri, mats, out=t1)
-            np.matmul(t1, Ri.T, out=t2)
-            a = _svec_into(t2, self._a[:k * L].reshape(k, L), self._b[:k * L].reshape(k, L))
-            Gt[sl, cols] = a.T
+            m1, m2 = self._m1[:k * d * d], self._m2[:k * d * d].reshape(k, d, d)
+            m1.fill(0.0)
+            m1[targets] = values           # the smat stack of the chunk's columns
+            m1 = m1.reshape(k, d, d)
+            np.matmul(Ri, m1, out=m2)
+            np.matmul(m2, Ri.T, out=m1)
+            a = _svec_into(m1, self._a[:k * L].reshape(k, L), self._b[:k * L].reshape(k, L))
+            Gt[sl, cc] = a.T
         Gt[self.idle_rows, self.idle] = 1.0
         return Gt
 
@@ -357,8 +383,8 @@ class _KKT:
 
         Gt^T v = r1,   Gt dx - v = W^{-T} r3,
 
-    a least-squares problem in dx. Gt is formed block by block from the
-    columns that touch each block. A column that no row touches (a variable
+    a least-squares problem in dx. Gt is formed a chunk of columns at a
+    time from the nonzeros of the columns that touch each block. A column that no row touches (a variable
     the model leaves unused) gets a unit row, so that its equation reads
     dx_j = r1_j, which is 0 whenever c_j = 0. The stack [Gt; E] = Q T is
     factored once per iterate, Q kept as Householder reflectors. Unlike the

@@ -380,6 +380,27 @@ class TestConfigErrors:
                                     {"verify": {"gamma": None, "result": "result.json"}})
         assert err.startswith("config error: verify.gamma: "), err
 
+    @pytest.mark.parametrize("command", ["design", "verify"])
+    @pytest.mark.parametrize("key, value", [("T", 20.5), ("exponent", 1.9), ("eps", True),
+                                            ("eps", float("nan"))])
+    def test_malformed_noise_json(self, tmp_path, capsys, command, key, value):
+        # a saved batch whose noise.json was edited by hand: a config error,
+        # not a truncated T or a traceback from inside the design
+        (tmp_path / "k.csv").write_text("0,0,0\n0,0,0\n")
+        sim = write_cfg(tmp_path / "sim.json", plant="example1", noise={"T": 20},
+                        data_dir=str(tmp_path / "batch"))
+        assert main(["simulate", "--config", sim]) == 0
+        noise = tmp_path / "batch" / "noise.json"
+        noise.write_text(json.dumps({**json.loads(noise.read_text()), key: value}))
+        path = write_cfg(tmp_path / "c.json", plant="example1", mode="data", designs=["D4"],
+                         data_dir=str(tmp_path / "batch"), output_dir=str(tmp_path / "out"),
+                         verify={"gamma": 1.0, "k": str(tmp_path / "k.csv")})
+        capsys.readouterr()
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: could not load batch: "), err
+        assert key in err
+
     @pytest.mark.parametrize("x0", [[True, 0, 0], [[1, 0, 0]], [float("nan"), 0, 0]])
     def test_x0_flat_finite_numbers(self, tmp_path, capsys, x0):
         # a JSON true is not 1.0, and a nested list or a NaN is no initial state

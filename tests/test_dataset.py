@@ -1,3 +1,4 @@
+import json
 import os
 import tracemalloc
 
@@ -33,6 +34,12 @@ class TestPhiBall:
             phi_ball(3, 5, -0.1)
         with pytest.raises(ValueError):
             phi_ball(3, 5, 0.1, exponent=3)
+        # eps < 0 is false for a NaN, which then failed inside a design
+        for eps in (float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="eps must be finite"):
+                phi_ball(3, 5, eps)
+        with pytest.raises(ValueError, match="exponent must be 1 or 2"):
+            phi_ball(3, 5, 0.1, exponent=True)
 
     def test_noise_model_invariants(self):
         phi = np.zeros((3, 3))
@@ -256,6 +263,46 @@ class TestDiskFormat:
         assert np.array_equal(again.noise.phi, batch.noise.phi)
         assert again.noise.eps == batch.noise.eps
         assert os.path.exists(tmp_path / "b" / "noise.json")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("T", 20.5, "T: expected an integer"),
+        ("T", True, "T: expected an integer"),
+        ("T", "20", "T: expected an integer"),
+        ("exponent", 1.9, "exponent: expected an integer"),
+        ("exponent", True, "exponent: expected an integer"),
+        ("eps", True, "eps: expected a number"),
+        ("eps", float("nan"), "eps must be finite"),
+        ("eps", float("inf"), "eps must be finite"),
+        ("eps", None, "missing key 'eps'"),
+    ])
+    def test_noise_json_values_checked(self, batch, tmp_path, key, value, message):
+        # int() truncated a T of 20.5 to 20 and float() read true as 1.0
+        save_batch(batch, tmp_path / "b")
+        path = tmp_path / "b" / "noise.json"
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message) as info:
+            load_batch(tmp_path / "b")
+        assert str(info.value).startswith(str(path))
+
+    def test_noise_json_must_be_an_object(self, batch, tmp_path):
+        save_batch(batch, tmp_path / "b")
+        (tmp_path / "b" / "noise.json").write_text("[1]")
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            load_batch(tmp_path / "b")
+
+    def test_noise_json_integral_floats_accepted(self, batch, tmp_path):
+        save_batch(batch, tmp_path / "b")
+        path = tmp_path / "b" / "noise.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "T": 20.0, "exponent": 2.0}))
+        noise = load_batch(tmp_path / "b").noise
+        assert (noise.T, noise.exponent) == (20, 2)
+        assert np.array_equal(noise.phi, batch.noise.phi)
 
     def test_phi_csv_fallback(self, batch, tmp_path):
         save_batch(batch, tmp_path / "b")

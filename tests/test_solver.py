@@ -145,6 +145,13 @@ class TestCertificates:
         assert rep.iterations == 0
         assert rep.x is not None
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # 2.5 used to fail inside the solve, and True to run one iteration
+        with pytest.raises(ValueError, match="max_iter must be"):
+            SolverOptions(max_iter=max_iter)
+        assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
+
 
 class TestKktSolve:
     def random_system(self, seed=5):
@@ -228,12 +235,12 @@ class TestWorkspace:
     reused workspace must equal, bit for bit, one on a fresh workspace."""
 
     @staticmethod
-    def system(seed=6, dims=(30, 30, 8, 1), N=200):
+    def system(seed=6, dims=(30, 30, 8, 1), N=200, density=0.3):
         """A sparse G with a column that misses a block and an idle column,
         and two scaling points. The stack buffer is 1.6 MB."""
         rng = np.random.default_rng(seed)
         cone = _Cone(dims)
-        G = rng.standard_normal((cone.total, N)) * (rng.uniform(size=(cone.total, N)) < 0.3)
+        G = rng.standard_normal((cone.total, N)) * (rng.uniform(size=(cone.total, N)) < density)
         G[cone.slices[0], 1] = 0.0
         G[:, 2] = 0.0
 
@@ -273,6 +280,66 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < ws.stack.nbytes
+
+    def test_chunked_build_matches_congruence(self):
+        # every chunk's smat stack is scattered from G's nonzeros; the build
+        # must equal the congruence of the dense smat stack of each block
+        G, cone, W1, _, _ = self.system(density=0.02)
+        ws = _Workspace(cone, G)
+        d0 = cone.dims[0]
+        kc = solver._CHUNK_ENTRIES // d0 ** 2
+        assert np.count_nonzero(np.any(G[cone.slices[0]], axis=0)) > 2 * kc
+        Gt = ws.build(W1)
+        for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
+            touch = np.any(G[sl] != 0.0, axis=0)
+            cols = np.flatnonzero(touch)
+            Ri = W1.Rinv[g][j]
+            want = svec(Ri @ smat(G[sl][:, cols].T, d) @ Ri.T)
+            assert np.array_equal(Gt[sl][:, cols], want.T)
+            assert not np.any(Gt[sl][:, ~touch])
+        assert not np.any(G[cone.slices[0], 1]) and np.any(G[:, 1])
+        assert np.array_equal(ws.idle, [2])
+        assert np.array_equal(Gt[cone.total:], np.eye(G.shape[1])[[2]])
+
+    @staticmethod
+    def held(obj):
+        """Bytes of the arrays obj holds, through its attributes, lists and tuples."""
+        if isinstance(obj, np.ndarray):
+            return obj.nbytes
+        if isinstance(obj, (list, tuple)):
+            return sum(TestWorkspace.held(o) for o in obj)
+        if hasattr(obj, "__dict__"):
+            return sum(TestWorkspace.held(v) for v in vars(obj).values())
+        return 0
+
+    def test_holds_no_copy_of_g(self):
+        # G's columns are kept as their nonzeros, about 9 per column and
+        # block as in the LMIs' densest columns: beside the stack and T the
+        # workspace holds under 1 MB, where the dense smat stacks took 2.9 MB
+        G, cone, _, _, _ = self.system(density=0.02)
+        ws = _Workspace(cone, G)
+        assert self.held(ws) < ws.stack.nbytes + ws.T.nbytes + (1 << 20)
+
+    def test_holds_no_copy_of_g_at_scale(self):
+        # the D4 model conic of a 16-state, 8-input plant: 1485 cone rows and
+        # 522 columns, whose dense smat stacks took 8.8 MB and their
+        # temporaries 20 MB more
+        rng = np.random.default_rng(0)
+        n, m = 16, 8
+        A = rng.standard_normal((n, n))
+        A *= 0.7 / spectral_radius(A)
+        B = rng.standard_normal((n, m))
+        pattern = (rng.uniform(size=(m, n)) < 0.4).astype(int)
+        pattern[np.arange(m), np.arange(m)] = 1
+        pattern[np.arange(m), np.arange(1, m + 1)] = 1
+        res = design_model(PlantPair(A=A, B=B), default_perf(n, m),
+                           DesignOptions(design="D4", subspace=from_pattern(pattern),
+                                         solver=SolverOptions(max_iter=0)))
+        conic = res.conic
+        assert conic.G.shape == (1485, 522)
+        cone = _Cone(conic.dims)
+        ws = _Workspace(cone, solver._equilibrate(conic.G, conic.h, conic.c, cone)[0])
+        assert self.held(ws) < ws.stack.nbytes + ws.T.nbytes + (1 << 20)
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_svec_into_matches_svec(self, d):
