@@ -186,7 +186,17 @@ def _solver_options(cfg) -> SolverOptions:
         raise ConfigError(f"solver.{str(exc).split()[0]}: {exc}") from exc
 
 
-def _design_options(cfg, design, subspace) -> DesignOptions:
+def _sharing(cfg, plant) -> bool:
+    """The config's sharing flag, which needs a plant with two or more inputs:
+    with one, 1^T K = 0 leaves only K = 0."""
+    sharing = _flag(cfg.get("sharing", False), "sharing")
+    if sharing and plant.m < 2:
+        raise ConfigError(f"sharing: the sharing constraint needs at least two inputs, "
+                          f"the plant has {plant.m}")
+    return sharing
+
+
+def _design_options(cfg, design, subspace, sharing) -> DesignOptions:
     if design not in DESIGNS:
         raise ConfigError(f"unknown design {design!r}; choose from {DESIGNS}")
     if design != "D1" and subspace is None:
@@ -195,7 +205,7 @@ def _design_options(cfg, design, subspace) -> DesignOptions:
     try:
         return DesignOptions(design=design,
                              subspace=None if design == "D1" else subspace,
-                             sharing=_flag(cfg.get("sharing", False), "sharing"),
+                             sharing=sharing,
                              eta=_value(float, cfg.get("eta", 1e-3), "eta"),
                              gamma=None if gamma is None else _value(float, gamma, "gamma"),
                              solver=_solver_options(cfg))
@@ -271,6 +281,7 @@ def _write_design_outputs(outdir, design, res: SynthesisResult, eta) -> None:
 
 def cmd_design(cfg) -> int:
     plant, perf, sub, _ = _resolve_plant(cfg)
+    sharing = _sharing(cfg, plant)
     designs = _designs(cfg, ["D4"])
     if not designs:
         raise ConfigError("designs list is empty")
@@ -283,7 +294,7 @@ def cmd_design(cfg) -> int:
     outdir = _out_dir(cfg)
     any_usable = False
     for design in designs:
-        opts = _design_options(cfg, design, sub)
+        opts = _design_options(cfg, design, sub, sharing)
         res = design_model(plant, perf, opts) if mode == "model" \
             else design_data(batch, perf, opts)
         _write_design_outputs(outdir, design, res, opts.eta)
@@ -315,6 +326,7 @@ def _cell(res: SynthesisResult) -> str:
 
 def cmd_sweep(cfg) -> int:
     plant, perf, sub, x0 = _resolve_plant(cfg)
+    sharing = _sharing(cfg, plant)
     designs = _designs(cfg, list(DESIGNS))
     sweep = _section(cfg, "sweep")
     if not sweep:
@@ -354,7 +366,7 @@ def cmd_sweep(cfg) -> int:
     headers = ["design", "model"] + [label for label, _ in cells]
     rows = []
     for design in designs:
-        opts = _design_options(cfg, design, sub)
+        opts = _design_options(cfg, design, sub, sharing)
         row = [design, _cell(design_model(plant, perf, opts))]
         for label, batch in cells:
             res = design_data(batch, perf, opts)
@@ -393,12 +405,19 @@ def cmd_verify(cfg) -> int:
         batch = _load_data(cfg)
         gamma = vc.get("gamma")
         if gamma is None and "result" in vc:
+            path = _path(cfg, vc["result"], "verify.result")
             try:
-                with open(_path(cfg, vc["result"], "verify.result"), "r",
-                          encoding="ascii") as fh:
-                    gamma = json.load(fh).get("gamma")
+                with open(path, "r", encoding="ascii") as fh:
+                    doc = json.load(fh)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"verify.result: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ConfigError(f"verify.result: {path} holds no result object")
+            gamma = doc.get("gamma")
+            if gamma is None:
+                # a design that did not end Optimal writes a null gamma
+                raise ConfigError(f"verify.result: {path} has no gamma to verify "
+                                  f"(status {doc.get('status')!r})")
         if gamma is None:
             raise ConfigError("data verification needs 'verify.gamma' or 'verify.result'")
         gamma = _value(float, gamma, "verify.gamma")

@@ -380,6 +380,32 @@ class TestConfigErrors:
                                     {"verify": {"gamma": None, "result": "result.json"}})
         assert err.startswith("config error: verify.gamma: "), err
 
+    def test_result_without_gamma(self, tmp_path, capsys):
+        # a cell that did not end Optimal writes a null gamma: the error names
+        # the result file and its status, not a missing key
+        (tmp_path / "result.json").write_text(
+            '{"design": "D4", "eta": 0.001, "gamma": null, "status": "Infeasible"}\n')
+        err = self._number_key_exit(tmp_path, capsys, "verify",
+                                    {"verify": {"gamma": None, "result": "result.json"}})
+        assert err.startswith("config error: verify.result: "), err
+        assert str(tmp_path / "result.json") in err
+        assert "status 'Infeasible'" in err
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_sharing_needs_two_inputs(self, tmp_path, capsys, command):
+        # 1^T K = 0 with one input leaves only K = 0: a config error, not a
+        # traceback from inside the design
+        (tmp_path / "a.csv").write_text("0.5,0.1\n0,0.5\n")
+        (tmp_path / "b.csv").write_text("1\n0.5\n")
+        path = write_cfg(tmp_path / "c.json", designs=["D1"], sharing=True,
+                         plant={"a": str(tmp_path / "a.csv"), "b": str(tmp_path / "b.csv")},
+                         sweep={"eps": [0.1], "T": [20]}, output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sharing: "), err
+        assert "at least two inputs" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["design", "verify"])
     @pytest.mark.parametrize("key, value", [("T", 20.5), ("exponent", 1.9), ("eps", True),
                                             ("eps", float("nan"))])

@@ -40,6 +40,18 @@ def eig_floor_problem(M):
     return prob.compile()
 
 
+def sharing12_plant():
+    """The criterion-7 plant, 12 states and 6 inputs, and its pattern."""
+    rng = np.random.default_rng(0)
+    n, m = 12, 6
+    A = rng.standard_normal((n, n))
+    A *= 0.7 / spectral_radius(A)
+    B = rng.standard_normal((n, m))
+    pattern = np.block([[np.ones((3, 2)), np.ones((3, 8)), np.zeros((3, 2))],
+                        [np.zeros((3, 2)), np.ones((3, 8)), np.ones((3, 2))]]).astype(int)
+    return PlantPair(A=A, B=B), from_pattern(pattern)
+
+
 class TestOptimal:
     def test_scalar_bound(self):
         rep = solve(scalar_bound_problem())
@@ -208,16 +220,9 @@ class TestKktSolve:
             return dgeqrf(a, *args, **kwargs)
 
         monkeypatch.setattr(solver, "dgeqrf", counting_dgeqrf)
-        rng = np.random.default_rng(0)
-        n, m = 12, 6
-        A = rng.standard_normal((n, n))
-        A *= 0.7 / spectral_radius(A)
-        B = rng.standard_normal((n, m))
-        pattern = np.block([[np.ones((3, 2)), np.ones((3, 8)), np.zeros((3, 2))],
-                            [np.zeros((3, 2)), np.ones((3, 8)), np.ones((3, 2))]])
-        res = design_model(PlantPair(A=A, B=B), default_perf(n, m),
-                           DesignOptions(design="D4", subspace=from_pattern(pattern),
-                                         sharing=True))
+        plant12, spec12 = sharing12_plant()
+        res = design_model(plant12, default_perf(12, 6),
+                           DesignOptions(design="D4", subspace=spec12, sharing=True))
         assert res.status == "Optimal"
         assert abs(res.report.iterations - 11) <= 1
         assert res.gamma == pytest.approx(4.621524740281538, rel=1e-6)
@@ -398,7 +403,7 @@ class TestGroupedCone:
             "lam_solve": (W.lam_solve(v),
                           loop(lambda i, M: M / (0.5 * (lam[i][:, None] + lam[i][None, :])),
                                v)),
-            "lam_vec": (W.lam_vec(), loop(lambda i: np.diag(lam[i]))),
+            "lam_vec": (cone.diagonal(W.lam), loop(lambda i: np.diag(lam[i]))),
             "identity": (cone.identity(), loop(lambda i: np.eye(cone.dims[i]))),
             "sym_prod": (solver._sym_prod(cone, u, v),
                          loop(lambda i, U, V: 0.5 * (U @ V + V @ U), u, v)),
@@ -421,6 +426,93 @@ class TestGroupedCone:
         assert cone.max_violation(v) == violation
 
 
+class TestKernelBits:
+    """The cone layer's products go through 2-D np.dot per matrix, elementwise
+    products for 1 x 1 blocks, and an in-place svec. Each must equal, bit for
+    bit, the stacked `@` and the out-of-place svec that they replace."""
+
+    DIMS = (24, 1, 30, 1, 12, 24, 1, 3)     # a k = 3 group of 1 x 1 blocks, d up to 30
+
+    @staticmethod
+    def stacked(cone, fn, *vs):
+        """svec of fn(g, stacks of vs...), a (k, d, d) stack per group, by
+        lmi.svec's 0.5 * (u + l) * scale, put in block order."""
+        per = [cone.stacks(v) for v in vs]
+        out = [svec(fn(g, *(p[g] for p in per))) for g in range(len(cone.groups))]
+        return np.concatenate([out[g][j] for g, j in cone.where])
+
+    def scaled_system(self, seed):
+        """A scaling point whose blocks spread over many orders of magnitude,
+        and two vectors. Their entries share one magnitude: where one entry
+        dominates, every order of summation rounds alike."""
+        rng = np.random.default_rng(seed)
+        cone = _Cone(self.DIMS)
+
+        def interior_point():
+            blocks = []
+            for d in cone.dims:
+                X = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3, 3)
+                blocks.append(svec(X @ X.T + 10.0 ** rng.uniform(-6, 0) * np.eye(d)))
+            return np.concatenate(blocks)
+
+        W = _Scaling(cone, interior_point(), interior_point())
+        u, v = (rng.standard_normal(cone.total) * 10.0 ** rng.uniform(-4, 4) for _ in range(2))
+        return cone, W, u, v
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scaling_matches_stacked_matmul(self, seed):
+        cone, W, u, v = self.scaled_system(seed)
+        R, Rinv = W.R, W.Rinv
+        wm = [(Rg @ Rg.swapaxes(-1, -2)).astype(np.longdouble) for Rg in R]
+
+        def t(X):
+            return X.swapaxes(-1, -2)
+
+        def stacked(fn, *vs):
+            return self.stacked(cone, fn, *vs)
+
+        def diag(g):
+            lam = W.lam[g]
+            M = np.zeros(lam.shape + (lam.shape[-1],))
+            M[:, np.arange(lam.shape[-1]), np.arange(lam.shape[-1])] = lam
+            return M
+
+        lam_vec = stacked(diag)
+        cases = {
+            "w_apply": (W.w_apply(v), stacked(lambda g, M: t(R[g]) @ M @ R[g], v)),
+            "wt_apply": (W.wt_apply(v), stacked(lambda g, M: R[g] @ M @ t(R[g]), v)),
+            "winvt_apply": (W.winvt_apply(v),
+                            stacked(lambda g, M: Rinv[g] @ M @ t(Rinv[g]), v)),
+            "winv_apply": (W.winv_apply(v), stacked(lambda g, M: t(Rinv[g]) @ M @ Rinv[g], v)),
+            "wtw_apply": (W.wtw_apply(v),
+                          stacked(lambda g, M: wm[g] @ M @ wm[g],
+                                  v.astype(np.longdouble)).astype(float)),
+            "lam_solve": (W.lam_solve(v), stacked(
+                lambda g, M: M / (0.5 * (W.lam[g][:, :, None] + W.lam[g][:, None, :])), v)),
+            "sym_prod": (solver._sym_prod(cone, u, v),
+                         stacked(lambda g, U, V: 0.5 * (U @ V + V @ U), u, v)),
+            "lam_vec": (cone.diagonal(W.lam), lam_vec),
+            "lam_sq": (W.lam_sq(),
+                       stacked(lambda g, U, V: 0.5 * (U @ V + V @ U), lam_vec, lam_vec)),
+        }
+        for name, (got, want) in cases.items():
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_congruence_matches_matmul(self, dtype):
+        # the kernel on its own, over every dimension the designs use and
+        # beyond, with a transposed (F-order) right factor as W's maps pass it
+        rng = np.random.default_rng(11)
+        for d in range(1, 33):
+            k = 1 + d % 3
+            L, M, Rt = (rng.standard_normal((k, d, d)).astype(dtype)
+                        * 10.0 ** rng.uniform(-6, 6) for _ in range(3))
+            out = np.empty((k, d, d), dtype)
+            solver._congruence(L, M, Rt.swapaxes(-1, -2), out)
+            assert np.array_equal(out, L @ M @ Rt.swapaxes(-1, -2)), d
+
+
 # Status, iteration count and gamma of example1 designs, recorded with the
 # solver as it stood when this test was added. The solver is deterministic, so
 # a rewrite of the IPM loop that keeps its arithmetic keeps these exactly; one
@@ -435,13 +527,22 @@ RECORDED = {
     ("data", "D2"): ("Optimal", 13, 4.388124249127456),
     ("data", "D3"): ("Optimal", 14, 3.5321048531113837),
     ("data", "D4"): ("Optimal", 12, 3.4833890639619955),
+    # the criterion-7 sharing plant, whose blocks reach d = 30
+    ("sharing", "D1"): ("Optimal", 9, 4.33596860083306),
+    ("sharing", "D4"): ("Optimal", 11, 4.621524740789265),
 }
 
 
 @pytest.mark.parametrize("mode, design", sorted(RECORDED))
 def test_recorded_trajectory(mode, design, plant, perf, subspace):
     opts = DesignOptions(design=design, subspace=None if design == "D1" else subspace)
-    if mode == "model":
+    if mode == "sharing":
+        plant12, spec12 = sharing12_plant()
+        res = design_model(plant12, default_perf(12, 6),
+                           DesignOptions(design=design,
+                                         subspace=None if design == "D1" else spec12,
+                                         sharing=True))
+    elif mode == "model":
         res = design_model(plant, perf, opts)
     else:
         batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
