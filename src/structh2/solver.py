@@ -16,7 +16,17 @@ a primal-dual optimum, kappa > 0 a certificate of primal infeasibility
 Nesterov-Todd scaling with a Mehrotra predictor-corrector; step fraction 0.98
 to the cone boundary. Columns and cone rows are Ruiz-equilibrated (one scalar
 per PSD block, so cones are preserved), but convergence is declared on
-residuals of the original data. Everything is deterministic dense numpy.
+residuals of the original data. Everything is deterministic numpy.
+
+G is 1-5 % nonzero in the designs' LMIs, and under 0.1 % at scale. The
+solve holds it as the row-major table of its nonzeros (`_Nonzeros`), built
+once from the compiled dense G, which it leaves alone. Every product with G
+or G^T, in the stopping and ray checks, the embedding's residuals and the
+KKT refinement, runs over that table with `np.bincount`: each entry sums
+its row's (or column's) products in index order, without BLAS and without
+reading G's zeros. Equilibration rescales the table's values entry by
+entry, as a dense pass would, and the KKT workspace is built from them, so
+the solve holds no dense copy of G.
 
 Every step renormalizes the iterate to tau = 1, which the embedding's positive
 homogeneity allows, so tau is exactly 1 at the top of each iteration and is
@@ -53,6 +63,14 @@ A group of 1 x 1 blocks takes the same scalar products elementwise. Lambda
 is diagonal, so Lambda and Lambda o Lambda = diag(lambda^2) are scattered
 onto the diagonal svec positions with no product at all.
 
+What does not change within a solve or a scaling point is computed once.
+`_Cone.map` reads its inputs into, and lets each group write into, per-cone
+scratch buffers whose group views are made on first use; only the svec it
+returns is new. A `_Scaling` keeps its transposed factors, the divisor
+(lambda_i + lambda_j)/2 of `lam_solve` and the sqrt(lambda_i) sqrt(lambda_j)
+of `max_step`, which takes both boundary directions in one eigvalsh per
+group.
+
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. Its buffers are allocated once per
 solve, in a `_Workspace`: the [W^{-T} G; E] buffer that the QR factors in
@@ -61,8 +79,8 @@ columns. G's columns are kept per block as their nonzeros alone, as
 Fujisawa, Kojima & Nakata (1997) form the scaled system from sparse
 constraint data; each build scatters a chunk's nonzeros into its smat stack,
 applies the congruence by R^{-1} to the stack through BLAS and writes its
-svec into place, with `out=` arguments throughout. So an iteration allocates nothing proportional to G,
-the workspace holds no dense copy of G, and each column's arithmetic is that
+svec into place, with `out=` arguments throughout. So an iteration
+allocates nothing proportional to G, and each column's arithmetic is that
 of the congruence of its dense smat.
 """
 
@@ -167,6 +185,7 @@ class _Cone:
         self._up, self._lo = np.concatenate(up), np.concatenate(lo)
         # 0.5 * scale is exact, so (u + l) * (0.5 * scale) == 0.5 * (u + l) * scale
         self._half_scale = 0.5 * np.concatenate(scale)
+        self._bufs = {}
 
     def _split(self, buf):
         """The (k, d, d) stack of every group, as views into a flat buffer."""
@@ -182,13 +201,29 @@ class _Cone:
         buf /= self._div
         return self._split(buf)
 
+    def _scratch(self, slot, dtype):
+        """Flat buffer number slot of dtype and its group views, made on first
+        use and kept: `map` reads its inputs into slots 1, 2, ... and lets fn
+        write into slot 0."""
+        got = self._bufs.get((slot, dtype))
+        if got is None:
+            buf = np.empty(self._flat, dtype)
+            got = self._bufs[slot, dtype] = buf, self._split(buf)
+        return got
+
     def map(self, fn, *vs):
         """The svec, in block order, of what fn(g, out, stacks of vs...)
         writes into out for each group g: out is g's (k, d, d) stack in one
-        flat buffer of the dtype of vs."""
-        per = [self.stacks(v) for v in vs]
-        buf = np.empty(self._flat, np.result_type(*vs))
-        for g, out in enumerate(self._split(buf)):
+        flat buffer of the dtype of vs. The stacks are the cone's scratch,
+        overwritten by the next call; the svec returned is a new array."""
+        per = []
+        for slot, v in enumerate(vs, 1):
+            buf, views = self._scratch(slot, v.dtype)
+            v.take(self._gather, out=buf, mode="clip")
+            buf /= self._div
+            per.append(views)
+        buf, views = self._scratch(0, np.result_type(*vs))
+        for g, out in enumerate(views):
             fn(g, out, *(p[g] for p in per))
         v = buf[self._up]
         v += buf[self._lo]
@@ -231,8 +266,10 @@ class _Scaling:
     """Nesterov-Todd scaling point per block: W z = W^{-T} s = lambda.
 
     W acts on block i as v -> svec(R_i^T mat(v) R_i), so W^T W is the
-    congruence by Wm_i = R_i R_i^T, formed once per iterate. R, Rinv, lambda
-    and Wm are held as one stack per group of the cone.
+    congruence by Wm_i = R_i R_i^T. R, Rinv, lambda and Wm are held as one
+    stack per group of the cone, and so is all that the maps and step tests
+    reuse within the iterate: the transposed factors, (lambda_i + lambda_j)/2
+    and sqrt(lambda_i) sqrt(lambda_j).
     """
 
     def __init__(self, cone: _Cone, s, z):
@@ -247,21 +284,28 @@ class _Scaling:
             self.Rinv.append((U / sq).swapaxes(-1, -2) @ Lz.swapaxes(-1, -2))
             self.lam.append(sig)
         self._wm_ext = [(R @ R.swapaxes(-1, -2)).astype(np.longdouble) for R in self.R]
+        self._Rt = [R.swapaxes(-1, -2) for R in self.R]
+        self._Rinvt = [Ri.swapaxes(-1, -2) for Ri in self.Rinv]
+        self._lam_mean = [0.5 * (lam[:, :, None] + lam[:, None, :]) for lam in self.lam]
+        self._sqrt_outer = []
+        for lam in self.lam:
+            sq = np.sqrt(lam)
+            self._sqrt_outer.append(sq[:, :, None] * sq[:, None, :])
 
     def _map(self, v, left, right):
         return self.cone.map(lambda g, out, M: _congruence(left[g], M, right[g], out), v)
 
     def w_apply(self, dz):
         """W dz = svec(R^T mat(dz) R)."""
-        return self._map(dz, [R.swapaxes(-1, -2) for R in self.R], self.R)
+        return self._map(dz, self._Rt, self.R)
 
     def wt_apply(self, v):
         """W^T v = svec(R mat(v) R^T)."""
-        return self._map(v, self.R, [R.swapaxes(-1, -2) for R in self.R])
+        return self._map(v, self.R, self._Rt)
 
     def winvt_apply(self, ds):
         """W^{-T} ds = svec(R^{-1} mat(ds) R^{-T})."""
-        return self._map(ds, self.Rinv, [Ri.swapaxes(-1, -2) for Ri in self.Rinv])
+        return self._map(ds, self.Rinv, self._Rinvt)
 
     def wtw_apply(self, v):
         """W^T W v = svec(Wm mat(v) Wm), formed in extended precision: it
@@ -271,7 +315,7 @@ class _Scaling:
 
     def winv_apply(self, v):
         """W^{-1} v = svec(R^{-T} mat(v) R^{-1})."""
-        return self._map(v, [Ri.swapaxes(-1, -2) for Ri in self.Rinv], self.Rinv)
+        return self._map(v, self._Rinvt, self.Rinv)
 
     def lam_sq(self):
         """svec of Lambda o Lambda, which is diag(lambda^2): Lambda is diagonal."""
@@ -279,17 +323,15 @@ class _Scaling:
 
     def lam_solve(self, v):
         """Solve lambda o u = v in svec coordinates (Lambda is diagonal)."""
-        def solve(g, out, M):
-            lam = self.lam[g]
-            np.divide(M, 0.5 * (lam[:, :, None] + lam[:, None, :]), out=out)
-        return self.cone.map(solve, v)
+        return self.cone.map(lambda g, out, M: np.divide(M, self._lam_mean[g], out=out), v)
 
-    def max_step(self, dtilde):
-        """Largest alpha with Lambda + alpha*mat(dtilde) staying PSD."""
+    def max_step(self, *dirs):
+        """Largest alpha with Lambda + alpha*mat(d) staying PSD for every d in
+        dirs: one eigvalsh per group over the stacks of all of them."""
         alpha = np.inf
-        for M, lam in zip(self.cone.stacks(dtilde), self.lam):
-            sq = np.sqrt(lam)
-            lmin = np.linalg.eigvalsh(M / (sq[:, :, None] * sq[:, None, :]))[:, 0]
+        per = [self.cone.stacks(d) for d in dirs]
+        for g, sq in enumerate(self._sqrt_outer):
+            lmin = np.linalg.eigvalsh(np.stack([p[g] for p in per]) / sq)[..., 0]
             neg = lmin[lmin < 0]
             if neg.size:
                 alpha = min(alpha, float((-1.0 / neg).min()))
@@ -311,31 +353,65 @@ def _sym_prod(cone: _Cone, u, v):
     return cone.map(prod, u, v)
 
 
+# --- G as its nonzeros -------------------------------------------------------
+
+class _Nonzeros:
+    """A matrix held as the table of its nonzeros in row-major order: rows,
+    cols and vals, one entry each, and its shape.
+
+    G x and G^T z run over the table with `np.bincount`, which adds each
+    entry's product to its bin in table order. So every entry of G x sums its
+    row's products in column order, every entry of G^T z its column's in row
+    order, with no BLAS call and no pass over G's zeros.
+    """
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    @classmethod
+    def of(cls, G):
+        rows, cols = np.nonzero(G)
+        return cls(rows, cols, G[rows, cols], G.shape)
+
+    def dot(self, x):
+        """G x."""
+        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.shape[0])
+
+    def tdot(self, z):
+        """G^T z."""
+        return np.bincount(self.cols, self.vals * z[self.rows], minlength=self.shape[1])
+
+
 # --- equilibration ----------------------------------------------------------
 
-def _equilibrate(G, h, c, cone: _Cone, iters: int = 4):
-    """Ruiz-style scaling; PSD blocks get one uniform row scale each."""
+def _equilibrate(G: _Nonzeros, h, c, cone: _Cone, iters: int = 4):
+    """Ruiz-style scaling; PSD blocks get one uniform row scale each.
+
+    Each entry of G is multiplied by the same scales in the same order as a
+    dense pass over G would, and the maxima are exact, so the scaled values
+    are those of the dense pass bit for bit."""
     M, N = G.shape
     drG = np.ones(M)
     dcol = np.ones(N)
-    Gs = G.copy()
+    vals = G.vals.copy()
+    # the table is row-major: each block's entries are one run of it
+    bounds = np.searchsorted(G.rows, [sl.start for sl in cone.slices] + [M])
     for _ in range(iters):
-        # max |x| as max(max x, -min x): the same values, without an |G| copy
-        cm = np.maximum(Gs.max(axis=0, initial=0.0), -Gs.min(axis=0, initial=0.0))
+        cm = np.zeros(N)
+        np.maximum.at(cm, G.cols, np.abs(vals))
         sc = 1.0 / np.sqrt(np.maximum(cm, 1e-8))
         sc[cm == 0.0] = 1.0
         dcol *= sc
-        Gs *= sc[None, :]
-        for sl in cone.slices:
-            Gb = Gs[sl]
-            rm = max(Gb.max(initial=0.0), -Gb.min(initial=0.0))
+        vals *= sc[G.cols]
+        for sl, lo, hi in zip(cone.slices, bounds[:-1], bounds[1:]):
+            rm = np.abs(vals[lo:hi]).max(initial=0.0)
             sr = 1.0 if rm == 0.0 else 1.0 / np.sqrt(max(rm, 1e-8))
             drG[sl] *= sr
-            Gs[sl] *= sr
+            vals[lo:hi] *= sr
     hs = drG * h
     cs = dcol * c
     cscale = 1.0 / max(1.0, np.abs(cs).max(initial=0.0))
-    return Gs, hs, cs * cscale, drG, dcol, cscale
+    return _Nonzeros(G.rows, G.cols, vals, G.shape), hs, cs * cscale, drG, dcol, cscale
 
 
 # --- KKT systems ------------------------------------------------------------
@@ -372,9 +448,10 @@ def _svec_into(M, out, work):
 
 
 class _Workspace:
-    """The buffers of one solve's KKT builds, sized once from G's pattern.
+    """The buffers of one solve's KKT builds, sized once from G's nonzeros.
 
-    G's columns that touch a PSD block are kept as chunks of at most
+    Built from the equilibrated `_Nonzeros` table, never from a dense G. G's
+    columns that touch a PSD block are kept as chunks of at most
     `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as the
     nonzeros of its columns: each value, divided as `lmi.smat` divides it,
     with the flat positions of its entry and the entry's mirror in the
@@ -388,27 +465,32 @@ class _Workspace:
     next build overwrites them: at most one `_KKT` per workspace is live.
     """
 
-    def __init__(self, cone: _Cone, G):
-        N, M = G.shape[1], cone.total
+    def __init__(self, cone: _Cone, G: _Nonzeros):
+        M, N = G.shape
+        # G's negative zeros, and entries that equilibration took to zero, are
+        # left out, to be +0.0 in the stack: a congruence sums a zero of
+        # either sign to the same values
+        keep = G.vals != 0.0
+        rows, cols, vals = G.rows[keep], G.cols[keep], G.vals[keep]
+        bounds = np.searchsorted(rows, [sl.start for sl in cone.slices] + [M])
         # (row slice, group, member, d, columns, flat targets, values) per chunk
         self.chunks = []
         mat_size = vec_size = 0
-        for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
+        for d, sl, (g, j), e0, e1 in zip(cone.dims, cone.slices, cone.where,
+                                         bounds[:-1], bounds[1:]):
             up, lo, _, scale, _ = svec_tables(d)
-            Gb = G[sl]
-            cols = np.flatnonzero(np.any(Gb != 0.0, axis=0))
-            kc = max(1, min(cols.size, _CHUNK_ENTRIES // (d * d)))
+            p, c, v = rows[e0:e1] - sl.start, cols[e0:e1], vals[e0:e1]
+            touched = np.unique(c)
+            place = np.searchsorted(touched, c)      # the entry's column among touched
+            kc = max(1, min(touched.size, _CHUNK_ENTRIES // (d * d)))
             mat_size, vec_size = max(mat_size, kc * d * d), max(vec_size, kc * svec_len(d))
-            for c0 in range(0, cols.size, kc):
-                cc = cols[c0:c0 + kc]
-                # G's negative zeros are left out, to be +0.0 in the stack: a
-                # congruence sums a zero of either sign to the same values
-                Gc = Gb[:, cc]
-                p, c = np.nonzero(Gc)
-                base = c * (d * d)
-                self.chunks.append((sl, g, j, d, cc, np.stack([base + up[p], base + lo[p]]),
-                                    Gc[p, c] / scale[p]))
-        self.idle = np.flatnonzero(~np.any(G, axis=0))
+            for c0 in range(0, touched.size, kc):
+                e = np.flatnonzero((place >= c0) & (place < c0 + kc))
+                base = (place[e] - c0) * (d * d)
+                self.chunks.append((sl, g, j, d, touched[c0:c0 + kc],
+                                    np.stack([base + up[p[e]], base + lo[p[e]]]),
+                                    v[e] / scale[p[e]]))
+        self.idle = np.flatnonzero(np.bincount(cols, minlength=N) == 0)
         self.idle_rows = M + np.arange(self.idle.size)
         self.stack = np.zeros((M + self.idle.size, N), order="F")
         self.T = np.empty((N, N), order="F")
@@ -442,20 +524,22 @@ class _KKT:
         Gt^T v = r1,   Gt dx - v = W^{-T} r3,
 
     a least-squares problem in dx. Gt is formed a chunk of columns at a
-    time from the nonzeros of the columns that touch each block. A column that no row touches (a variable
-    the model leaves unused) gets a unit row, so that its equation reads
-    dx_j = r1_j, which is 0 whenever c_j = 0. The stack [Gt; E] = Q T is
-    factored once per iterate, Q kept as Householder reflectors. Unlike the
-    Schur complement Gt^T Gt, the factor's error grows with cond(Gt), not
-    with its square. Solutions are refined against the residual of the full
-    system, which needs only products with G and the per-block W^T W.
+    time from the nonzeros of the columns that touch each block. A column
+    that no row touches (a variable the model leaves unused) gets a unit
+    row, so that its equation reads dx_j = r1_j, which is 0 whenever
+    c_j = 0. The stack [Gt; E] = Q T is factored once per iterate, Q kept as
+    Householder reflectors. Unlike the Schur complement Gt^T Gt, the
+    factor's error grows with cond(Gt), not with its square. Solutions are
+    refined against the residual of the full system, which needs only the
+    per-block W^T W and products with G, run over G's nonzeros in row order
+    (`_Nonzeros`) without BLAS.
 
     The stack, its factor and T live in the solve's `_Workspace`, built once
     per solve: building a `_KKT` overwrites the previous one's factor, so one
     `_KKT` per workspace is live at a time.
     """
 
-    def __init__(self, G, W: _Scaling, ws: _Workspace):
+    def __init__(self, G: _Nonzeros, W: _Scaling, ws: _Workspace):
         N, M = G.shape[1], W.cone.total
         Gt = ws.build(W)
         if Gt.shape[0] < N:
@@ -494,7 +578,7 @@ class _KKT:
 
     def residual(self, rhs, sol):
         dx, dz = sol[:self.N], sol[self.N:]
-        return rhs - np.concatenate([self.G.T @ dz, self.G @ dx - self.W.wtw_apply(dz)])
+        return rhs - np.concatenate([self.G.tdot(dz), self.G.dot(dx) - self.W.wtw_apply(dz)])
 
     def solve(self, rhs):
         """Refined solution and the max-norm residual of the full system.
@@ -521,11 +605,12 @@ class _KKT:
 
 def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
     opts = opts or SolverOptions()
-    G0, h0, c0 = conic.G, conic.h, conic.c
+    h0, c0 = conic.h, conic.c
     if not conic.dims:
         raise ValueError("the solver needs at least one PSD block")
     N = conic.n_reduced
     cone = _Cone(conic.dims)
+    G0 = _Nonzeros.of(conic.G)
 
     G, h, c, drG, dcol, cscale = _equilibrate(G0, h0, c0, cone)
 
@@ -547,8 +632,8 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         # primal feasibility is the conic violation of the candidate itself:
         # downstream consumers evaluate eigenvalues of h - G x, not the
         # solver's internal slack iterate; absolute, as they check it
-        pres = cone.max_violation(h0 - G0 @ X)
-        gtz = G0.T @ Z
+        pres = cone.max_violation(h0 - G0.dot(X))
+        gtz = G0.tdot(Z)
         # normalized by the size of the dual terms, as is standard: the raw
         # residual cannot cancel below roundoff of the terms that form it
         dscale = 1.0 + np.abs(c0).max(initial=0.0) + np.abs(gtz).max(initial=0.0)
@@ -572,7 +657,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         denom = -float(h0 @ Zr)
         if denom > 0:
             Zc = Zr / denom
-            res = np.abs(G0.T @ Zc).max(initial=0.0)
+            res = np.abs(G0.tdot(Zc)).max(initial=0.0)
             if res <= _TOL_INFEAS * (1.0 + np.abs(Zc).max(initial=0.0)):
                 return SolveReport(status="Infeasible", x=None, objective=None,
                                    residuals={"feas": res, "gap": 0.0},
@@ -583,7 +668,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         cdx = float(c0 @ X)
         if cdx < 0:
             Xc, Sc = X / (-cdx), s / drG / (-cdx)
-            res = np.abs(G0 @ Xc + Sc).max(initial=0.0)
+            res = np.abs(G0.dot(Xc) + Sc).max(initial=0.0)
             if res <= _TOL_INFEAS * (1.0 + np.abs(Xc).max(initial=0.0)):
                 return SolveReport(status="Unbounded", x=None, objective=None,
                                    residuals={"feas": res, "gap": 0.0},
@@ -598,8 +683,8 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             break  # no progress for several iterations; grinding on noise
 
         # --- residuals of the homogeneous model (scaled data)
-        rx = G.T @ z + c
-        rz = -G @ x + h - s
+        rx = G.tdot(z) + c
+        rz = -G.dot(x) + h - s
         rtau = -float(c @ x) - float(h @ z) - kappa
         mu = (float(s @ z) + kappa) / nu
 
@@ -627,7 +712,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             """The step to the boundary, with the scaled directions W dz and
             W^{-T} ds that it measures it on."""
             wdz, wds = W.w_apply(dz), W.winvt_apply(ds)
-            alpha = min(W.max_step(wdz), W.max_step(wds))
+            alpha = W.max_step(wdz, wds)
             if dtau < 0:
                 alpha = min(alpha, -1.0 / dtau)
             if dkappa < 0:
@@ -663,10 +748,11 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
                 eta_s = base
                 eta_kappa = sigma * mu - kappa
             dx, dz, ds, dtau, dkappa = direction(sigma, eta_s, eta_kappa)
+            # eigvalsh raises on a non-finite direction, as from g1 + kappa == 0
+            alpha = min(1.0, _STEP_FRAC * boundary_step(dz, ds, dtau, dkappa)[0])
         except np.linalg.LinAlgError:
             break
 
-        alpha = min(1.0, _STEP_FRAC * boundary_step(dz, ds, dtau, dkappa)[0])
         if not np.isfinite(alpha) or alpha <= 0:
             break
         stall = stall + 1 if alpha < 1e-4 else 0

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,9 +11,10 @@ from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair
                       SolverOptions, default_perf, design_data, design_model,
                       example1_perf, example1_plant, example1_subspace,
                       infeasibility_residual, min_eig, simulate, solve, spectral_radius)
+import structh2
 from structh2 import solver
 from structh2.lmi import smat, svec, svec_len
-from structh2.solver import _KKT, _Cone, _Scaling, _svec_into, _Workspace
+from structh2.solver import _KKT, _Cone, _Nonzeros, _Scaling, _svec_into, _Workspace
 from structh2.subspace import from_pattern
 
 def scalar_bound_problem():
@@ -50,6 +54,24 @@ def sharing12_plant():
     pattern = np.block([[np.ones((3, 2)), np.ones((3, 8)), np.zeros((3, 2))],
                         [np.zeros((3, 2)), np.ones((3, 8)), np.ones((3, 2))]]).astype(int)
     return PlantPair(A=A, B=B), from_pattern(pattern)
+
+
+@pytest.fixture(scope="module")
+def d4_16_conic():
+    """The D4 model conic of a 16-state, 8-input plant (rng seed 0, spectral
+    radius 0.7, pattern density 0.4 plus its diagonal and superdiagonal)."""
+    rng = np.random.default_rng(0)
+    n, m = 16, 8
+    A = rng.standard_normal((n, n))
+    A *= 0.7 / spectral_radius(A)
+    B = rng.standard_normal((n, m))
+    pattern = (rng.uniform(size=(m, n)) < 0.4).astype(int)
+    pattern[np.arange(m), np.arange(m)] = 1
+    pattern[np.arange(m), np.arange(1, m + 1)] = 1
+    res = design_model(PlantPair(A=A, B=B), default_perf(n, m),
+                       DesignOptions(design="D4", subspace=from_pattern(pattern),
+                                     solver=SolverOptions(max_iter=0)))
+    return res.conic
 
 
 class TestOptimal:
@@ -148,6 +170,26 @@ class TestCertificates:
         rep = solve(trace_floor_problem(M), SolverOptions(max_iter=1))
         assert rep.status == "NumericalTrouble"
 
+    def test_linalg_error_in_the_corrector_step(self, monkeypatch):
+        # eigvalsh raises LinAlgError on a non-finite direction; the second
+        # max_step call of a solve measures the corrector's, and its failure
+        # must end the solve with the best iterate, not escape it
+        calls = []
+        max_step = _Scaling.max_step
+
+        def failing(W, *dirs):
+            calls.append(len(dirs))
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return max_step(W, *dirs)
+
+        monkeypatch.setattr(_Scaling, "max_step", failing)
+        rep = solve(trace_floor_problem(np.eye(3)))
+        assert calls == [2, 2]
+        assert rep.status == "NumericalTrouble"
+        assert rep.iterations == 0
+        assert rep.x is not None
+
     def test_max_iter_floor(self):
         # zero iterations still report the starting point; fewer is an error
         with pytest.raises(ValueError, match="max_iter"):
@@ -188,7 +230,8 @@ class TestKktSolve:
 
     def test_kkt_matches_dense_solve(self):
         G, W, cone, K2, rhs = self.random_system()
-        sol, err = _KKT(G, W, _Workspace(cone, G)).solve(rhs)
+        Gn = _Nonzeros.of(G)
+        sol, err = _KKT(Gn, W, _Workspace(cone, Gn)).solve(rhs)
         assert err <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
 
@@ -196,8 +239,9 @@ class TestKktSolve:
         # the solver's one failure exit catches LinAlgError
         G, W, cone, _, rhs = self.random_system()
         rhs[0] = np.nan
+        Gn = _Nonzeros.of(G)
         with pytest.raises(np.linalg.LinAlgError):
-            _KKT(G, W, _Workspace(cone, G)).solve(rhs)
+            _KKT(Gn, W, _Workspace(cone, Gn)).solve(rhs)
 
     @pytest.mark.parametrize("design", ["D1", "D2"])
     def test_data_endgame_stays_optimal(self, design):
@@ -261,6 +305,7 @@ class TestWorkspace:
         # dgeqrf factors the stack buffer in place: a second build must clear
         # every entry the first left behind
         G, cone, W1, W2, rhs = self.system()
+        G = _Nonzeros.of(G)
         ws = _Workspace(cone, G)
         _KKT(G, W1, ws)
         reused = _KKT(G, W2, ws)
@@ -275,6 +320,7 @@ class TestWorkspace:
         # the build writes into the workspace: what it allocates (the QR work
         # array, tau, index temporaries) stays below one copy of the stack
         G, cone, W1, W2, _ = self.system()
+        G = _Nonzeros.of(G)
         ws = _Workspace(cone, G)
         assert ws.stack.nbytes >= 1 << 20
         _KKT(G, W1, ws)
@@ -290,7 +336,7 @@ class TestWorkspace:
         # every chunk's smat stack is scattered from G's nonzeros; the build
         # must equal the congruence of the dense smat stack of each block
         G, cone, W1, _, _ = self.system(density=0.02)
-        ws = _Workspace(cone, G)
+        ws = _Workspace(cone, _Nonzeros.of(G))
         d0 = cone.dims[0]
         kc = solver._CHUNK_ENTRIES // d0 ** 2
         assert np.count_nonzero(np.any(G[cone.slices[0]], axis=0)) > 2 * kc
@@ -322,28 +368,18 @@ class TestWorkspace:
         # block as in the LMIs' densest columns: beside the stack and T the
         # workspace holds under 1 MB, where the dense smat stacks took 2.9 MB
         G, cone, _, _, _ = self.system(density=0.02)
-        ws = _Workspace(cone, G)
+        ws = _Workspace(cone, _Nonzeros.of(G))
         assert self.held(ws) < ws.stack.nbytes + ws.T.nbytes + (1 << 20)
 
-    def test_holds_no_copy_of_g_at_scale(self):
+    def test_holds_no_copy_of_g_at_scale(self, d4_16_conic):
         # the D4 model conic of a 16-state, 8-input plant: 1485 cone rows and
         # 522 columns, whose dense smat stacks took 8.8 MB and their
         # temporaries 20 MB more
-        rng = np.random.default_rng(0)
-        n, m = 16, 8
-        A = rng.standard_normal((n, n))
-        A *= 0.7 / spectral_radius(A)
-        B = rng.standard_normal((n, m))
-        pattern = (rng.uniform(size=(m, n)) < 0.4).astype(int)
-        pattern[np.arange(m), np.arange(m)] = 1
-        pattern[np.arange(m), np.arange(1, m + 1)] = 1
-        res = design_model(PlantPair(A=A, B=B), default_perf(n, m),
-                           DesignOptions(design="D4", subspace=from_pattern(pattern),
-                                         solver=SolverOptions(max_iter=0)))
-        conic = res.conic
+        conic = d4_16_conic
         assert conic.G.shape == (1485, 522)
         cone = _Cone(conic.dims)
-        ws = _Workspace(cone, solver._equilibrate(conic.G, conic.h, conic.c, cone)[0])
+        G = _Nonzeros.of(conic.G)
+        ws = _Workspace(cone, solver._equilibrate(G, conic.h, conic.c, cone)[0])
         assert self.held(ws) < ws.stack.nbytes + ws.T.nbytes + (1 << 20)
 
     @pytest.mark.parametrize("d", [1, 3, 8])
@@ -353,6 +389,111 @@ class TestWorkspace:
         out, work = np.empty((17, svec_len(d))), np.empty((17, svec_len(d)))
         assert _svec_into(M, out, work) is out
         assert np.array_equal(out, svec(M))
+
+
+def dense_ruiz(G, h, c, cone, iters=4):
+    """The dense Ruiz loop that `solver._equilibrate` replaced, kept as its
+    reference: the same scales, applied to every entry of a dense G."""
+    M, N = G.shape
+    drG = np.ones(M)
+    dcol = np.ones(N)
+    Gs = G.copy()
+    for _ in range(iters):
+        cm = np.maximum(Gs.max(axis=0, initial=0.0), -Gs.min(axis=0, initial=0.0))
+        sc = 1.0 / np.sqrt(np.maximum(cm, 1e-8))
+        sc[cm == 0.0] = 1.0
+        dcol *= sc
+        Gs *= sc[None, :]
+        for sl in cone.slices:
+            Gb = Gs[sl]
+            rm = max(Gb.max(initial=0.0), -Gb.min(initial=0.0))
+            sr = 1.0 if rm == 0.0 else 1.0 / np.sqrt(max(rm, 1e-8))
+            drG[sl] *= sr
+            Gs[sl] *= sr
+    hs = drG * h
+    cs = dcol * c
+    cscale = 1.0 / max(1.0, np.abs(cs).max(initial=0.0))
+    return Gs, hs, cs * cscale, drG, dcol, cscale
+
+
+class TestNonzeros:
+    """The solve holds G as its row-major nonzeros: the products sum each
+    entry in index order, and equilibration scales each value as the dense
+    loop scales its entry."""
+
+    @staticmethod
+    def sparse_g(seed=8, dims=(3, 1, 2, 4), N=12):
+        """A G whose values span 12 orders of magnitude, with an empty column,
+        an empty block of rows and negative zeros."""
+        rng = np.random.default_rng(seed)
+        cone = _Cone(dims)
+        M = cone.total
+        G = (rng.standard_normal((M, N)) * 10.0 ** rng.uniform(-6, 6, size=(M, N))
+             * (rng.uniform(size=(M, N)) < 0.3))
+        G[:, 4] = 0.0
+        G[cone.slices[1]] = 0.0
+        G[(G == 0.0) & (rng.uniform(size=(M, N)) < 0.2)] = -0.0
+        assert np.any(np.signbit(G) & (G == 0.0))
+        return G, cone, rng
+
+    def test_products_match_dense(self):
+        G, cone, rng = self.sparse_g()
+        Gn = _Nonzeros.of(G)
+        assert Gn.vals.size == np.count_nonzero(G)
+        x, z = rng.standard_normal(G.shape[1]), rng.standard_normal(G.shape[0])
+        gx, gtz = Gn.dot(x), Gn.tdot(z)
+        assert np.all(np.abs(gx - G @ x) <= 1e-14 * (np.abs(G) @ np.abs(x)))
+        assert np.all(np.abs(gtz - G.T @ z) <= 1e-14 * (np.abs(G.T) @ np.abs(z)))
+        # every entry is its row's (column's) products summed in order from
+        # +0.0, over the zeros too: a zero of either sign adds nothing
+        want_x, want_z = np.zeros(G.shape[0]), np.zeros(G.shape[1])
+        for j in range(G.shape[1]):
+            want_x += G[:, j] * x[j]
+        for i in range(G.shape[0]):
+            want_z += G[i] * z[i]
+        assert np.array_equal(gx, want_x) and not np.any(np.signbit(gx[gx == 0.0]))
+        assert np.array_equal(gtz, want_z) and not np.any(np.signbit(gtz[gtz == 0.0]))
+        assert gtz[4] == 0.0 and not np.any(gx[cone.slices[1]])
+
+    def test_equilibrate_matches_dense_loop(self, d4_16_conic):
+        G, cone, rng = self.sparse_g()
+        cases = [(G, rng.standard_normal(G.shape[0]), rng.standard_normal(G.shape[1]), cone),
+                 (d4_16_conic.G, d4_16_conic.h, d4_16_conic.c, _Cone(d4_16_conic.dims))]
+        for G, h, c, cone in cases:
+            Gn = _Nonzeros.of(G)
+            got = solver._equilibrate(Gn, h, c, cone)
+            want = dense_ruiz(G, h, c, cone)
+            assert np.array_equal(got[0].vals, want[0][Gn.rows, Gn.cols])
+            assert not np.any(np.delete(want[0].reshape(-1), Gn.rows * G.shape[1] + Gn.cols))
+            for a, b in zip(got[1:], want[1:]):
+                assert np.array_equal(a, b)
+            assert np.array_equal(Gn.vals, G[Gn.rows, Gn.cols])      # left unscaled
+
+    def test_solve_holds_no_copy_of_g(self, d4_16_conic):
+        # beside the workspace's stack and T, a solve allocates less than half
+        # of G: the dense equilibrated copy that it held took all of G
+        conic = d4_16_conic
+        ws = _Workspace(_Cone(conic.dims), _Nonzeros.of(conic.G))
+        tracemalloc.start()
+        try:
+            rep = solve(conic)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.status == "Optimal"
+        assert peak < ws.stack.nbytes + ws.T.nbytes + conic.G.nbytes // 2
+
+    def test_import_leaves_scipy_sparse_out(self):
+        # the products need no scipy.sparse, and importing it costs memory
+        # and start-up time
+        src = os.path.dirname(os.path.dirname(structh2.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, structh2; print('scipy.sparse' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestGroupedCone:
@@ -498,6 +639,24 @@ class TestKernelBits:
         for name, (got, want) in cases.items():
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_step_over_two_directions(self, seed):
+        cone, W, u, v = self.scaled_system(seed)
+        both = W.max_step(u, v)
+        assert np.isfinite(both)
+        assert both == min(W.max_step(u), W.max_step(v))
+
+    def test_map_results_are_fresh(self):
+        # map reads and writes the cone's scratch, but returns a new svec
+        cone, W, u, v = self.scaled_system(0)
+        a = W.w_apply(u)
+        kept = a.copy()
+        b = W.w_apply(v)
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, kept)
+        c = solver._sym_prod(cone, u, v)
+        assert not np.shares_memory(c, solver._sym_prod(cone, v, u))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_congruence_matches_matmul(self, dtype):
