@@ -215,9 +215,13 @@ class _Cone:
         """The svec, in block order, of what fn(g, out, stacks of vs...)
         writes into out for each group g: out is g's (k, d, d) stack in one
         flat buffer of the dtype of vs. The stacks are the cone's scratch,
-        overwritten by the next call; the svec returned is a new array."""
+        overwritten by the next call, so fn must not call `map`; the svec
+        returned is a new array."""
         per = []
         for slot, v in enumerate(vs, 1):
+            # take(mode="clip") would clamp the indices of a short v
+            if v.shape != (self.total,):
+                raise ValueError(f"expected an svec of length {self.total}, got shape {v.shape}")
             buf, views = self._scratch(slot, v.dtype)
             v.take(self._gather, out=buf, mode="clip")
             buf /= self._div

@@ -483,17 +483,20 @@ class TestNonzeros:
         assert rep.status == "Optimal"
         assert peak < ws.stack.nbytes + ws.T.nbytes + conic.G.nbytes // 2
 
-    def test_import_leaves_scipy_sparse_out(self):
-        # the products need no scipy.sparse, and importing it costs memory
-        # and start-up time
+    def test_import_adds_no_scipy_sparse(self):
+        # the products need no scipy.sparse. scipy.linalg itself imports it
+        # before scipy 1.17, so only what importing structh2 adds is checked
         src = os.path.dirname(os.path.dirname(structh2.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, structh2; print('scipy.sparse' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60, check=True)
-        assert out.stdout.strip() == "False"
+        code = ("import sys, scipy.linalg, scipy.linalg.lapack\n"
+                "def sparse(): return {m for m in sys.modules if m.startswith('scipy.sparse')}\n"
+                "before = sparse()\n"
+                "import structh2\n"
+                "print(sorted(sparse() - before))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestGroupedCone:
@@ -657,6 +660,14 @@ class TestKernelBits:
         assert np.array_equal(a, kept)
         c = solver._sym_prod(cone, u, v)
         assert not np.shares_memory(c, solver._sym_prod(cone, v, u))
+
+    def test_map_rejects_a_wrong_length(self):
+        cone, W, u, v = self.scaled_system(0)
+        for bad in (u[:-1], np.append(u, 0.0)):
+            with pytest.raises(ValueError, match="svec of length"):
+                W.w_apply(bad)
+            with pytest.raises(ValueError, match="svec of length"):
+                solver._sym_prod(cone, u, bad)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_congruence_matches_matmul(self, dtype):
