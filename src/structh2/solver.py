@@ -37,9 +37,14 @@ NT-scaled cone rows W^{-T} G and refines every solution against the residual
 of the full (N+M)^2 system using products with G and the per-block W^T W
 only. The factor's error grows with the condition number of W^{-T} G rather
 than its square, which keeps the data-driven endgame, where W degenerates,
-solvable. A KKT solve with no finite residual raises `LinAlgError`, as a
-failed scaling or factorization does; one handler ends the solve
-NumericalTrouble with its best iterate.
+solvable. The factorization (LAPACK `dgeqrt`) keeps Q as block reflectors
+of up to `_QR_BLOCK` columns with their triangular factors, the compact WY
+form of Schreiber & Van Loan (1989), and each of the iteration's one-column
+applications of Q or Q^T (`dgemqrt`) reuses those factors rather than
+forming them again. `_qr_factor` and `_qr_apply` are the solver's only
+calls into LAPACK's QR. A KKT solve with no finite residual raises
+`LinAlgError`, as a failed scaling or factorization does; one handler ends
+the solve NumericalTrouble with its best iterate.
 
 The cone layer works per block dimension, not per block, as SDPT3 (Toh, Todd
 & Tutuncu 1999) stores blocks of one kind together. The blocks of one
@@ -74,14 +79,14 @@ group.
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. Its buffers are allocated once per
 solve, in a `_Workspace`: the [W^{-T} G; E] buffer that the QR factors in
-place, its triangle, and work arrays for one cache-sized chunk of G's
-columns. G's columns are kept per block as their nonzeros alone, as
-Fujisawa, Kojima & Nakata (1997) form the scaled system from sparse
-constraint data; each build scatters a chunk's nonzeros into its smat stack,
-applies the congruence by R^{-1} to the stack through BLAS and writes its
-svec into place, with `out=` arguments throughout. So an iteration
-allocates nothing proportional to G, and each column's arithmetic is that
-of the congruence of its dense smat.
+place, its triangle, the column that Q is applied to, and work arrays for
+one cache-sized chunk of G's columns. G's columns are kept per block as
+their nonzeros alone, as Fujisawa, Kojima & Nakata (1997) form the scaled
+system from sparse constraint data; each build scatters a chunk's nonzeros
+into its smat stack, applies the congruence by R^{-1} to the stack through
+BLAS and writes its svec into place, with `out=` arguments throughout. So
+an iteration allocates nothing proportional to G, and each column's
+arithmetic is that of the congruence of its dense smat.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ from dataclasses import dataclass, field
 import numpy as np
 # unused; bound only because the benchmark tracer perfbench/spans.py hooks them
 from scipy.linalg import lu_factor, lu_solve  # noqa: F401
-from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtrs
 
 from .lmi import ConicForm, svec_len, svec_tables
 
@@ -435,6 +440,35 @@ _KKT_REFINE = 3
 # fastest on 12- and 20-state D4 designs; 2^15 needs half the buffers.
 _CHUNK_ENTRIES = 1 << 15
 
+# Columns per block reflector of the KKT factorization (LAPACK dgeqrt's nb),
+# capped at N. Timed as one factorization and five Q^T, Q pairs on stacks of
+# the 12-state sharing designs (844 x 402 D4, 766 x 454 D1), 48 was fastest
+# in each of three runs, 0-4 % ahead of 64 and 3-6 % ahead of 32 (2-vCPU
+# Xeon, 1 OpenBLAS thread); 16, 24 and 96 were slower still.
+_QR_BLOCK = 48
+
+
+def _qr_factor(a, nb):
+    """QR of the F-order (M, N) array a, M >= N, in place, with block
+    reflectors of nb <= N columns: returns (qr, t), qr holding R on and above
+    its diagonal and the Householder vectors below it, t the (nb, N) triangular
+    factors of its block reflectors (compact WY). The solver's only QR
+    factorization."""
+    qr, t, info = dgeqrt(nb, a, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QR factorization failed: dgeqrt info {info}")
+    return qr, t
+
+
+def _qr_apply(qr, t, trans, c):
+    """Q c (trans "N") or Q^T c ("T") for the factor (qr, t) of `_qr_factor`,
+    written over the F-order c, which has qr's rows. The solver's only
+    application of Q."""
+    c, info = dgemqrt(qr, t, c, trans=trans, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"applying Q failed: dgemqrt info {info}")
+    return c
+
 
 def _svec_into(M, out, work):
     """lmi.svec of a (k, d, d) stack, written into out, a (k, svec_len(d))
@@ -460,10 +494,12 @@ class _Workspace:
     nonzeros of its columns: each value, divided as `lmi.smat` divides it,
     with the flat positions of its entry and the entry's mirror in the
     chunk's (kc, d, d) smat stack. For the whole system: the columns no row
-    touches, the F-order [Gt; E] buffer that `dgeqrf` factors in place, and
-    the F-order (N, N) buffer of its triangle T. Four flat work arrays, sized
-    for the largest chunk, hold one chunk's smat stack, its congruence and
-    its svec; chunks are expanded one after another, so they share them.
+    touches, the F-order [Gt; E] buffer that `dgeqrt` factors in place, the
+    F-order (N, N) buffer of its triangle T, and the F-order column, as tall
+    as the stack, that `dgemqrt` applies Q to in place. Four flat work
+    arrays, sized for the largest chunk, hold one chunk's smat stack, its
+    congruence and its svec; chunks are expanded one after another, so they
+    share them.
 
     A `_KKT` built on a workspace reads its factor from these buffers, and the
     next build overwrites them: at most one `_KKT` per workspace is live.
@@ -498,6 +534,7 @@ class _Workspace:
         self.idle_rows = M + np.arange(self.idle.size)
         self.stack = np.zeros((M + self.idle.size, N), order="F")
         self.T = np.empty((N, N), order="F")
+        self.col = np.empty((self.stack.shape[0], 1), order="F")
         self._m1, self._m2 = np.empty(mat_size), np.empty(mat_size)
         self._a, self._b = np.empty(vec_size), np.empty(vec_size)
 
@@ -531,9 +568,11 @@ class _KKT:
     time from the nonzeros of the columns that touch each block. A column
     that no row touches (a variable the model leaves unused) gets a unit
     row, so that its equation reads dx_j = r1_j, which is 0 whenever
-    c_j = 0. The stack [Gt; E] = Q T is factored once per iterate, Q kept as
-    Householder reflectors. Unlike the Schur complement Gt^T Gt, the
-    factor's error grows with cond(Gt), not with its square. Solutions are
+    c_j = 0. The stack [Gt; E] = Q T is factored once per iterate by
+    `dgeqrt`, Q kept as its Householder vectors and the (nb, N) triangular
+    factors t of its block reflectors, nb = min(_QR_BLOCK, N), which every
+    `dgemqrt` application of Q reuses. Unlike the Schur complement Gt^T Gt,
+    the factor's error grows with cond(Gt), not with its square. Solutions are
     refined against the residual of the full system, which needs only the
     per-block W^T W and products with G, run over G's nonzeros in row order
     (`_Nonzeros`) without BLAS.
@@ -548,13 +587,14 @@ class _KKT:
         Gt = ws.build(W)
         if Gt.shape[0] < N:
             raise np.linalg.LinAlgError("fewer cone rows than variables")
-        self.qr, self.tau, _, _ = dgeqrf(Gt, lwork=64 * N, overwrite_a=1)
+        self.qr, self.t = _qr_factor(Gt, min(_QR_BLOCK, N))
         # a contiguous copy, into the workspace: the triangular solves are
         # several times slower on the strided view into the factor
         self.T = ws.T
         self.T[...] = self.qr[:N]
         if not np.all(np.diagonal(self.T)):
             raise np.linalg.LinAlgError("the cone rows leave a variable free")
+        self.col = ws.col
         self.G, self.W, self.N, self.M = G, W, N, M
 
     def _tri(self, b, trans):
@@ -565,10 +605,12 @@ class _KKT:
         return x
 
     def _q(self, trans, v):
-        """Q v ("N") or Q^T v ("T"), v zero-padded to the factor's rows."""
-        c = np.zeros((self.qr.shape[0], 1))
+        """Q v ("N") or Q^T v ("T"), v zero-padded to the factor's rows, in
+        the workspace's column: the result holds until the next call."""
+        c = self.col
         c[:v.size, 0] = v
-        return dormqr("L", trans, self.qr, self.tau, c, 64, overwrite_c=1)[0][:, 0]
+        c[v.size:, 0] = 0.0
+        return _qr_apply(self.qr, self.t, trans, c)[:, 0]
 
     def _solve(self, rhs):
         N, M = self.N, self.M

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgeqrf
 
 from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair,
                       SolverOptions, default_perf, design_data, design_model,
@@ -123,6 +122,19 @@ class TestOptimal:
         assert rep.status == "Optimal"
         assert rep.objective == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.xfail(strict=True, reason="the KKT's QR needs G of full column rank: "
+                       "no presolve merges dependent columns yet")
+    def test_dependent_columns(self):
+        # x and y enter only as x + y: G's two columns are equal, and the
+        # solve ends NumericalTrouble at iteration 0
+        prob = LmiProblem()
+        total = MatExpr.of(prob.declare_scalar("x")) + MatExpr.of(prob.declare_scalar("y"))
+        prob.add_psd(total - np.eye(1))
+        prob.minimize(total)
+        rep = solve(prob.compile())
+        assert rep.status == "Optimal"
+        assert rep.objective == pytest.approx(1.0, abs=1e-6)
+
 
 class TestDeterminism:
     def test_bit_for_bit(self):
@@ -208,10 +220,11 @@ class TestCertificates:
 
 
 class TestKktSolve:
-    def random_system(self, seed=5):
+    def random_system(self, seed=5, N=5):
         rng = np.random.default_rng(seed)
-        cone = _Cone((3, 2))
-        N, M = 5, cone.total
+        # blocks of 8 (36 rows each) beyond the first two keep M > N
+        cone = _Cone((3, 2) + (8,) * -(-max(N - 5, 0) // 36))
+        M = cone.total
 
         def interior_point():
             v = np.zeros(M)
@@ -228,8 +241,12 @@ class TestKktSolve:
                        [G, -WtW]])
         return G, W, cone, K2, rng.standard_normal(N + M)
 
-    def test_kkt_matches_dense_solve(self):
-        G, W, cone, K2, rhs = self.random_system()
+    # N = nb factors in one block reflector, 1, 5 and nb - 1 in one narrower
+    # than _QR_BLOCK, nb + 1 and 2 nb + 3 end on a narrow last panel
+    @pytest.mark.parametrize("N", [1, 5, solver._QR_BLOCK - 1, solver._QR_BLOCK,
+                                   solver._QR_BLOCK + 1, 2 * solver._QR_BLOCK + 3])
+    def test_kkt_matches_dense_solve(self, N):
+        G, W, cone, K2, rhs = self.random_system(N=N)
         Gn = _Nonzeros.of(G)
         sol, err = _KKT(Gn, W, _Workspace(cone, Gn)).solve(rhs)
         assert err <= 1e-10
@@ -259,11 +276,13 @@ class TestKktSolve:
     def test_sharing12_reduced_solve(self, monkeypatch):
         factored = []
 
-        def counting_dgeqrf(a, *args, **kwargs):
-            factored.append(a.shape)
-            return dgeqrf(a, *args, **kwargs)
+        qr_factor = solver._qr_factor
 
-        monkeypatch.setattr(solver, "dgeqrf", counting_dgeqrf)
+        def counting_qr_factor(a, nb):
+            factored.append(a.shape)
+            return qr_factor(a, nb)
+
+        monkeypatch.setattr(solver, "_qr_factor", counting_qr_factor)
         plant12, spec12 = sharing12_plant()
         res = design_model(plant12, default_perf(12, 6),
                            DesignOptions(design="D4", subspace=spec12, sharing=True))
@@ -302,15 +321,16 @@ class TestWorkspace:
         return G, cone, W1, W2, rng.standard_normal(N + cone.total)
 
     def test_reused_workspace_matches_fresh(self):
-        # dgeqrf factors the stack buffer in place: a second build must clear
-        # every entry the first left behind
+        # dgeqrt factors the stack buffer in place: a second build must clear
+        # every entry the first left behind, and the block reflectors' factor
+        # t must come out the same
         G, cone, W1, W2, rhs = self.system()
         G = _Nonzeros.of(G)
         ws = _Workspace(cone, G)
         _KKT(G, W1, ws)
         reused = _KKT(G, W2, ws)
         fresh = _KKT(G, W2, _Workspace(cone, G))
-        for name in ("T", "qr", "tau"):
+        for name in ("T", "qr", "t"):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
         got, want = reused.solve(rhs), fresh.solve(rhs)
         assert np.array_equal(got[0], want[0])
@@ -318,7 +338,8 @@ class TestWorkspace:
 
     def test_build_allocates_less_than_the_stack(self):
         # the build writes into the workspace: what it allocates (the QR work
-        # array, tau, index temporaries) stays below one copy of the stack
+        # array, the reflectors' factor t, index temporaries) stays below one
+        # copy of the stack
         G, cone, W1, W2, _ = self.system()
         G = _Nonzeros.of(G)
         ws = _Workspace(cone, G)
