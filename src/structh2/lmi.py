@@ -13,6 +13,19 @@ in scaled symmetric vectorization (off-diagonals times sqrt(2), so plain dot
 products agree with matrix inner products). x stacks the free entries of the
 variables in declaration order, so decoding is slicing by each variable's
 offset.
+
+The LMIs have O(n^2) free entries, and each entry of a block depends on a few
+of them, so nothing here is stored densely per free entry. An expression
+holds each variable's image as triplets of its nonzero coefficients (flat
+entry, local free index, value), and its algebra is index arithmetic on them:
+a product with a constant pairs every triplet with the constant's row or
+column, and `np.bincount` sums the pairs of each entry in the order of the
+contracted index, the order in which a dense product sums them, so the
+coefficients are bit for bit those of the dense algebra. `compile` lowers the
+blocks' triplets to G as the row-major table of its nonzeros (`Nonzeros`), the
+form in which the solver reads G, as Fujisawa, Kojima & Nakata (1997) build
+the scaled system from sparse constraint data and YALMIP (Lofberg 2004) holds
+each matrix variable as a sparse basis.
 """
 
 from __future__ import annotations
@@ -126,8 +139,46 @@ def _build_var(vid, name, rows, cols, kind, mask, offset) -> MatrixVar:
                      offset=offset, nfree=nfree, index=index)
 
 
+def _collect(size, ent, free, val):
+    """Triplets of an image with size entries, with the values of each
+    repeated (ent, free) pair summed in the order given, sorted by
+    (ent, free), zero values dropped. ent and free broadcast to val's shape,
+    whose row-major order is the order given.
+
+    `np.bincount` adds each value to its bin in order, from 0.0, so an entry
+    that a dense product sums in the order of its contracted index comes out
+    bit for bit when its terms are listed in that order; a zero term, as a
+    dense product adds too, leaves a nonzero sum as it is. Pairs are binned by
+    their key ent * width + free where the keys' range is at most a few times
+    the number of pairs, and by their rank among the distinct keys where it
+    is not, so the bins never outgrow the pairs by more than that."""
+    width = int(free.max()) + 1 if free.size else 1
+    key = (ent * width + free).reshape(-1)
+    val = val.reshape(-1)
+    if size * width <= 4 * key.size + 4096:
+        total = np.bincount(key, val)
+        key = total.nonzero()[0]
+        val = total[key]
+    else:
+        key, rank = np.unique(key, return_inverse=True)
+        val = np.bincount(rank.reshape(-1), val, minlength=key.size)
+        keep = val != 0.0
+        key, val = key[keep], val[keep]
+    return (*np.divmod(key, width), val)
+
+
 class MatExpr:
-    """Affine matrix expression: constant + sum of linear images of variables."""
+    """Affine matrix expression: constant + sum of linear images of variables.
+
+    The constant is a dense (rows, cols) array. Each variable's image is held
+    as triplets (ent, free, val), one per nonzero coefficient: the row-major
+    flat entry, the variable's local free index and the value, sorted by
+    (ent, free) without repeats. The algebra is index arithmetic on the
+    triplets, so an image costs its nonzeros, not rows * cols * nfree. A
+    product sums each entry's terms in the order of the contracted index, as
+    a dense product would, so every coefficient is that of the dense algebra
+    bit for bit.
+    """
 
     __array_ufunc__ = None  # keep numpy from consuming our operators
 
@@ -135,7 +186,7 @@ class MatExpr:
         self.rows = rows
         self.cols = cols
         self.const = np.zeros((rows, cols)) if const is None else np.asarray(const, float)
-        self.coeff = {} if coeff is None else coeff  # vid -> (rows*cols, nfree)
+        self.coeff = {} if coeff is None else coeff  # vid -> (ent, free, val)
 
     # constructors
     @staticmethod
@@ -146,10 +197,9 @@ class MatExpr:
     @staticmethod
     def of(var: MatrixVar) -> "MatExpr":
         flat = var.index.reshape(-1)
-        on = np.flatnonzero(flat >= 0)
-        coeff = np.zeros((flat.size, var.nfree))
-        coeff[on, flat[on]] = 1.0
-        return MatExpr(var.rows, var.cols, coeff={var.vid: coeff})
+        ent = np.flatnonzero(flat >= 0)
+        return MatExpr(var.rows, var.cols,
+                       coeff={var.vid: (ent, flat[ent], np.ones(ent.size))})
 
     @staticmethod
     def scaled(var: MatrixVar, C) -> "MatExpr":
@@ -157,8 +207,21 @@ class MatExpr:
         if var.nfree != 1:
             raise DimensionMismatch("scaled() needs a scalar variable")
         C = np.atleast_2d(np.asarray(C, dtype=float))
+        ent = np.flatnonzero(C)
         return MatExpr(C.shape[0], C.shape[1],
-                       coeff={var.vid: C.reshape(-1, 1).copy()})
+                       coeff={var.vid: (ent, np.zeros_like(ent), C.reshape(-1)[ent])})
+
+    @staticmethod
+    def combination(var: MatrixVar, basis) -> "MatExpr":
+        """sum_i x_i basis[i] for the k free entries x of var and a
+        (k, rows, cols) stack of basis matrices."""
+        basis = np.asarray(basis, dtype=float)
+        if basis.ndim != 3 or basis.shape[0] != var.nfree:
+            raise DimensionMismatch(f"{var.name}: needs a stack of {var.nfree} basis matrices")
+        vec = basis.reshape(var.nfree, -1).T
+        ent, free = np.nonzero(vec)
+        return MatExpr(basis.shape[1], basis.shape[2],
+                       coeff={var.vid: (ent, free, vec[ent, free])})
 
     def _coerce(self, other) -> "MatExpr":
         if isinstance(other, MatExpr):
@@ -167,20 +230,26 @@ class MatExpr:
             return MatExpr.of(other)
         return MatExpr.constant(other)
 
-    def copy(self) -> "MatExpr":
-        return MatExpr(self.rows, self.cols, self.const.copy(),
-                       {v: c.copy() for v, c in self.coeff.items()})
+    def _map(self, fn) -> dict:
+        """fn(row, col, free, val) -> triplets, for every variable's image."""
+        out = {}
+        for v, (ent, free, val) in self.coeff.items():
+            r, c = np.divmod(ent, self.cols)
+            out[v] = fn(r, c, free, val)
+        return out
 
-    # algebra
+    # algebra; triplet arrays are shared between expressions, never written
     def __add__(self, other):
         other = self._coerce(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("added expressions must share a shape")
-        out = self.copy()
-        out.const += other.const
-        for v, c in other.coeff.items():
-            out.coeff[v] = out.coeff.get(v, 0) + c
-        return out
+        coeff = dict(self.coeff)
+        for v, t in other.coeff.items():
+            mine = coeff.get(v)
+            if mine is not None:
+                t = _collect(self.const.size, *map(np.concatenate, zip(mine, t)))
+            coeff[v] = t
+        return MatExpr(self.rows, self.cols, self.const + other.const, coeff)
 
     __radd__ = __add__
 
@@ -192,12 +261,12 @@ class MatExpr:
 
     def __neg__(self):
         return MatExpr(self.rows, self.cols, -self.const,
-                       {v: -c for v, c in self.coeff.items()})
+                       {v: (e, f, -c) for v, (e, f, c) in self.coeff.items()})
 
     def __mul__(self, scalar):
         s = float(scalar)
         return MatExpr(self.rows, self.cols, s * self.const,
-                       {v: s * c for v, c in self.coeff.items()})
+                       {v: (e, f, s * c) for v, (e, f, c) in self.coeff.items()})
 
     __rmul__ = __mul__
 
@@ -206,45 +275,56 @@ class MatExpr:
         B = np.atleast_2d(np.asarray(B, dtype=float))
         if B.shape[0] != self.cols:
             raise DimensionMismatch("matmul: inner dimensions differ")
-        out = MatExpr(self.rows, B.shape[1], const=self.const @ B)
-        for v, c in self.coeff.items():
-            c3 = c.reshape(self.rows, self.cols, -1)
-            out.coeff[v] = np.einsum("rcf,cb->rbf", c3, B).reshape(self.rows * B.shape[1], -1)
-        return out
+        nb = B.shape[1]
+
+        # entry (r, c) meets row c of B; each entry (r, b) sums over c in order
+        def times(r, c, free, val):
+            return _collect(self.rows * nb, (r * nb)[:, None] + np.arange(nb), free[:, None],
+                            val[:, None] * B[c])
+        return MatExpr(self.rows, nb, self.const @ B, self._map(times))
 
     def __rmatmul__(self, A):
         """Left multiplication by a constant matrix."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if A.shape[1] != self.rows:
             raise DimensionMismatch("matmul: inner dimensions differ")
-        out = MatExpr(A.shape[0], self.cols, const=A @ self.const)
-        for v, c in self.coeff.items():
-            c3 = c.reshape(self.rows, self.cols, -1)
-            out.coeff[v] = np.einsum("ar,rcf->acf", A, c3).reshape(A.shape[0] * self.cols, -1)
-        return out
+        At = A.T
+
+        # entry (r, c) meets column r of A; each entry (a, c) sums over r in order
+        def times(r, c, free, val):
+            return _collect(A.shape[0] * self.cols, np.arange(A.shape[0]) * self.cols + c[:, None],
+                            free[:, None], At[r] * val[:, None])
+        return MatExpr(A.shape[0], self.cols, A @ self.const, self._map(times))
 
     @property
     def T(self) -> "MatExpr":
-        out = MatExpr(self.cols, self.rows, const=self.const.T.copy())
-        for v, c in self.coeff.items():
-            c3 = c.reshape(self.rows, self.cols, -1)
-            out.coeff[v] = c3.transpose(1, 0, 2).reshape(self.rows * self.cols, -1)
-        return out
+        def swap(r, c, free, val):
+            return _collect(self.const.size, c * self.rows + r, free, val)
+        return MatExpr(self.cols, self.rows, self.const.T.copy(), self._map(swap))
 
     def trace(self) -> "MatExpr":
         if self.rows != self.cols:
             raise DimensionMismatch("trace needs a square expression")
-        idx = [i * self.cols + i for i in range(self.rows)]
-        out = MatExpr(1, 1, const=np.array([[np.trace(self.const)]]))
-        for v, c in self.coeff.items():
-            out.coeff[v] = c[idx].sum(axis=0, keepdims=True)
-        return out
+
+        def diagonal(r, c, free, val):
+            on = r == c
+            return _collect(1, np.zeros(np.count_nonzero(on), np.intp), free[on], val[on])
+        return MatExpr(1, 1, np.array([[np.trace(self.const)]]), self._map(diagonal))
 
     def value(self, assign: dict) -> np.ndarray:
-        """Evaluate at {vid: local free-entry vector}."""
+        """Evaluate at {vid: local free-entry vector}. An image with several
+        terms in an entry is evaluated as the dense product of its
+        coefficients with the vector, so a variable declared over a basis
+        takes the value basis @ x of numpy's matmul."""
         M = self.const.copy()
-        for v, c in self.coeff.items():
-            M += (c @ assign[v]).reshape(self.rows, self.cols)
+        for v, (ent, free, val) in self.coeff.items():
+            x = np.asarray(assign[v], dtype=float)
+            if np.all(ent[1:] != ent[:-1]):
+                M += np.bincount(ent, val * x[free], minlength=M.size).reshape(M.shape)
+            else:
+                dense = np.zeros((M.size, x.size))
+                dense[ent, free] = val
+                M += (dense @ x).reshape(M.shape)
         return M
 
 
@@ -264,23 +344,22 @@ def block(rows) -> MatExpr:
                 raise DimensionMismatch("block row heights are inconsistent")
     R, Csz = sum(heights), sum(widths)
     out = MatExpr(R, Csz)
+    parts = {}                         # vid -> the sub-blocks' triplets, moved into place
     r0 = 0
     for row, h in zip(exprs, heights):
         c0 = 0
         for e, w in zip(row, widths):
             out.const[r0:r0 + h, c0:c0 + w] = e.const
             if e.coeff:
-                # row-major embedding of the sub-block's vec indices
+                # row-major embedding of the sub-block's flat entries
                 sub = (np.arange(h)[:, None] + r0) * Csz + (np.arange(w)[None, :] + c0)
                 sub = sub.reshape(-1)
-                for v, c in e.coeff.items():
-                    tgt = out.coeff.get(v)
-                    if tgt is None:
-                        tgt = np.zeros((R * Csz, c.shape[1]))
-                        out.coeff[v] = tgt
-                    tgt[sub] += c
+                for v, (ent, free, val) in e.coeff.items():
+                    parts.setdefault(v, []).append((sub[ent], free, val))
             c0 += w
         r0 += h
+    # the sub-blocks cover disjoint entries: collecting only sorts
+    out.coeff = {v: _collect(R * Csz, *map(np.concatenate, zip(*p))) for v, p in parts.items()}
     return out
 
 
@@ -346,36 +425,78 @@ class LmiProblem:
         obj_const = 0.0
         if self.objective is not None:
             obj_const = float(self.objective.const[0, 0])
-            for v, cmat in self.objective.coeff.items():
-                var = self.vars[v]
-                c[var.offset:var.offset + var.nfree] += cmat[0]
+            for v, (_, free, val) in self.objective.coeff.items():
+                c[self.vars[v].offset + free] += val
 
-        Gs, hs, dims, names = [], [], [], []
+        rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+        hs, dims, names = [], [], []
+        row0 = 0
         for blk in self.blocks:
             d = blk.expr.rows
-            Gb = np.zeros((svec_len(d), N))
-            for v, cmat in blk.expr.coeff.items():
-                var = self.vars[v]
-                # cmat's columns are vec_row'd d x d matrices
-                Gb[:, var.offset:var.offset + var.nfree] += svec(cmat.T.reshape(-1, d, d)).T
-            Gs.append(-Gb)
+            _, _, pos, scale, _ = svec_tables(d)
+            parts = [(ent, self.vars[v].offset + free, val)
+                     for v, (ent, free, val) in blk.expr.coeff.items()]
+            if parts:
+                ent, col, val = map(np.concatenate, zip(*parts))
+                i, j = np.divmod(ent, d)
+                # each column's svec, 0.5 * (u + l) * scale, into the block's
+                # rows; a diagonal entry is its own mirror, so there u + l is 2 u
+                p, col, uv = _collect(svec_len(d), pos[i, j], col,
+                                      np.where(i == j, 2.0, 1.0) * val)
+                rows.append(row0 + p)
+                cols.append(col)
+                vals.append(-(0.5 * uv * scale[p]))
             hs.append(svec(blk.expr.const - blk.margin * np.eye(d)))
             dims.append(d)
             names.append(blk.name)
+            row0 += svec_len(d)
 
-        G = np.vstack(Gs) if Gs else np.zeros((0, N))
+        G = Nonzeros(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (row0, N))
         h = np.concatenate(hs) if hs else np.zeros(0)
-        return ConicForm(c=c, obj_const=obj_const, G=G, h=h, dims=tuple(dims),
+        return ConicForm(c=c, obj_const=obj_const, nonzeros=G, h=h, dims=tuple(dims),
                          block_names=tuple(names), vars=tuple(self.vars))
+
+
+class Nonzeros:
+    """A matrix held as the table of its nonzeros in row-major order: rows,
+    cols and vals, one entry each, and its shape.
+
+    G x and G^T z run over the table with `np.bincount`, which adds each
+    entry's product to its bin in table order. So every entry of G x sums its
+    row's products in column order, every entry of G^T z its column's in row
+    order, with no BLAS call and no pass over G's zeros.
+    """
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    @classmethod
+    def of(cls, G):
+        rows, cols = np.nonzero(G)
+        return cls(rows, cols, G[rows, cols], G.shape)
+
+    def dense(self) -> np.ndarray:
+        G = np.zeros(self.shape)
+        G[self.rows, self.cols] = self.vals
+        return G
+
+    def dot(self, x):
+        """G x."""
+        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.shape[0])
+
+    def tdot(self, z):
+        """G^T z."""
+        return np.bincount(self.cols, self.vals * z[self.rows], minlength=self.shape[1])
 
 
 @dataclass(frozen=True)
 class ConicForm:
-    """Standard-form conic program with the decode map back to named variables."""
+    """Standard-form conic program with the decode map back to named variables.
+    G is held as the row-major table of its nonzeros."""
 
     c: np.ndarray
     obj_const: float
-    G: np.ndarray
+    nonzeros: Nonzeros
     h: np.ndarray
     dims: tuple
     block_names: tuple
@@ -385,7 +506,8 @@ class ConicForm:
     def n_reduced(self) -> int:
         return self.c.size
 
-    # n_full and A exist only because the benchmark tracer perfbench/spans.py reads them
+    # n_full, A and the dense G exist only because the benchmark tracer
+    # perfbench/spans.py reads them; G is built on every read
     @property
     def n_full(self) -> int:
         return self.n_reduced
@@ -393,6 +515,10 @@ class ConicForm:
     @property
     def A(self) -> np.ndarray:
         return np.zeros((0, self.n_reduced))
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.nonzeros.dense()
 
     def local_assign(self, x: np.ndarray) -> dict:
         """Local free-entry vectors by variable id."""
@@ -404,12 +530,16 @@ class ConicForm:
 
     def dump(self, path) -> None:
         """Self-describing text export: dimensions plus sparse triplets."""
+        G = self.nonzeros
+        M = G.shape[0]
+        bounds = np.searchsorted(G.rows, np.arange(M + 1)).tolist()
+        cols, vals, h = G.cols.tolist(), G.vals.tolist(), self.h.tolist()
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"conic_form n={self.n_reduced} cone_rows={self.G.shape[0]}\n")
+            fh.write(f"conic_form n={self.n_reduced} cone_rows={M}\n")
             fh.write("psd_dims " + " ".join(str(d) for d in self.dims) + "\n")
             fh.write("c " + " ".join(f"{i}:{v:.17g}" for i, v in enumerate(self.c) if v) + "\n")
             fh.write(f"obj_const {self.obj_const:.17g}\n")
-            for r in range(self.G.shape[0]):
-                nz = np.nonzero(self.G[r])[0]
-                trip = " ".join(f"{cix}:{self.G[r, cix]:.17g}" for cix in nz)
-                fh.write(f"G {r} rhs={self.h[r]:.17g} {trip}\n")
+            for r in range(M):
+                lo, hi = bounds[r], bounds[r + 1]
+                trip = " ".join(f"{cix}:{v:.17g}" for cix, v in zip(cols[lo:hi], vals[lo:hi]))
+                fh.write(f"G {r} rhs={h[r]:.17g} {trip}\n")

@@ -19,14 +19,14 @@ per PSD block, so cones are preserved), but convergence is declared on
 residuals of the original data. Everything is deterministic numpy.
 
 G is 1-5 % nonzero in the designs' LMIs, and under 0.1 % at scale. The
-solve holds it as the row-major table of its nonzeros (`_Nonzeros`), built
-once from the compiled dense G, which it leaves alone. Every product with G
-or G^T, in the stopping and ray checks, the embedding's residuals and the
-KKT refinement, runs over that table with `np.bincount`: each entry sums
-its row's (or column's) products in index order, without BLAS and without
+compile emits it as the row-major table of its nonzeros (`lmi.Nonzeros`),
+and the solve reads that table as it is. Every product with G or G^T, in
+the stopping and ray checks, the embedding's residuals and the KKT
+refinement, runs over the table with `np.bincount`: each entry sums its
+row's (or column's) products in index order, without BLAS and without
 reading G's zeros. Equilibration rescales the table's values entry by
 entry, as a dense pass would, and the KKT workspace is built from them, so
-the solve holds no dense copy of G.
+no dense G exists anywhere in a solve.
 
 Every step renormalizes the iterate to tau = 1, which the embedding's positive
 homogeneity allows, so tau is exactly 1 at the top of each iteration and is
@@ -100,7 +100,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtrs
 
-from .lmi import ConicForm, svec_len, svec_tables
+from .lmi import ConicForm, Nonzeros, svec_len, svec_tables
 
 # fraction of the step to the cone boundary that each iteration takes
 _STEP_FRAC = 0.98
@@ -362,38 +362,9 @@ def _sym_prod(cone: _Cone, u, v):
     return cone.map(prod, u, v)
 
 
-# --- G as its nonzeros -------------------------------------------------------
-
-class _Nonzeros:
-    """A matrix held as the table of its nonzeros in row-major order: rows,
-    cols and vals, one entry each, and its shape.
-
-    G x and G^T z run over the table with `np.bincount`, which adds each
-    entry's product to its bin in table order. So every entry of G x sums its
-    row's products in column order, every entry of G^T z its column's in row
-    order, with no BLAS call and no pass over G's zeros.
-    """
-
-    def __init__(self, rows, cols, vals, shape):
-        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
-
-    @classmethod
-    def of(cls, G):
-        rows, cols = np.nonzero(G)
-        return cls(rows, cols, G[rows, cols], G.shape)
-
-    def dot(self, x):
-        """G x."""
-        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.shape[0])
-
-    def tdot(self, z):
-        """G^T z."""
-        return np.bincount(self.cols, self.vals * z[self.rows], minlength=self.shape[1])
-
-
 # --- equilibration ----------------------------------------------------------
 
-def _equilibrate(G: _Nonzeros, h, c, cone: _Cone, iters: int = 4):
+def _equilibrate(G: Nonzeros, h, c, cone: _Cone, iters: int = 4):
     """Ruiz-style scaling; PSD blocks get one uniform row scale each.
 
     Each entry of G is multiplied by the same scales in the same order as a
@@ -420,7 +391,7 @@ def _equilibrate(G: _Nonzeros, h, c, cone: _Cone, iters: int = 4):
     hs = drG * h
     cs = dcol * c
     cscale = 1.0 / max(1.0, np.abs(cs).max(initial=0.0))
-    return _Nonzeros(G.rows, G.cols, vals, G.shape), hs, cs * cscale, drG, dcol, cscale
+    return Nonzeros(G.rows, G.cols, vals, G.shape), hs, cs * cscale, drG, dcol, cscale
 
 
 # --- KKT systems ------------------------------------------------------------
@@ -488,7 +459,7 @@ def _svec_into(M, out, work):
 class _Workspace:
     """The buffers of one solve's KKT builds, sized once from G's nonzeros.
 
-    Built from the equilibrated `_Nonzeros` table, never from a dense G. G's
+    Built from the equilibrated `Nonzeros` table, never from a dense G. G's
     columns that touch a PSD block are kept as chunks of at most
     `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as the
     nonzeros of its columns: each value, divided as `lmi.smat` divides it,
@@ -505,7 +476,7 @@ class _Workspace:
     next build overwrites them: at most one `_KKT` per workspace is live.
     """
 
-    def __init__(self, cone: _Cone, G: _Nonzeros):
+    def __init__(self, cone: _Cone, G: Nonzeros):
         M, N = G.shape
         # G's negative zeros, and entries that equilibration took to zero, are
         # left out, to be +0.0 in the stack: a congruence sums a zero of
@@ -575,14 +546,14 @@ class _KKT:
     the factor's error grows with cond(Gt), not with its square. Solutions are
     refined against the residual of the full system, which needs only the
     per-block W^T W and products with G, run over G's nonzeros in row order
-    (`_Nonzeros`) without BLAS.
+    (`Nonzeros`) without BLAS.
 
     The stack, its factor and T live in the solve's `_Workspace`, built once
     per solve: building a `_KKT` overwrites the previous one's factor, so one
     `_KKT` per workspace is live at a time.
     """
 
-    def __init__(self, G: _Nonzeros, W: _Scaling, ws: _Workspace):
+    def __init__(self, G: Nonzeros, W: _Scaling, ws: _Workspace):
         N, M = G.shape[1], W.cone.total
         Gt = ws.build(W)
         if Gt.shape[0] < N:
@@ -656,7 +627,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         raise ValueError("the solver needs at least one PSD block")
     N = conic.n_reduced
     cone = _Cone(conic.dims)
-    G0 = _Nonzeros.of(conic.G)
+    G0 = conic.nonzeros
 
     G, h, c, drG, dcol, cscale = _equilibrate(G0, h0, c0, cone)
 
@@ -827,12 +798,13 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
 
 
 def infeasibility_residual(conic: ConicForm, certificate: dict) -> float:
-    """Recompute the improving-ray residual of an infeasibility certificate."""
+    """Recompute the improving-ray residual of an infeasibility certificate,
+    G^T z over G's nonzeros as the solve's own ray check forms it."""
     z = np.asarray(certificate["z"], dtype=float)
     denom = -float(conic.h @ z)
     if denom <= 0:
         return np.inf
     z = z / denom
-    res = conic.G.T @ z
+    res = conic.nonzeros.tdot(z)
     return max(float(np.abs(res).max(initial=0.0)), _Cone(conic.dims).max_violation(z))
 

@@ -119,7 +119,7 @@ def _subspace_var(prob: LmiProblem, name: str, spec: SubspaceSpec) -> MatExpr:
     if spec.k == 0:
         return MatExpr(spec.m, spec.n)
     coef = prob.declare_var(name, spec.k, 1)
-    return MatExpr(spec.m, spec.n, coeff={coef.vid: spec.vec_basis})
+    return MatExpr.combination(coef, spec.basis)
 
 
 def _declare_gain_vars(prob: LmiProblem, opts: DesignOptions, n: int, m: int):

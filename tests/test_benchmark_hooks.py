@@ -37,4 +37,8 @@ def test_compile_hook_reads_a_compiled_problem(spans, plant, perf, subspace):
     conic = design_model(plant, perf, DesignOptions(design="D4", subspace=subspace)).conic
     attrs = spans._compile_attrs((), conic)
     assert attrs["n_reduced"] == conic.n_reduced
-    assert attrs["cone_rows"] == conic.G.shape[0]
+    M, N = conic.nonzeros.shape
+    assert attrs["cone_rows"] == M
+    # the dense G that the hook reads holds the table's nonzeros and no others
+    assert attrs["G_nnz"] == conic.nonzeros.vals.size
+    assert attrs["G_size"] == M * N

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structh2 import LmiProblem, MatExpr, UnboundedShape, block, min_eig, smat, solve, svec
+from structh2 import (DesignOptions, LmiProblem, MatExpr, SolverOptions, UnboundedShape, block,
+                      design_data, design_model, min_eig, smat, solve, svec)
+from structh2.errors import DimensionMismatch
+from structh2.lmi import Nonzeros, svec_len
 
 
 class TestVariables:
@@ -120,6 +124,16 @@ class TestMatExpr:
         tr = (MatExpr.of(X) @ Xm.T.copy()).trace().value({X.vid: xval})
         assert tr[0, 0] == pytest.approx(np.trace(Xm @ Xm.T))
 
+    def test_combination_of_a_basis(self):
+        prob = LmiProblem()
+        coef = prob.declare_var("c", 2, 1)
+        basis = np.array([[[1.0, 0.0, 2.0]], [[0.0, -1.0, 0.5]]])
+        expr = MatExpr.combination(coef, basis)
+        assert (expr.rows, expr.cols) == (1, 3)
+        assert np.array_equal(expr.value({coef.vid: np.array([2.0, 4.0])}), [[2.0, -4.0, 6.0]])
+        with pytest.raises(DimensionMismatch):
+            MatExpr.combination(coef, basis[:1])
+
     def test_undeclared_variable_rejected(self):
         other = LmiProblem()
         X = other.declare_var("X", 2, 2)
@@ -165,7 +179,7 @@ class TestCompile:
         rep = solve(prob.compile())
         assert rep.objective == pytest.approx(0.25, abs=1e-6)
 
-    def test_dump_writes_triplets(self, tmp_path):
+    def test_dump_writes_triplets(self, tmp_path, plant, perf, subspace):
         prob = LmiProblem()
         x = prob.declare_scalar("x")
         prob.add_psd(MatExpr.of(x) - np.eye(1))
@@ -175,6 +189,73 @@ class TestCompile:
         conic.dump(path)
         text = path.read_text()
         assert "conic_form" in text and "psd_dims 1" in text
+        # the example1 D4 conic's dump, byte for byte as the dense G's rows
+        # wrote it (2338 bytes, 64 rows)
+        conic = design_model(plant, perf, DesignOptions(design="D4", subspace=subspace,
+                                                        solver=SolverOptions(max_iter=0))).conic
+        conic.dump(path)
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == \
+            "99a1e87a679c5973b5796eac203da4892928f2a5"
+
+    # sha1 of the bytes of G's table (rows and cols as int64, vals), h and c
+    # of the example1 designs, as the dense compile gave them. The pattern
+    # subspace has 0/1 bases, so no LAPACK call enters the compile.
+    PINNED = {
+        ("model", "D1"): "aecd2217a682139750c5bcb1cae554ba0ab9a30e",
+        ("model", "D2"): "92398a9f48447f5f793c13e4ce9e81ddf75c9246",
+        ("model", "D3"): "241ad5f529e324322f4512ccecbdd0f55e1aa9ac",
+        ("model", "D4"): "dbb6513a28c51ee56d6ce4967dfbfff9b351eaeb",
+        ("data", "D1"): "cb1a786611aa604f6b02ae95ec55a657c7b54b27",
+        ("data", "D2"): "4b61dbab5acee09d3d90edb9cdb5158448142542",
+        ("data", "D3"): "5a77c1788db782682366e5b455efa344b38ef148",
+        ("data", "D4"): "2f42905e8e12b6b94764b96996234ba1c2a6856a",
+    }
+
+    @pytest.mark.parametrize("mode,design", sorted(PINNED))
+    def test_example1_tables_are_pinned(self, mode, design, plant, perf, subspace, batch):
+        opts = DesignOptions(design=design, subspace=None if design == "D1" else subspace,
+                             solver=SolverOptions(max_iter=0))
+        conic = (design_model(plant, perf, opts) if mode == "model"
+                 else design_data(batch, perf, opts)).conic
+        G = conic.nonzeros
+        digest = hashlib.sha1()
+        for a in (G.rows.astype(np.int64), G.cols.astype(np.int64), G.vals, conic.h, conic.c):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest() == self.PINNED[mode, design]
+
+    def test_table_columns_are_block_images(self):
+        # column j of G is, block by block, minus the svec of the block's
+        # linear part at x = e_j: masked, symmetric, scalar and basis
+        # variables through products, transposes, traces and blocks
+        rng = np.random.default_rng(4)
+        prob = LmiProblem()
+        P = MatExpr.of(prob.declare_var("P", 3, 3, kind="symmetric",
+                                        mask=np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], bool)))
+        L = MatExpr.of(prob.declare_var("L", 2, 3, mask=np.array([[1, 0, 1], [0, 1, 1]], bool)))
+        g = prob.declare_scalar("g")
+        coef = prob.declare_var("c", 3, 1)
+        basis = rng.standard_normal((3, 3, 3)) * (rng.uniform(size=(3, 3, 3)) < 0.6)
+        S = MatExpr.combination(coef, basis)
+        A, B = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
+        AS = A @ (S + P) - MatExpr.scaled(g, np.diag([1.0, 0.0, 2.0]))
+        prob.add_psd(block([[P + AS + AS.T, S @ B - L.T], [(S @ B - L.T).T, np.eye(2)]]),
+                     margin=0.5)
+        prob.add_psd(MatExpr.of(g) - 2.0 * P.trace())
+        prob.add_psd(3.0 * (B.T @ (S + S.T) @ B) + np.ones((2, 2)))
+        conic = prob.compile()
+        G = conic.nonzeros
+        assert G.shape == (svec_len(5) + svec_len(1) + svec_len(2), conic.n_reduced)
+        dense = conic.G
+        table = Nonzeros.of(dense)
+        for name in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(G, name), getattr(table, name)), name
+        for j in range(conic.n_reduced):
+            assign = conic.local_assign(np.eye(conic.n_reduced)[j])
+            col = np.concatenate([-svec((blk.expr - blk.expr.const).value(assign))
+                                  for blk in prob.blocks])
+            assert np.array_equal(dense[:, j], col), j
+        assert np.array_equal(conic.h, np.concatenate(
+            [svec(blk.expr.const - blk.margin * np.eye(blk.expr.rows)) for blk in prob.blocks]))
 
 
 class TestTraceBound:

@@ -11,9 +11,9 @@ from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair
                       example1_perf, example1_plant, example1_subspace,
                       infeasibility_residual, min_eig, simulate, solve, spectral_radius)
 import structh2
-from structh2 import solver
-from structh2.lmi import smat, svec, svec_len
-from structh2.solver import _KKT, _Cone, _Nonzeros, _Scaling, _svec_into, _Workspace
+from structh2 import solver, synthesis
+from structh2.lmi import Nonzeros, smat, svec, svec_len
+from structh2.solver import _KKT, _Cone, _Scaling, _svec_into, _Workspace
 from structh2.subspace import from_pattern
 
 def scalar_bound_problem():
@@ -55,10 +55,10 @@ def sharing12_plant():
     return PlantPair(A=A, B=B), from_pattern(pattern)
 
 
-@pytest.fixture(scope="module")
-def d4_16_conic():
-    """The D4 model conic of a 16-state, 8-input plant (rng seed 0, spectral
-    radius 0.7, pattern density 0.4 plus its diagonal and superdiagonal)."""
+def d4_16_design():
+    """The D4 model design of a 16-state, 8-input plant (rng seed 0, spectral
+    radius 0.7, pattern density 0.4 plus its diagonal and superdiagonal), with
+    no solver iterations: design_model's arguments."""
     rng = np.random.default_rng(0)
     n, m = 16, 8
     A = rng.standard_normal((n, n))
@@ -67,10 +67,15 @@ def d4_16_conic():
     pattern = (rng.uniform(size=(m, n)) < 0.4).astype(int)
     pattern[np.arange(m), np.arange(m)] = 1
     pattern[np.arange(m), np.arange(1, m + 1)] = 1
-    res = design_model(PlantPair(A=A, B=B), default_perf(n, m),
-                       DesignOptions(design="D4", subspace=from_pattern(pattern),
-                                     solver=SolverOptions(max_iter=0)))
-    return res.conic
+    return (PlantPair(A=A, B=B), default_perf(n, m),
+            DesignOptions(design="D4", subspace=from_pattern(pattern),
+                          solver=SolverOptions(max_iter=0)))
+
+
+@pytest.fixture(scope="module")
+def d4_16_conic():
+    """The conic of `d4_16_design`: 1485 cone rows and 522 columns."""
+    return design_model(*d4_16_design()).conic
 
 
 class TestOptimal:
@@ -247,7 +252,7 @@ class TestKktSolve:
                                    solver._QR_BLOCK + 1, 2 * solver._QR_BLOCK + 3])
     def test_kkt_matches_dense_solve(self, N):
         G, W, cone, K2, rhs = self.random_system(N=N)
-        Gn = _Nonzeros.of(G)
+        Gn = Nonzeros.of(G)
         sol, err = _KKT(Gn, W, _Workspace(cone, Gn)).solve(rhs)
         assert err <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
@@ -256,7 +261,7 @@ class TestKktSolve:
         # the solver's one failure exit catches LinAlgError
         G, W, cone, _, rhs = self.random_system()
         rhs[0] = np.nan
-        Gn = _Nonzeros.of(G)
+        Gn = Nonzeros.of(G)
         with pytest.raises(np.linalg.LinAlgError):
             _KKT(Gn, W, _Workspace(cone, Gn)).solve(rhs)
 
@@ -325,7 +330,7 @@ class TestWorkspace:
         # every entry the first left behind, and the block reflectors' factor
         # t must come out the same
         G, cone, W1, W2, rhs = self.system()
-        G = _Nonzeros.of(G)
+        G = Nonzeros.of(G)
         ws = _Workspace(cone, G)
         _KKT(G, W1, ws)
         reused = _KKT(G, W2, ws)
@@ -341,7 +346,7 @@ class TestWorkspace:
         # array, the reflectors' factor t, index temporaries) stays below one
         # copy of the stack
         G, cone, W1, W2, _ = self.system()
-        G = _Nonzeros.of(G)
+        G = Nonzeros.of(G)
         ws = _Workspace(cone, G)
         assert ws.stack.nbytes >= 1 << 20
         _KKT(G, W1, ws)
@@ -357,7 +362,7 @@ class TestWorkspace:
         # every chunk's smat stack is scattered from G's nonzeros; the build
         # must equal the congruence of the dense smat stack of each block
         G, cone, W1, _, _ = self.system(density=0.02)
-        ws = _Workspace(cone, _Nonzeros.of(G))
+        ws = _Workspace(cone, Nonzeros.of(G))
         d0 = cone.dims[0]
         kc = solver._CHUNK_ENTRIES // d0 ** 2
         assert np.count_nonzero(np.any(G[cone.slices[0]], axis=0)) > 2 * kc
@@ -389,7 +394,7 @@ class TestWorkspace:
         # block as in the LMIs' densest columns: beside the stack and T the
         # workspace holds under 1 MB, where the dense smat stacks took 2.9 MB
         G, cone, _, _, _ = self.system(density=0.02)
-        ws = _Workspace(cone, _Nonzeros.of(G))
+        ws = _Workspace(cone, Nonzeros.of(G))
         assert self.held(ws) < ws.stack.nbytes + ws.T.nbytes + (1 << 20)
 
     def test_holds_no_copy_of_g_at_scale(self, d4_16_conic):
@@ -397,10 +402,9 @@ class TestWorkspace:
         # 522 columns, whose dense smat stacks took 8.8 MB and their
         # temporaries 20 MB more
         conic = d4_16_conic
-        assert conic.G.shape == (1485, 522)
+        assert conic.nonzeros.shape == (1485, 522)
         cone = _Cone(conic.dims)
-        G = _Nonzeros.of(conic.G)
-        ws = _Workspace(cone, solver._equilibrate(G, conic.h, conic.c, cone)[0])
+        ws = _Workspace(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
         assert self.held(ws) < ws.stack.nbytes + ws.T.nbytes + (1 << 20)
 
     @pytest.mark.parametrize("d", [1, 3, 8])
@@ -459,7 +463,7 @@ class TestNonzeros:
 
     def test_products_match_dense(self):
         G, cone, rng = self.sparse_g()
-        Gn = _Nonzeros.of(G)
+        Gn = Nonzeros.of(G)
         assert Gn.vals.size == np.count_nonzero(G)
         x, z = rng.standard_normal(G.shape[1]), rng.standard_normal(G.shape[0])
         gx, gtz = Gn.dot(x), Gn.tdot(z)
@@ -481,7 +485,7 @@ class TestNonzeros:
         cases = [(G, rng.standard_normal(G.shape[0]), rng.standard_normal(G.shape[1]), cone),
                  (d4_16_conic.G, d4_16_conic.h, d4_16_conic.c, _Cone(d4_16_conic.dims))]
         for G, h, c, cone in cases:
-            Gn = _Nonzeros.of(G)
+            Gn = Nonzeros.of(G)
             got = solver._equilibrate(Gn, h, c, cone)
             want = dense_ruiz(G, h, c, cone)
             assert np.array_equal(got[0].vals, want[0][Gn.rows, Gn.cols])
@@ -492,9 +496,10 @@ class TestNonzeros:
 
     def test_solve_holds_no_copy_of_g(self, d4_16_conic):
         # beside the workspace's stack and T, a solve allocates less than half
-        # of G: the dense equilibrated copy that it held took all of G
+        # of a dense G: the dense equilibrated copy that it held took all of it
         conic = d4_16_conic
-        ws = _Workspace(_Cone(conic.dims), _Nonzeros.of(conic.G))
+        M, N = conic.nonzeros.shape
+        ws = _Workspace(_Cone(conic.dims), conic.nonzeros)
         tracemalloc.start()
         try:
             rep = solve(conic)
@@ -502,7 +507,29 @@ class TestNonzeros:
         finally:
             tracemalloc.stop()
         assert rep.status == "Optimal"
-        assert peak < ws.stack.nbytes + ws.T.nbytes + conic.G.nbytes // 2
+        assert peak < ws.stack.nbytes + ws.T.nbytes + 8 * M * N // 2
+
+    def test_build_and_compile_hold_no_dense_g(self, monkeypatch):
+        # the LMIs are built as their coefficients' nonzeros and compiled
+        # straight to G's: the dense coefficient arrays and the dense G that
+        # the compile stacked took more than all of a dense G
+        class Compiled(Exception):
+            pass
+
+        def stop(conic, opts=None):
+            raise Compiled(conic)
+
+        monkeypatch.setattr(synthesis, "solve", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Compiled) as got:
+                design_model(*d4_16_design())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        M, N = got.value.args[0].nonzeros.shape
+        assert (M, N) == (1485, 522)
+        assert peak < 8 * M * N // 2
 
     def test_import_adds_no_scipy_sparse(self):
         # the products need no scipy.sparse. scipy.linalg itself imports it
