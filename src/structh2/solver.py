@@ -46,6 +46,22 @@ calls into LAPACK's QR. A KKT solve with no finite residual raises
 `LinAlgError`, as a failed scaling or factorization does; one handler ends
 the solve NumericalTrouble with its best iterate.
 
+The factorization runs in stages, a staircase that skips the blocks of
+W^{-T} G that a column never touches. The LMIs give G a column structure:
+the entries of the H2 bound Q appear only in the output block and the trace
+row, and in data mode the H2 block's variables never touch the S-lemma
+block. Once per solve, `_stage_plan` adds the PSD blocks one at a time and
+places each column in the first stage that holds all of its blocks, so that
+a block's rows have nonzeros only in the columns of its own stage and of
+later ones. Each stage factors its columns on the rows still live at it,
+its own rows and those that the stage before left below its triangle, as
+row-merge and multifrontal sparse QR do (George & Heath 1980; Davis,
+SuiteSparseQR 2011). This is Householder QR of the same matrix with its
+rows and columns permuted, so it is as backward stable, and on the 12- to
+20-state D4 designs it takes 0.44-0.73 of the flops of one dense QR. A plan
+of one stage, as every example1 LMI has, keeps the stack's order and makes
+the one `dgeqrt` call on the whole stack.
+
 The cone layer works per block dimension, not per block, as SDPT3 (Toh, Todd
 & Tutuncu 1999) stores blocks of one kind together. The blocks of one
 dimension d form a group, and each group is held as one (k, d, d) stack of
@@ -78,15 +94,16 @@ group.
 
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. Its buffers are allocated once per
-solve, in a `_Workspace`: the [W^{-T} G; E] buffer that the QR factors in
-place, its triangle, the column that Q is applied to, and work arrays for
-one cache-sized chunk of G's columns. G's columns are kept per block as
-their nonzeros alone, as Fujisawa, Kojima & Nakata (1997) form the scaled
-system from sparse constraint data; each build scatters a chunk's nonzeros
-into its smat stack, applies the congruence by R^{-1} to the stack through
-BLAS and writes its svec into place, with `out=` arguments throughout. So
-an iteration allocates nothing proportional to G, and each column's
-arithmetic is that of the congruence of its dense smat.
+solve, in a `_Workspace`: the stage buffers of [W^{-T} G; E] that the QR
+factors in place, its triangle, each stage's column that Q is applied to,
+and work arrays for one cache-sized chunk of G's columns. G's columns are
+kept per block as their nonzeros alone, as Fujisawa, Kojima & Nakata (1997)
+form the scaled system from sparse constraint data; each build scatters a
+chunk's nonzeros into its smat stack, applies the congruence by R^{-1} to
+the stack through BLAS and writes its svec into its stage buffer, with
+`out=` arguments throughout. So an iteration allocates nothing proportional
+to G, and each column's arithmetic is that of the congruence of its dense
+smat.
 """
 
 from __future__ import annotations
@@ -412,10 +429,12 @@ _KKT_REFINE = 3
 _CHUNK_ENTRIES = 1 << 15
 
 # Columns per block reflector of the KKT factorization (LAPACK dgeqrt's nb),
-# capped at N. Timed as one factorization and five Q^T, Q pairs on stacks of
-# the 12-state sharing designs (844 x 402 D4, 766 x 454 D1), 48 was fastest
-# in each of three runs, 0-4 % ahead of 64 and 3-6 % ahead of 32 (2-vCPU
-# Xeon, 1 OpenBLAS thread); 16, 24 and 96 were slower still.
+# capped at a stage's columns, and the fewest columns a stage of the
+# staircase QR keeps (`_stage_plan`). Timed as one factorization and five
+# Q^T, Q pairs on stacks of the 12-state sharing designs (844 x 402 D4,
+# 766 x 454 D1), 48 was fastest in each of three runs, 0-4 % ahead of 64 and
+# 3-6 % ahead of 32 (2-vCPU Xeon, 1 OpenBLAS thread); 16, 24 and 96 were
+# slower still.
 _QR_BLOCK = 48
 
 
@@ -424,7 +443,7 @@ def _qr_factor(a, nb):
     reflectors of nb <= N columns: returns (qr, t), qr holding R on and above
     its diagonal and the Householder vectors below it, t the (nb, N) triangular
     factors of its block reflectors (compact WY). The solver's only QR
-    factorization."""
+    factorization; a is a stage's leading columns (`_Workspace`)."""
     qr, t, info = dgeqrt(nb, a, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"QR factorization failed: dgeqrt info {info}")
@@ -433,8 +452,8 @@ def _qr_factor(a, nb):
 
 def _qr_apply(qr, t, trans, c):
     """Q c (trans "N") or Q^T c ("T") for the factor (qr, t) of `_qr_factor`,
-    written over the F-order c, which has qr's rows. The solver's only
-    application of Q."""
+    written over the F-order c, which has qr's rows: a stage's trailing
+    columns or its column (`_Stage.col`). The solver's only application of Q."""
     c, info = dgemqrt(qr, t, c, trans=trans, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"applying Q failed: dgemqrt info {info}")
@@ -456,6 +475,55 @@ def _svec_into(M, out, work):
     return out
 
 
+def _stage_plan(touch, sizes):
+    """The stages of the staircase QR, as (blocks, columns) pairs of
+    ascending index arrays, from touch, the (N, b) table of the row blocks
+    that each column has nonzeros in, and sizes, the rows of each block.
+
+    Blocks are added one at a time, each time the one that completes the
+    most columns not yet placed (ties go to fewer rows, then to the lower
+    index); a column joins the stage of the block that completes it. A stage
+    of fewer than `_QR_BLOCK` columns merges into the next one, and a short
+    last stage into the one before it. Every block's rows then have nonzeros
+    only in the columns of its own stage and of later ones. Deterministic: the
+    same table gives the same plan."""
+    n_blocks = touch.shape[1]
+    missing = touch.sum(axis=1)          # blocks of each column not yet added
+    unused = np.ones(n_blocks, bool)
+    stages = []
+    for _ in range(n_blocks):
+        ready = touch[missing == 1].sum(axis=0)
+        b = min(np.flatnonzero(unused).tolist(), key=lambda b: (-ready[b], sizes[b], b))
+        unused[b] = False
+        done = np.flatnonzero(touch[:, b] & (missing == 1))
+        missing -= touch[:, b]
+        if stages and stages[-1][1].size < _QR_BLOCK:
+            blocks, cols = stages.pop()
+            stages.append((blocks + [b], np.union1d(cols, done)))
+        else:
+            stages.append(([b], done))
+    if len(stages) > 1 and stages[-1][1].size < _QR_BLOCK:
+        blocks, cols = stages.pop()
+        stages[-1] = (stages[-1][0] + blocks, np.union1d(stages[-1][1], cols))
+    return [(np.sort(blocks), cols) for blocks, cols in stages]
+
+
+class _Stage:
+    """One stage of the staircase QR: the columns c0 ... c0 + k - 1 of the
+    plan's column order, factored in an F-order buffer over the columns
+    c0 ... N - 1. Its first lead rows are those that the stage before left
+    below its triangle. Its own rows follow: the cone rows `rows` (indices
+    into them), then `units` unit rows of E, which the stage of E's
+    pseudo-block holds, all of them in the order of the idle columns. col is
+    the stage's F-order column for the applications of Q."""
+
+    def __init__(self, c0, k, lead, rows, units, N):
+        self.c0, self.k, self.lead, self.rows, self.units = c0, k, lead, rows, units
+        self.mine = slice(lead, lead + rows.size)   # the buffer rows of `rows`
+        self.buf = np.zeros((lead + rows.size + units, N - c0), order="F")
+        self.col = np.empty((lead + rows.size + units, 1), order="F")
+
+
 class _Workspace:
     """The buffers of one solve's KKT builds, sized once from G's nonzeros.
 
@@ -464,13 +532,25 @@ class _Workspace:
     `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as the
     nonzeros of its columns: each value, divided as `lmi.smat` divides it,
     with the flat positions of its entry and the entry's mirror in the
-    chunk's (kc, d, d) smat stack. For the whole system: the columns no row
-    touches, the F-order [Gt; E] buffer that `dgeqrt` factors in place, the
-    F-order (N, N) buffer of its triangle T, and the F-order column, as tall
-    as the stack, that `dgemqrt` applies Q to in place. Four flat work
-    arrays, sized for the largest chunk, hold one chunk's smat stack, its
-    congruence and its svec; chunks are expanded one after another, so they
-    share them.
+    chunk's (kc, d, d) smat stack. The columns that no row touches get the
+    unit rows E.
+
+    The stack [W^{-T} G; E] is factored as a staircase (`_stage_plan`):
+    each PSD block, and E as one more, belongs to the stage that first
+    holds all of some columns' blocks, and each stage is an F-order buffer
+    (`_Stage`) over the columns of its own and later stages, with room above
+    its own rows for the rows that the stage before leaves below its
+    triangle. A build writes each chunk's columns straight into its block's
+    stage buffer, at the plan's row and column positions, so the buffers
+    hold only the rows that are live at each stage. A plan of one stage
+    keeps the stack's row and column order: its buffer is the whole stack.
+    `perm` lists G's columns in the plan's order and `place` the position of
+    each column in it; both are None for a plan of one stage. T is the F-order
+    (N, N) buffer of the triangle in the plan's column order, and vout
+    collects the cone rows of an application of Q in several stages. Four
+    flat work arrays,
+    sized for the largest chunk, hold one chunk's smat stack, its congruence
+    and its svec; chunks are expanded one after another, so they share them.
 
     A `_KKT` built on a workspace reads its factor from these buffers, and the
     next build overwrites them: at most one `_KKT` per workspace is live.
@@ -484,37 +564,74 @@ class _Workspace:
         keep = G.vals != 0.0
         rows, cols, vals = G.rows[keep], G.cols[keep], G.vals[keep]
         bounds = np.searchsorted(rows, [sl.start for sl in cone.slices] + [M])
-        # (row slice, group, member, d, columns, flat targets, values) per chunk
+        self.idle = np.flatnonzero(np.bincount(cols, minlength=N) == 0)
+        # the row ranges of the blocks in the stack, E's last
+        ranges = [(sl.start, sl.stop) for sl in cone.slices] + [(M, M + self.idle.size)]
+        if N < 2 * _QR_BLOCK:          # the plan that two stages' columns exceed
+            plan = [(np.arange(len(ranges)), np.arange(N))]
+        else:
+            touch = np.zeros((N, len(ranges)), bool)
+            for b, (e0, e1) in enumerate(zip(bounds[:-1], bounds[1:])):
+                touch[cols[e0:e1], b] = True
+            touch[self.idle, -1] = True
+            plan = _stage_plan(touch, [r1 - r0 for r0, r1 in ranges])
+        # G's columns in the plan's order and the position of each in it,
+        # None for a plan of one stage, whose order is the stack's
+        self.perm = self.place = None
+        if len(plan) > 1:
+            self.perm = np.concatenate([c for _, c in plan])
+            self.place = np.empty(N, np.intp)
+            self.place[self.perm] = np.arange(N)
+        self.stages = []
+        at = {}                                     # block -> (stage, first buffer row)
+        c0 = lead = 0
+        for s, (blocks, cc) in enumerate(plan):
+            own = lead
+            for b in blocks.tolist():
+                at[b] = s, own
+                own += ranges[b][1] - ranges[b][0]
+            # E's pseudo-block has the highest index, so its rows come last
+            cone_rows = np.concatenate([np.empty(0, np.intp)] + [
+                np.arange(*ranges[b]) for b in blocks.tolist() if b < len(cone.dims)])
+            units = self.idle.size if blocks[-1] == len(cone.dims) else 0
+            self.stages.append(_Stage(c0, cc.size, lead, cone_rows, units, N))
+            c0 += cc.size
+            lead = max(own - cc.size, 0)
+        # (stage, row slice, columns, group, member, d, flat targets, values)
+        # per chunk
         self.chunks = []
         mat_size = vec_size = 0
-        for d, sl, (g, j), e0, e1 in zip(cone.dims, cone.slices, cone.where,
-                                         bounds[:-1], bounds[1:]):
+        for b, (d, (g, j), e0, e1) in enumerate(zip(cone.dims, cone.where,
+                                                    bounds[:-1], bounds[1:])):
             up, lo, _, scale, _ = svec_tables(d)
-            p, c, v = rows[e0:e1] - sl.start, cols[e0:e1], vals[e0:e1]
-            touched = np.unique(c)
-            place = np.searchsorted(touched, c)      # the entry's column among touched
+            p, c, v = rows[e0:e1] - ranges[b][0], cols[e0:e1], vals[e0:e1]
+            s, r0 = at[b]
+            # the entry's column in the stage buffer
+            pos = c if self.place is None else self.place[c] - self.stages[s].c0
+            touched = np.unique(pos)
+            which = np.searchsorted(touched, pos)   # the entry's column among touched
             kc = max(1, min(touched.size, _CHUNK_ENTRIES // (d * d)))
             mat_size, vec_size = max(mat_size, kc * d * d), max(vec_size, kc * svec_len(d))
-            for c0 in range(0, touched.size, kc):
-                e = np.flatnonzero((place >= c0) & (place < c0 + kc))
-                base = (place[e] - c0) * (d * d)
-                self.chunks.append((sl, g, j, d, touched[c0:c0 + kc],
+            for k0 in range(0, touched.size, kc):
+                e = np.flatnonzero((which >= k0) & (which < k0 + kc))
+                base = (which[e] - k0) * (d * d)
+                self.chunks.append((s, slice(r0, r0 + svec_len(d)), touched[k0:k0 + kc], g, j, d,
                                     np.stack([base + up[p[e]], base + lo[p[e]]]),
                                     v[e] / scale[p[e]]))
-        self.idle = np.flatnonzero(np.bincount(cols, minlength=N) == 0)
-        self.idle_rows = M + np.arange(self.idle.size)
-        self.stack = np.zeros((M + self.idle.size, N), order="F")
-        self.T = np.empty((N, N), order="F")
-        self.col = np.empty((self.stack.shape[0], 1), order="F")
+        s, r0 = at[len(cone.dims)]
+        self.unit = (s, r0 + np.arange(self.idle.size), self.idle if self.place is None
+                     else self.place[self.idle] - self.stages[s].c0)
+        self.T = np.zeros((N, N), order="F")
+        self.vout = np.empty(M)
         self._m1, self._m2 = np.empty(mat_size), np.empty(mat_size)
         self._a, self._b = np.empty(vec_size), np.empty(vec_size)
 
     def build(self, W: _Scaling):
-        """Write [W^{-T} G; E] into the stack buffer and return it."""
-        Gt = self.stack
-        Gt.fill(0.0)                       # the last factorization overwrote it
-        for sl, g, j, d, cc, targets, values in self.chunks:
-            k, L = cc.size, svec_len(d)
+        """Write [W^{-T} G; E] into the stages' own rows."""
+        for st in self.stages:
+            st.buf[st.lead:] = 0.0         # the last factorization overwrote them
+        for s, rs, pos, g, j, d, targets, values in self.chunks:
+            k, L = pos.size, svec_len(d)
             Ri = W.Rinv[g][j]
             m1, m2 = self._m1[:k * d * d], self._m2[:k * d * d].reshape(k, d, d)
             m1.fill(0.0)
@@ -523,9 +640,9 @@ class _Workspace:
             np.matmul(Ri, m1, out=m2)
             np.matmul(m2, Ri.T, out=m1)
             a = _svec_into(m1, self._a[:k * L].reshape(k, L), self._b[:k * L].reshape(k, L))
-            Gt[sl, cc] = a.T
-        Gt[self.idle_rows, self.idle] = 1.0
-        return Gt
+            self.stages[s].buf[rs, pos] = a.T
+        s, r, c = self.unit
+        self.stages[s].buf[r, c] = 1.0
 
 
 class _KKT:
@@ -539,33 +656,57 @@ class _KKT:
     time from the nonzeros of the columns that touch each block. A column
     that no row touches (a variable the model leaves unused) gets a unit
     row, so that its equation reads dx_j = r1_j, which is 0 whenever
-    c_j = 0. The stack [Gt; E] = Q T is factored once per iterate by
-    `dgeqrt`, Q kept as its Householder vectors and the (nb, N) triangular
-    factors t of its block reflectors, nb = min(_QR_BLOCK, N), which every
-    `dgemqrt` application of Q reuses. Unlike the Schur complement Gt^T Gt,
-    the factor's error grows with cond(Gt), not with its square. Solutions are
-    refined against the residual of the full system, which needs only the
-    per-block W^T W and products with G, run over G's nonzeros in row order
-    (`Nonzeros`) without BLAS.
+    c_j = 0. The stack [Gt; E] is factored once per iterate, with its rows
+    and columns permuted into the workspace's stages: stage by stage, its
+    columns are factored by `dgeqrt`, Q_s kept as its Householder vectors and
+    the (nb, k) triangular factors t of its block reflectors,
+    nb = min(_QR_BLOCK, k); Q_s^T is applied to the stage's trailing columns
+    by `dgemqrt`; the rows below its triangle pass on to the next stage; and
+    its top rows are its rows of T. So P_r [Gt; E] P_c = Q T with
+    Q = Q_1 ... Q_K, each Q_s acting on its stage's live rows, and every
+    application of Q reuses the stages' factors. Householder QR of the
+    permuted stack is backward stable as that of the stack is: unlike the
+    Schur complement Gt^T Gt, the factor's error grows with cond(Gt), not with
+    its square. A stage with fewer live rows than columns leaves its columns
+    rank deficient and raises LinAlgError. Solutions are refined against the
+    residual of the full system, which needs only the per-block W^T W and
+    products with G, run over G's nonzeros in row order (`Nonzeros`) without
+    BLAS.
 
-    The stack, its factor and T live in the solve's `_Workspace`, built once
-    per solve: building a `_KKT` overwrites the previous one's factor, so one
-    `_KKT` per workspace is live at a time.
+    The stages, their factors and T live in the solve's `_Workspace`, built
+    once per solve: building a `_KKT` overwrites the previous one's factor,
+    so one `_KKT` per workspace is live at a time.
     """
 
     def __init__(self, G: Nonzeros, W: _Scaling, ws: _Workspace):
         N, M = G.shape[1], W.cone.total
-        Gt = ws.build(W)
-        if Gt.shape[0] < N:
-            raise np.linalg.LinAlgError("fewer cone rows than variables")
-        self.qr, self.t = _qr_factor(Gt, min(_QR_BLOCK, N))
-        # a contiguous copy, into the workspace: the triangular solves are
-        # several times slower on the strided view into the factor
+        ws.build(W)
+        # T is written in place; rows of a later stage keep their zeros left
+        # of its diagonal block
         self.T = ws.T
-        self.T[...] = self.qr[:N]
+        # per stage, what the applications of Q read: its column, its factor
+        # (qr, t), its lead rows, its columns k, its own rows in its buffer and
+        # among the cone rows, and its columns in the plan's order
+        self.steps = []
+        below = None
+        for st in ws.stages:
+            c0, c1, k = st.c0, st.c0 + st.k, st.k
+            if below is not None:
+                st.buf[:st.lead] = below
+            if st.buf.shape[0] < k:
+                raise np.linalg.LinAlgError("a stage of the QR has fewer live rows than columns")
+            qr, t = _qr_factor(st.buf[:, :k], min(_QR_BLOCK, k))
+            self.steps.append((st.col, qr, t, st.lead, k, st.mine, st.rows, slice(c0, c1)))
+            # a contiguous copy: the triangular solves are several times
+            # slower on the strided view into the factor
+            self.T[c0:c1, c0:c1] = qr[:k]
+            if c1 < N:
+                rest = _qr_apply(qr, t, "T", st.buf[:, k:])
+                self.T[c0:c1, c1:] = rest[:k]
+                below = rest[k:]
         if not np.all(np.diagonal(self.T)):
             raise np.linalg.LinAlgError("the cone rows leave a variable free")
-        self.col = ws.col
+        self.perm, self.place, self.vout = ws.perm, ws.place, ws.vout
         self.G, self.W, self.N, self.M = G, W, N, M
 
     def _tri(self, b, trans):
@@ -575,23 +716,52 @@ class _KKT:
             raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
         return x
 
-    def _q(self, trans, v):
-        """Q v ("N") or Q^T v ("T"), v zero-padded to the factor's rows, in
-        the workspace's column: the result holds until the next call."""
-        c = self.col
-        c[:v.size, 0] = v
-        c[v.size:, 0] = 0.0
-        return _qr_apply(self.qr, self.t, trans, c)[:, 0]
+    def _qt(self, v):
+        """The first N entries of Q^T P_r [v; 0], for v in the cone rows'
+        order: T's rows, in the plan's column order."""
+        if len(self.steps) == 1:           # the stack in its own order: no gathers
+            c, qr, t = self.steps[0][:3]
+            c[:v.size, 0] = v
+            c[v.size:, 0] = 0.0
+            return _qr_apply(qr, t, "T", c)[:self.N, 0]
+        top, below = [], ()
+        for c, qr, t, lead, k, mine, rows, _ in self.steps:
+            c[:lead, 0] = below
+            c[mine, 0] = v[rows]
+            c[mine.stop:, 0] = 0.0         # E's rows
+            c = _qr_apply(qr, t, "T", c)[:, 0]
+            top.append(c[:k])
+            below = c[k:]
+        return np.concatenate(top)
+
+    def _qn(self, w):
+        """P_r^T Q [w; 0] in the cone rows' order, for w in the plan's column
+        order; it holds until the next call."""
+        if len(self.steps) == 1:
+            c, qr, t = self.steps[0][:3]
+            c[:w.size, 0] = w
+            c[w.size:, 0] = 0.0
+            return _qr_apply(qr, t, "N", c)[:self.M, 0]
+        out, above = self.vout, 0.0
+        for c, qr, t, lead, k, mine, rows, cols in reversed(self.steps):
+            c[:k, 0] = w[cols]
+            c[k:, 0] = above
+            c = _qr_apply(qr, t, "N", c)[:, 0]
+            out[rows] = c[mine]
+            above = c[:lead]
+        return out
 
     def _solve(self, rhs):
-        N, M = self.N, self.M
+        N = self.N
         r1, r3 = rhs[:N], rhs[N:]
         r3t = self.W.winvt_apply(r3)
-        # w = T dx solves T^T w = r1 + [Gt; E]^T [r3t; 0]
-        w = self._tri(r1, 1) + self._q("T", r3t)[:N]
-        # Gt dx = (Q [w; 0])[:M]
-        v = self._q("N", w)[:M] - r3t
-        return np.concatenate([self._tri(w, 0), self.W.winv_apply(v)])
+        # w = T P_c^T dx solves T^T w = P_c^T r1 + (Q^T P_r [r3t; 0])[:N]
+        w = self._tri(r1 if self.perm is None else r1[self.perm], 1) + self._qt(r3t)
+        # Gt dx = (P_r^T Q [w; 0])[:M]
+        v = self._qn(w) - r3t
+        dx = self._tri(w, 0)
+        return np.concatenate([dx if self.place is None else dx[self.place],
+                               self.W.winv_apply(v)])
 
     def residual(self, rhs, sol):
         dx, dz = sol[:self.N], sol[self.N:]

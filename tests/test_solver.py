@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgeqrt
 
 from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair,
                       SolverOptions, default_perf, design_data, design_model,
@@ -12,7 +13,7 @@ from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair
                       infeasibility_residual, min_eig, simulate, solve, spectral_radius)
 import structh2
 from structh2 import solver, synthesis
-from structh2.lmi import Nonzeros, smat, svec, svec_len
+from structh2.lmi import ConicForm, Nonzeros, smat, svec, svec_len
 from structh2.solver import _KKT, _Cone, _Scaling, _svec_into, _Workspace
 from structh2.subspace import from_pattern
 
@@ -55,10 +56,9 @@ def sharing12_plant():
     return PlantPair(A=A, B=B), from_pattern(pattern)
 
 
-def d4_16_design():
-    """The D4 model design of a 16-state, 8-input plant (rng seed 0, spectral
-    radius 0.7, pattern density 0.4 plus its diagonal and superdiagonal), with
-    no solver iterations: design_model's arguments."""
+def d4_16_plant():
+    """A 16-state, 8-input plant (rng seed 0, spectral radius 0.7) and its
+    pattern (density 0.4 plus the diagonal and superdiagonal)."""
     rng = np.random.default_rng(0)
     n, m = 16, 8
     A = rng.standard_normal((n, n))
@@ -67,7 +67,14 @@ def d4_16_design():
     pattern = (rng.uniform(size=(m, n)) < 0.4).astype(int)
     pattern[np.arange(m), np.arange(m)] = 1
     pattern[np.arange(m), np.arange(1, m + 1)] = 1
-    return (PlantPair(A=A, B=B), default_perf(n, m),
+    return PlantPair(A=A, B=B), pattern
+
+
+def d4_16_design():
+    """The D4 model design of `d4_16_plant`, with no solver iterations:
+    design_model's arguments."""
+    plant, pattern = d4_16_plant()
+    return (plant, default_perf(16, 8),
             DesignOptions(design="D4", subspace=from_pattern(pattern),
                           solver=SolverOptions(max_iter=0)))
 
@@ -224,27 +231,52 @@ class TestCertificates:
         assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
 
 
+def interior_point(cone, rng):
+    """The svec of a random positive definite matrix per block of cone."""
+    v = np.zeros(cone.total)
+    for d, sl in zip(cone.dims, cone.slices):
+        X = rng.standard_normal((d, d))
+        v[sl] = svec(X @ X.T + 0.1 * np.eye(d))
+    return v
+
+
+def dense_kkt(G, W):
+    """The KKT matrix [[0, G^T], [G, -W^T W]], with a unit diagonal entry in
+    the column of each variable that no row touches: the equation dx_j = r1_j
+    that the unit rows E give it."""
+    M, N = G.shape
+    WtW = np.column_stack([W.wtw_apply(e) for e in np.eye(M)])
+    return np.block([[np.diag(1.0 * ~np.any(G, axis=0)), G.T],
+                     [G, -WtW]])
+
+
+def staged_system(seed=9, rows=(10, 10, 9)):
+    """A block-sparse G whose stage plan has three stages: nb = _QR_BLOCK
+    columns touch block 1 alone, nb blocks 1 and 2, nb + 4 every block, and
+    one column no row touches, in a shuffled column order. rows gives the
+    blocks' dimensions, so the stages have 55, 52 and 60 live rows."""
+    nb = solver._QR_BLOCK
+    rng = np.random.default_rng(seed)
+    cone = _Cone(rows)
+    M, N = cone.total, 3 * nb + 5
+    G = np.zeros((M, N))
+    for c0, c1, blocks in ((0, nb, [1]), (nb, 2 * nb, [1, 2]), (2 * nb, N - 1, [0, 1, 2])):
+        for b in blocks:
+            G[cone.slices[b], c0:c1] = rng.standard_normal((svec_len(cone.dims[b]), c1 - c0))
+    G = G[:, rng.permutation(N)]
+    W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+    return G, W, cone, rng
+
+
 class TestKktSolve:
     def random_system(self, seed=5, N=5):
         rng = np.random.default_rng(seed)
         # blocks of 8 (36 rows each) beyond the first two keep M > N
         cone = _Cone((3, 2) + (8,) * -(-max(N - 5, 0) // 36))
-        M = cone.total
-
-        def interior_point():
-            v = np.zeros(M)
-            for d, sl in zip(cone.dims, cone.slices):
-                X = rng.standard_normal((d, d))
-                v[sl] = svec(X @ X.T + 0.1 * np.eye(d))
-            return v
-
-        W = _Scaling(cone, interior_point(), interior_point())
-        G = rng.standard_normal((M, N))
+        W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+        G = rng.standard_normal((cone.total, N))
         G[:svec_len(3), 0] = 0.0          # a column that misses the first block
-        WtW = np.column_stack([W.wtw_apply(e) for e in np.eye(M)])
-        K2 = np.block([[np.zeros((N, N)), G.T],
-                       [G, -WtW]])
-        return G, W, cone, K2, rng.standard_normal(N + M)
+        return G, W, cone, dense_kkt(G, W), rng.standard_normal(N + cone.total)
 
     # N = nb factors in one block reflector, 1, 5 and nb - 1 in one narrower
     # than _QR_BLOCK, nb + 1 and 2 nb + 3 end on a narrow last panel
@@ -256,6 +288,67 @@ class TestKktSolve:
         sol, err = _KKT(Gn, W, _Workspace(cone, Gn)).solve(rhs)
         assert err <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
+
+    def test_staged_kkt_matches_dense_solve(self):
+        G, W, cone, rng = staged_system()
+        Gn = Nonzeros.of(G)
+        ws = _Workspace(cone, Gn)
+        nb = solver._QR_BLOCK
+        assert [(st.k, st.lead, st.buf.shape) for st in ws.stages] == [
+            (nb, 0, (55, 3 * nb + 5)), (nb, 7, (52, 2 * nb + 5)), (nb + 5, 4, (60, nb + 5))]
+        assert not np.array_equal(ws.perm, np.arange(G.shape[1]))
+        rhs = rng.standard_normal(G.shape[1] + G.shape[0])
+        rhs[ws.idle] = 0.0               # c_j = 0 for a variable the model leaves unused
+        sol, err = _KKT(Gn, W, ws).solve(rhs)
+        assert err <= 1e-10
+        assert np.allclose(sol, np.linalg.solve(dense_kkt(G, W), rhs), rtol=1e-8, atol=1e-10)
+
+    def test_stage_short_of_rows_raises(self):
+        # block 1 (a 7 x 7 block, 28 rows) alone holds nb columns: G has
+        # dependent columns, and the stage cannot factor them
+        G, W, cone, rng = staged_system(rows=(10, 7, 9))
+        Gn = Nonzeros.of(G)
+        ws = _Workspace(cone, Gn)
+        assert ws.stages[0].buf.shape[0] < ws.stages[0].k
+        with pytest.raises(np.linalg.LinAlgError, match="fewer live rows"):
+            _KKT(Gn, W, ws)
+        # the solve's one handler ends it NumericalTrouble at iteration 0
+        conic = ConicForm(c=rng.standard_normal(G.shape[1]), obj_const=0.0, nonzeros=Gn,
+                          h=cone.identity(), dims=cone.dims, block_names=("a", "b", "c"),
+                          vars=())
+        rep = solve(conic)
+        assert rep.status == "NumericalTrouble"
+        assert rep.iterations == 0
+
+    def test_stages_factor_in_place(self, monkeypatch):
+        # every factor and application of Q is on a column slice of an
+        # F-order stage buffer, or on a stage's column, and writes into it: a
+        # wrapper that copied the slice would allocate a stage-sized copy on
+        # every call, which the workspace exists to avoid
+        seen = []
+        qr_factor, qr_apply = solver._qr_factor, solver._qr_apply
+
+        def factor(a, nb):
+            qr, t = qr_factor(a, nb)
+            seen.append(np.shares_memory(qr, a))
+            return qr, t
+
+        def apply(qr, t, trans, c):
+            out = qr_apply(qr, t, trans, c)
+            seen.append(np.shares_memory(out, c))
+            return out
+
+        monkeypatch.setattr(solver, "_qr_factor", factor)
+        monkeypatch.setattr(solver, "_qr_apply", apply)
+        G, W, cone, rng = staged_system()
+        Gn = Nonzeros.of(G)
+        ws = _Workspace(cone, Gn)
+        kkt = _KKT(Gn, W, ws)
+        assert len(seen) == 5             # three factors, two trailing updates
+        for st, step in zip(ws.stages, kkt.steps):
+            assert np.shares_memory(step[1], st.buf)          # qr
+        kkt.solve(rng.standard_normal(G.shape[1] + G.shape[0]))
+        assert len(seen) > 5 and all(seen)
 
     def test_nonfinite_solve_raises(self):
         # the solver's one failure exit catches LinAlgError
@@ -298,9 +391,33 @@ class TestKktSolve:
         # pattern's free entries, and no equality rows
         conic = res.conic
         assert conic.n_reduced == 402
-        # one QR factorization of the cone rows per iteration
-        assert len(factored) == res.report.iterations
-        assert set(factored) == {(conic.G.shape[0], conic.n_reduced)}
+        # one QR factorization per stage of the staircase per iteration, the
+        # stages' columns adding up to G's; the stages have 465, 300 and 79
+        # of the 844 cone rows, and the rows that each leaves below its
+        # triangle on top
+        stages = factored[:3]
+        assert factored == stages * res.report.iterations
+        assert stages == [(465, 153), (465 - 153 + 300, 152), (465 + 300 - 305 + 79, 97)]
+        assert sum(k for _, k in stages) == conic.n_reduced
+        assert 465 + 300 + 79 == conic.nonzeros.shape[0]
+
+
+def stage_bytes(ws):
+    """Bytes of a workspace's stage buffers."""
+    return sum(st.buf.nbytes for st in ws.stages)
+
+
+def assembled(ws, shape):
+    """[W^{-T} G; E] in G's row and column order, read back from the stage
+    buffers after a build: each stage's own rows, over its columns and the
+    later stages'."""
+    M, N = shape
+    out = np.zeros((M + ws.idle.size, N))
+    perm = np.arange(N) if ws.perm is None else ws.perm
+    for st in ws.stages:
+        rows = np.concatenate([st.rows, M + np.arange(st.units)])
+        out[np.ix_(rows, perm[st.c0:])] = st.buf[st.lead:]
+    return out
 
 
 class TestWorkspace:
@@ -308,14 +425,19 @@ class TestWorkspace:
     reused workspace must equal, bit for bit, one on a fresh workspace."""
 
     @staticmethod
-    def system(seed=6, dims=(30, 30, 8, 1), N=200, density=0.3):
+    def system(seed=6, dims=(30, 30, 8, 1), N=200, density=0.3, stairs=False):
         """A sparse G with a column that misses a block and an idle column,
-        and two scaling points. The stack buffer is 1.6 MB."""
+        and two scaling points. The stack buffer is 1.6 MB. With stairs, the
+        last 60 columns touch only block 0 and the 60 before them only
+        blocks 0 and 1, so that the plan has several stages."""
         rng = np.random.default_rng(seed)
         cone = _Cone(dims)
         G = rng.standard_normal((cone.total, N)) * (rng.uniform(size=(cone.total, N)) < density)
         G[cone.slices[0], 1] = 0.0
         G[:, 2] = 0.0
+        if stairs:
+            G[cone.slices[1].start:, N - 60:] = 0.0
+            G[cone.slices[2].start:, N - 120:N - 60] = 0.0
 
         def interior_point():
             return np.concatenate([svec(X @ X.T + 0.1 * np.eye(d))
@@ -326,20 +448,26 @@ class TestWorkspace:
         return G, cone, W1, W2, rng.standard_normal(N + cone.total)
 
     def test_reused_workspace_matches_fresh(self):
-        # dgeqrt factors the stack buffer in place: a second build must clear
-        # every entry the first left behind, and the block reflectors' factor
-        # t must come out the same
-        G, cone, W1, W2, rhs = self.system()
-        G = Nonzeros.of(G)
-        ws = _Workspace(cone, G)
-        _KKT(G, W1, ws)
-        reused = _KKT(G, W2, ws)
-        fresh = _KKT(G, W2, _Workspace(cone, G))
-        for name in ("T", "qr", "t"):
-            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
-        got, want = reused.solve(rhs), fresh.solve(rhs)
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1]
+        # dgeqrt factors each stage buffer in place: a second build must
+        # clear every entry the first left behind, and every stage's block
+        # reflectors' factor t must come out the same, for a plan of one
+        # stage and one of three
+        for stairs, stages in ((False, 1), (True, 3)):
+            G, cone, W1, W2, rhs = self.system(stairs=stairs)
+            G = Nonzeros.of(G)
+            ws = _Workspace(cone, G)
+            assert len(ws.stages) == stages
+            _KKT(G, W1, ws)
+            reused = _KKT(G, W2, ws)
+            fresh = _KKT(G, W2, _Workspace(cone, G))
+            assert np.array_equal(reused.T, fresh.T)
+            assert len(reused.steps) == len(fresh.steps) == stages
+            for got, want in zip(reused.steps, fresh.steps):
+                assert np.array_equal(got[1], want[1])        # qr
+                assert np.array_equal(got[2], want[2])        # t
+            got, want = reused.solve(rhs), fresh.solve(rhs)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
 
     def test_build_allocates_less_than_the_stack(self):
         # the build writes into the workspace: what it allocates (the QR work
@@ -348,7 +476,7 @@ class TestWorkspace:
         G, cone, W1, W2, _ = self.system()
         G = Nonzeros.of(G)
         ws = _Workspace(cone, G)
-        assert ws.stack.nbytes >= 1 << 20
+        assert stage_bytes(ws) >= 1 << 20
         _KKT(G, W1, ws)
         tracemalloc.start()
         try:
@@ -356,27 +484,31 @@ class TestWorkspace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < ws.stack.nbytes
+        assert peak < stage_bytes(ws)
 
     def test_chunked_build_matches_congruence(self):
         # every chunk's smat stack is scattered from G's nonzeros; the build
-        # must equal the congruence of the dense smat stack of each block
-        G, cone, W1, _, _ = self.system(density=0.02)
-        ws = _Workspace(cone, Nonzeros.of(G))
-        d0 = cone.dims[0]
-        kc = solver._CHUNK_ENTRIES // d0 ** 2
-        assert np.count_nonzero(np.any(G[cone.slices[0]], axis=0)) > 2 * kc
-        Gt = ws.build(W1)
-        for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
-            touch = np.any(G[sl] != 0.0, axis=0)
-            cols = np.flatnonzero(touch)
-            Ri = W1.Rinv[g][j]
-            want = svec(Ri @ smat(G[sl][:, cols].T, d) @ Ri.T)
-            assert np.array_equal(Gt[sl][:, cols], want.T)
-            assert not np.any(Gt[sl][:, ~touch])
-        assert not np.any(G[cone.slices[0], 1]) and np.any(G[:, 1])
-        assert np.array_equal(ws.idle, [2])
-        assert np.array_equal(Gt[cone.total:], np.eye(G.shape[1])[[2]])
+        # must equal the congruence of the dense smat stack of each block,
+        # at the rows and columns the stage plan gives it
+        for stairs in (False, True):
+            G, cone, W1, _, _ = self.system(density=0.02, stairs=stairs)
+            ws = _Workspace(cone, Nonzeros.of(G))
+            assert (len(ws.stages) > 1) == stairs
+            d0 = cone.dims[0]
+            kc = solver._CHUNK_ENTRIES // d0 ** 2
+            assert np.count_nonzero(np.any(G[cone.slices[0]], axis=0)) > 2 * kc
+            ws.build(W1)
+            Gt = assembled(ws, G.shape)
+            for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
+                touch = np.any(G[sl] != 0.0, axis=0)
+                cols = np.flatnonzero(touch)
+                Ri = W1.Rinv[g][j]
+                want = svec(Ri @ smat(G[sl][:, cols].T, d) @ Ri.T)
+                assert np.array_equal(Gt[sl][:, cols], want.T)
+                assert not np.any(Gt[sl][:, ~touch])
+            assert not np.any(G[cone.slices[0], 1]) and np.any(G[:, 1])
+            assert np.array_equal(ws.idle, [2])
+            assert np.array_equal(Gt[cone.total:], np.eye(G.shape[1])[[2]])
 
     @staticmethod
     def held(obj):
@@ -395,17 +527,22 @@ class TestWorkspace:
         # workspace holds under 1 MB, where the dense smat stacks took 2.9 MB
         G, cone, _, _, _ = self.system(density=0.02)
         ws = _Workspace(cone, Nonzeros.of(G))
-        assert self.held(ws) < ws.stack.nbytes + ws.T.nbytes + (1 << 20)
+        assert self.held(ws) < stage_bytes(ws) + ws.T.nbytes + (1 << 20)
 
     def test_holds_no_copy_of_g_at_scale(self, d4_16_conic):
         # the D4 model conic of a 16-state, 8-input plant: 1485 cone rows and
         # 522 columns, whose dense smat stacks took 8.8 MB and their
         # temporaries 20 MB more
         conic = d4_16_conic
-        assert conic.nonzeros.shape == (1485, 522)
+        M, N = conic.nonzeros.shape
+        assert (M, N) == (1485, 522)
         cone = _Cone(conic.dims)
         ws = _Workspace(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
-        assert self.held(ws) < ws.stack.nbytes + ws.T.nbytes + (1 << 20)
+        assert self.held(ws) < stage_bytes(ws) + ws.T.nbytes + (1 << 20)
+        # the stages hold no more than the whole stack and one stage's rows
+        # passed on from the stage before
+        assert len(ws.stages) == 3 and ws.idle.size == 0
+        assert stage_bytes(ws) <= 8 * (M * N + max(st.lead * st.buf.shape[1] for st in ws.stages))
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_svec_into_matches_svec(self, d):
@@ -414,6 +551,95 @@ class TestWorkspace:
         out, work = np.empty((17, svec_len(d))), np.empty((17, svec_len(d)))
         assert _svec_into(M, out, work) is out
         assert np.array_equal(out, svec(M))
+
+
+class TestStagePlan:
+    """The staircase QR's plan: one stage, in the stack's own order, for every
+    example1 LMI, and several for the larger designs."""
+
+    @pytest.mark.parametrize("mode", ["model", "data"])
+    @pytest.mark.parametrize("design", ["D1", "D2", "D3", "D4"])
+    def test_example1_is_one_plain_stage(self, mode, design, plant, perf, subspace):
+        # a one-stage plan factors the whole stack in its own row and column
+        # order, bit for bit as one dgeqrt call on it
+        opts = DesignOptions(design=design, subspace=None if design == "D1" else subspace,
+                             solver=SolverOptions(max_iter=0))
+        if mode == "model":
+            conic = design_model(plant, perf, opts).conic
+        else:
+            batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
+            conic = design_data(batch, perf, opts).conic
+        cone = _Cone(conic.dims)
+        G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
+        M, N = G.shape
+        ws, again = _Workspace(cone, G), _Workspace(cone, G)
+        for w in (ws, again):
+            (st,) = w.stages
+            assert w.perm is None and w.place is None
+            assert np.array_equal(st.rows, np.arange(M))
+            assert (st.c0, st.k, st.lead, st.units) == (0, N, 0, w.idle.size)
+            assert st.buf.shape == (M + w.idle.size, N)
+        rng = np.random.default_rng(12)
+        W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+        again.build(W)
+        qr, t, info = dgeqrt(min(solver._QR_BLOCK, N), again.stages[0].buf.copy(order="F"))
+        assert info == 0
+        kkt = _KKT(G, W, ws)
+        (step,) = kkt.steps
+        assert np.array_equal(step[1], qr)
+        assert np.array_equal(step[2], t)
+        assert np.array_equal(kkt.T, qr[:N])
+
+    def test_plan_is_deterministic(self, d4_16_conic):
+        conic = d4_16_conic
+        cone = _Cone(conic.dims)
+        G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
+        plans = []
+        for _ in range(2):
+            ws = _Workspace(cone, G)
+            plans.append((ws.perm, [(st.c0, st.k, st.lead, st.rows, st.buf.shape)
+                                    for st in ws.stages]))
+        (perm1, stages1), (perm2, stages2) = plans
+        assert np.array_equal(perm1, perm2)
+        assert len(stages1) == len(stages2) == 3
+        for a, b in zip(stages1, stages2):
+            assert a[:3] == b[:3] and a[4] == b[4]
+            assert np.array_equal(a[3], b[3])
+
+
+# Status, iteration count and gamma of the D4 designs of `d4_16_plant`,
+# recorded with the single-stage QR the staircase replaced: the radius-0.7,
+# n = 16 plant of the scale measurements, in model mode and in data mode
+# (eps = 0.02, T = 4 (n + m), noise seed 0).
+RECORDED_AT_SCALE = {
+    "model": ("Optimal", 9, 4.8142788437574),
+    "data": ("Optimal", 16, 5.01890285443871),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RECORDED_AT_SCALE))
+def test_staged_designs_at_scale(mode, monkeypatch):
+    stages = []
+
+    class Recording(_Workspace):
+        def __init__(self, cone, G):
+            super().__init__(cone, G)
+            stages.append(len(self.stages))
+
+    monkeypatch.setattr(solver, "_Workspace", Recording)
+    plant, pattern = d4_16_plant()
+    n, m = 16, 8
+    opts = DesignOptions(design="D4", subspace=from_pattern(pattern))
+    if mode == "model":
+        res = design_model(plant, default_perf(n, m), opts)
+    else:
+        batch, _ = simulate(plant, np.zeros(n), None, 0.02, seed=0, exponent=2, T=4 * (n + m))
+        res = design_data(batch, default_perf(n, m), opts)
+    status, iterations, gamma = RECORDED_AT_SCALE[mode]
+    assert stages and min(stages) >= 2
+    assert res.status == status
+    assert abs(res.report.iterations - iterations) <= 1
+    assert res.gamma == pytest.approx(gamma, rel=1e-6)
 
 
 def dense_ruiz(G, h, c, cone, iters=4):
@@ -507,7 +733,7 @@ class TestNonzeros:
         finally:
             tracemalloc.stop()
         assert rep.status == "Optimal"
-        assert peak < ws.stack.nbytes + ws.T.nbytes + 8 * M * N // 2
+        assert peak < stage_bytes(ws) + ws.T.nbytes + 8 * M * N // 2
 
     def test_build_and_compile_hold_no_dense_g(self, monkeypatch):
         # the LMIs are built as their coefficients' nonzeros and compiled
