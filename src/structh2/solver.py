@@ -545,12 +545,12 @@ class _Workspace:
     hold only the rows that are live at each stage. A plan of one stage
     keeps the stack's row and column order: its buffer is the whole stack.
     `perm` lists G's columns in the plan's order and `place` the position of
-    each column in it; both are None for a plan of one stage. T is the F-order
-    (N, N) buffer of the triangle in the plan's column order, and vout
-    collects the cone rows of an application of Q in several stages. Four
-    flat work arrays,
-    sized for the largest chunk, hold one chunk's smat stack, its congruence
-    and its svec; chunks are expanded one after another, so they share them.
+    each column in it; both are None for a plan of one stage. T is the
+    F-order (N, N) buffer of the triangle in the plan's column order, and
+    vout collects the cone rows of an application of Q in several stages.
+    Four flat work arrays, sized for the largest chunk, hold one chunk's smat
+    stack, its congruence and its svec; chunks are expanded one after
+    another, so they share them.
 
     A `_KKT` built on a workspace reads its factor from these buffers, and the
     next build overwrites them: at most one `_KKT` per workspace is live.
@@ -567,7 +567,9 @@ class _Workspace:
         self.idle = np.flatnonzero(np.bincount(cols, minlength=N) == 0)
         # the row ranges of the blocks in the stack, E's last
         ranges = [(sl.start, sl.stop) for sl in cone.slices] + [(M, M + self.idle.size)]
-        if N < 2 * _QR_BLOCK:          # the plan that two stages' columns exceed
+        # two stages need 2 * _QR_BLOCK columns: below that, the one stage
+        # that `_stage_plan` gives, without its cost (about 0.1 ms a solve)
+        if N < 2 * _QR_BLOCK:
             plan = [(np.arange(len(ranges)), np.arange(N))]
         else:
             touch = np.zeros((N, len(ranges)), bool)
@@ -684,10 +686,8 @@ class _KKT:
         # T is written in place; rows of a later stage keep their zeros left
         # of its diagonal block
         self.T = ws.T
-        # per stage, what the applications of Q read: its column, its factor
-        # (qr, t), its lead rows, its columns k, its own rows in its buffer and
-        # among the cone rows, and its columns in the plan's order
-        self.steps = []
+        # the factor (qr, t) of each stage
+        self.factors = []
         below = None
         for st in ws.stages:
             c0, c1, k = st.c0, st.c0 + st.k, st.k
@@ -696,7 +696,7 @@ class _KKT:
             if st.buf.shape[0] < k:
                 raise np.linalg.LinAlgError("a stage of the QR has fewer live rows than columns")
             qr, t = _qr_factor(st.buf[:, :k], min(_QR_BLOCK, k))
-            self.steps.append((st.col, qr, t, st.lead, k, st.mine, st.rows, slice(c0, c1)))
+            self.factors.append((qr, t))
             # a contiguous copy: the triangular solves are several times
             # slower on the strided view into the factor
             self.T[c0:c1, c0:c1] = qr[:k]
@@ -706,7 +706,7 @@ class _KKT:
                 below = rest[k:]
         if not np.all(np.diagonal(self.T)):
             raise np.linalg.LinAlgError("the cone rows leave a variable free")
-        self.perm, self.place, self.vout = ws.perm, ws.place, ws.vout
+        self.stages, self.perm, self.place, self.vout = ws.stages, ws.perm, ws.place, ws.vout
         self.G, self.W, self.N, self.M = G, W, N, M
 
     def _tri(self, b, trans):
@@ -719,36 +719,38 @@ class _KKT:
     def _qt(self, v):
         """The first N entries of Q^T P_r [v; 0], for v in the cone rows'
         order: T's rows, in the plan's column order."""
-        if len(self.steps) == 1:           # the stack in its own order: no gathers
-            c, qr, t = self.steps[0][:3]
+        if self.perm is None:              # one stage in the stack's order: no gathers
+            c, (qr, t) = self.stages[0].col, self.factors[0]
             c[:v.size, 0] = v
             c[v.size:, 0] = 0.0
             return _qr_apply(qr, t, "T", c)[:self.N, 0]
         top, below = [], ()
-        for c, qr, t, lead, k, mine, rows, _ in self.steps:
-            c[:lead, 0] = below
-            c[mine, 0] = v[rows]
-            c[mine.stop:, 0] = 0.0         # E's rows
+        for st, (qr, t) in zip(self.stages, self.factors):
+            c = st.col
+            c[:st.lead, 0] = below
+            c[st.mine, 0] = v[st.rows]
+            c[st.mine.stop:, 0] = 0.0      # E's rows
             c = _qr_apply(qr, t, "T", c)[:, 0]
-            top.append(c[:k])
-            below = c[k:]
+            top.append(c[:st.k])
+            below = c[st.k:]
         return np.concatenate(top)
 
     def _qn(self, w):
         """P_r^T Q [w; 0] in the cone rows' order, for w in the plan's column
         order; it holds until the next call."""
-        if len(self.steps) == 1:
-            c, qr, t = self.steps[0][:3]
+        if self.perm is None:
+            c, (qr, t) = self.stages[0].col, self.factors[0]
             c[:w.size, 0] = w
             c[w.size:, 0] = 0.0
             return _qr_apply(qr, t, "N", c)[:self.M, 0]
         out, above = self.vout, 0.0
-        for c, qr, t, lead, k, mine, rows, cols in reversed(self.steps):
-            c[:k, 0] = w[cols]
-            c[k:, 0] = above
+        for st, (qr, t) in zip(reversed(self.stages), reversed(self.factors)):
+            c = st.col
+            c[:st.k, 0] = w[st.c0:st.c0 + st.k]
+            c[st.k:, 0] = above
             c = _qr_apply(qr, t, "N", c)[:, 0]
-            out[rows] = c[mine]
-            above = c[:lead]
+            out[st.rows] = c[st.mine]
+            above = c[:st.lead]
         return out
 
     def _solve(self, rhs):

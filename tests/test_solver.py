@@ -345,8 +345,8 @@ class TestKktSolve:
         ws = _Workspace(cone, Gn)
         kkt = _KKT(Gn, W, ws)
         assert len(seen) == 5             # three factors, two trailing updates
-        for st, step in zip(ws.stages, kkt.steps):
-            assert np.shares_memory(step[1], st.buf)          # qr
+        for st, (qr, _) in zip(ws.stages, kkt.factors):
+            assert np.shares_memory(qr, st.buf)
         kkt.solve(rng.standard_normal(G.shape[1] + G.shape[0]))
         assert len(seen) > 5 and all(seen)
 
@@ -461,10 +461,10 @@ class TestWorkspace:
             reused = _KKT(G, W2, ws)
             fresh = _KKT(G, W2, _Workspace(cone, G))
             assert np.array_equal(reused.T, fresh.T)
-            assert len(reused.steps) == len(fresh.steps) == stages
-            for got, want in zip(reused.steps, fresh.steps):
-                assert np.array_equal(got[1], want[1])        # qr
-                assert np.array_equal(got[2], want[2])        # t
+            assert len(reused.factors) == len(fresh.factors) == stages
+            for (qr, t), (qr0, t0) in zip(reused.factors, fresh.factors):
+                assert np.array_equal(qr, qr0)
+                assert np.array_equal(t, t0)
             got, want = reused.solve(rhs), fresh.solve(rhs)
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]
@@ -579,15 +579,26 @@ class TestStagePlan:
             assert np.array_equal(st.rows, np.arange(M))
             assert (st.c0, st.k, st.lead, st.units) == (0, N, 0, w.idle.size)
             assert st.buf.shape == (M + w.idle.size, N)
+        # the workspace skips `_stage_plan` below 2 * _QR_BLOCK columns; the
+        # greedy gives the same one stage
+        keep = G.vals != 0.0
+        touch = np.zeros((N, len(cone.dims) + 1), bool)
+        touch[G.cols[keep], np.searchsorted([sl.stop for sl in cone.slices],
+                                            G.rows[keep], side="right")] = True
+        touch[ws.idle, -1] = True
+        ((blocks, cols),) = solver._stage_plan(touch, [sl.stop - sl.start for sl in cone.slices]
+                                               + [ws.idle.size])
+        assert np.array_equal(blocks, np.arange(len(cone.dims) + 1))
+        assert np.array_equal(cols, np.arange(N))
         rng = np.random.default_rng(12)
         W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
         again.build(W)
         qr, t, info = dgeqrt(min(solver._QR_BLOCK, N), again.stages[0].buf.copy(order="F"))
         assert info == 0
         kkt = _KKT(G, W, ws)
-        (step,) = kkt.steps
-        assert np.array_equal(step[1], qr)
-        assert np.array_equal(step[2], t)
+        ((got_qr, got_t),) = kkt.factors
+        assert np.array_equal(got_qr, qr)
+        assert np.array_equal(got_t, t)
         assert np.array_equal(kkt.T, qr[:N])
 
     def test_plan_is_deterministic(self, d4_16_conic):
