@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -290,19 +291,23 @@ def psi22_definite(psi22) -> bool:
 def _sqrt_psd(M, clip_warn: float = 1e-8, name="matrix") -> np.ndarray:
     vals, vecs = np.linalg.eigh(symmetrize(M))
     if vals[0] < -clip_warn:
-        import warnings
-
         warnings.warn(f"{name}: clipping eigenvalue {vals[0]:.3e} to 0 for the square root")
     vals = np.clip(vals, 0.0, None)
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def center_plant(batch: DataBatch) -> PlantPair:
-    """Center Zc^T of the matrix ellipsoid Sigma_D (requires Psi22 < 0)."""
+def _center(batch: DataBatch):
+    """Psi11, Psi12, Psi22 and Zc = -Psi22^{-1} Psi12^T, the center of
+    Sigma_D; raises RankDeficientData when Psi22 is not negative definite."""
     psi11, psi12, psi22 = _psi_split(batch)
     if not psi22_definite(psi22):
         raise RankDeficientData("Psi22 is not negative definite; data lacks row rank")
-    Zc = -np.linalg.solve(psi22, psi12.T)
+    return psi11, psi12, psi22, -np.linalg.solve(psi22, psi12.T)
+
+
+def center_plant(batch: DataBatch) -> PlantPair:
+    """Center Zc^T of the matrix ellipsoid Sigma_D (requires Psi22 < 0)."""
+    Zc = _center(batch)[3]
     n = batch.n
     return PlantPair(A=Zc[:n, :].T, B=Zc[n:, :].T)
 
@@ -322,11 +327,8 @@ def sample_consistent(batch: DataBatch, count: int, mode: str = "interior",
     """
     if mode not in ("interior", "boundary"):
         raise ValueError("mode must be 'interior' or 'boundary'")
-    psi11, psi12, psi22 = _psi_split(batch)
+    psi11, psi12, psi22, Zc = _center(batch)
     n, m = batch.n, batch.m
-    if not psi22_definite(psi22):
-        raise RankDeficientData("Psi22 is not negative definite; data lacks row rank")
-    Zc = -np.linalg.solve(psi22, psi12.T)
     delta = symmetrize(psi11 + psi12 @ Zc)
     if min_eig(delta) < -1e-9:
         raise EmptyInterior("Schur slack of Psi is not PSD; Sigma_D has empty interior")

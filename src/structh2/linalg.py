@@ -154,25 +154,28 @@ def h2_norm(Acl, E, Ccl):
     return float(h2[0])
 
 
+def csv_row(path, ln, line, width=None) -> list:
+    """The fields of line ln of the CSV file path as floats. Raises a
+    ValueError that names the path and the line when the row does not have
+    width fields (width None takes any) or a field is not a number."""
+    parts = [p.strip() for p in line.split(",")]
+    if width is not None and len(parts) != width:
+        raise ValueError(f"{path}: ragged row at line {ln} "
+                         f"({len(parts)} fields, expected {width})")
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad number at line {ln}: {exc}") from exc
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless CSV matrix; rejects ragged rows."""
     rows = []
-    width = None
     with open(path, "r", encoding="ascii") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ValueError(f"{path}: ragged row at line {ln} "
-                                 f"({len(parts)} fields, expected {width})")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad number at line {ln}: {exc}") from exc
+            if line:
+                rows.append(csv_row(path, ln, line, len(rows[0]) if rows else None))
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     return np.asarray(rows, dtype=float)

@@ -25,7 +25,7 @@ the stopping and ray checks, the embedding's residuals and the KKT
 refinement, runs over the table with `np.bincount`: each entry sums its
 row's (or column's) products in index order, without BLAS and without
 reading G's zeros. Equilibration rescales the table's values entry by
-entry, as a dense pass would, and the KKT workspace is built from them, so
+entry, as a dense pass would, and the KKT (`_KKT`) is built from them, so
 no dense G exists anywhere in a solve.
 
 Every step renormalizes the iterate to tau = 1, which the embedding's positive
@@ -58,9 +58,13 @@ its own rows and those that the stage before left below its triangle, as
 row-merge and multifrontal sparse QR do (George & Heath 1980; Davis,
 SuiteSparseQR 2011). This is Householder QR of the same matrix with its
 rows and columns permuted, so it is as backward stable, and on the 12- to
-20-state D4 designs it takes 0.44-0.73 of the flops of one dense QR. A plan
-of one stage, as every example1 LMI has, keeps the stack's order and makes
-the one `dgeqrt` call on the whole stack.
+20-state D4 designs it takes 0.44-0.73 of the flops of one dense QR. Q and
+Q^T are applied to one column laid out as the staircase, each stage in
+place on its own run of it, so the rows that a stage leaves below its
+triangle already sit where the next stage reads them. Every plan goes
+through that one path; a plan of one stage, as every example1 LMI has,
+keeps the stack's order, and its path makes the one `dgeqrt` call on the
+whole stack and the `dgemqrt` calls that apply it.
 
 The cone layer works per block dimension, not per block, as SDPT3 (Toh, Todd
 & Tutuncu 1999) stores blocks of one kind together. The blocks of one
@@ -93,15 +97,15 @@ of `max_step`, which takes both boundary directions in one eigvalsh per
 group.
 
 The LMIs' size does not depend on the record length, so on the larger designs
-the per-iteration KKT build is the work. Its buffers are allocated once per
-solve, in a `_Workspace`: the stage buffers of [W^{-T} G; E] that the QR
-factors in place, its triangle, each stage's column that Q is applied to,
-and work arrays for one cache-sized chunk of G's columns. G's columns are
-kept per block as their nonzeros alone, as Fujisawa, Kojima & Nakata (1997)
-form the scaled system from sparse constraint data; each build scatters a
-chunk's nonzeros into its smat stack, applies the congruence by R^{-1} to
-the stack through BLAS and writes its svec into its stage buffer, with
-`out=` arguments throughout. So an iteration allocates nothing proportional
+the per-iteration KKT build is the work. One `_KKT` is built per solve and
+factored at each iterate, and it holds every buffer: the stage buffers of
+[W^{-T} G; E] that the QR factors in place, its triangle, the column that Q
+is applied to, and work arrays for one cache-sized chunk of G's columns.
+G's columns are kept per block as their nonzeros alone, as Fujisawa, Kojima
+& Nakata (1997) form the scaled system from sparse constraint data; each
+build scatters a chunk's nonzeros into its smat stack, applies the
+congruence by R^{-1} to the stack through BLAS and writes its svec into its
+stage buffer, with `out=` arguments throughout. So an iteration allocates nothing proportional
 to G, and each column's arithmetic is that of the congruence of its dense
 smat.
 """
@@ -443,7 +447,7 @@ def _qr_factor(a, nb):
     reflectors of nb <= N columns: returns (qr, t), qr holding R on and above
     its diagonal and the Householder vectors below it, t the (nb, N) triangular
     factors of its block reflectors (compact WY). The solver's only QR
-    factorization; a is a stage's leading columns (`_Workspace`)."""
+    factorization; a is a stage's leading columns (`_KKT.factor`)."""
     qr, t, info = dgeqrt(nb, a, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"QR factorization failed: dgeqrt info {info}")
@@ -453,7 +457,8 @@ def _qr_factor(a, nb):
 def _qr_apply(qr, t, trans, c):
     """Q c (trans "N") or Q^T c ("T") for the factor (qr, t) of `_qr_factor`,
     written over the F-order c, which has qr's rows: a stage's trailing
-    columns or its column (`_Stage.col`). The solver's only application of Q."""
+    columns or its run of the column `_KKT.col`. The solver's only
+    application of Q."""
     c, info = dgemqrt(qr, t, c, trans=trans, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"applying Q failed: dgemqrt info {info}")
@@ -508,52 +513,86 @@ def _stage_plan(touch, sizes):
     return [(np.sort(blocks), cols) for blocks, cols in stages]
 
 
+def _run(idx):
+    """The index array idx as the slice it equals when its entries are
+    consecutive and ascending, so that indexing by it makes a view, not a
+    gather; otherwise idx itself. Compared as lists, which is cheaper than
+    numpy's reductions on arrays of a few dozen entries, as the example1
+    LMIs give."""
+    a = idx.tolist()
+    if a and a == list(range(a[0], a[-1] + 1)):
+        return slice(a[0], a[-1] + 1)
+    return idx
+
+
 class _Stage:
     """One stage of the staircase QR: the columns c0 ... c0 + k - 1 of the
     plan's column order, factored in an F-order buffer over the columns
     c0 ... N - 1. Its first lead rows are those that the stage before left
     below its triangle. Its own rows follow: the cone rows `rows` (indices
     into them), then `units` unit rows of E, which the stage of E's
-    pseudo-block holds, all of them in the order of the idle columns. col is
-    the stage's F-order column for the applications of Q."""
+    pseudo-block holds, in the order of the idle columns."""
 
     def __init__(self, c0, k, lead, rows, units, N):
         self.c0, self.k, self.lead, self.rows, self.units = c0, k, lead, rows, units
-        self.mine = slice(lead, lead + rows.size)   # the buffer rows of `rows`
         self.buf = np.zeros((lead + rows.size + units, N - c0), order="F")
-        self.col = np.empty((lead + rows.size + units, 1), order="F")
 
 
-class _Workspace:
-    """The buffers of one solve's KKT builds, sized once from G's nonzeros.
+class _KKT:
+    """The KKT systems of one solve, through a QR factorization of
+    Gt = W^{-T} G at each iterate.
 
-    Built from the equilibrated `Nonzeros` table, never from a dense G. G's
-    columns that touch a PSD block are kept as chunks of at most
-    `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as the
+    With v = W dz the system reads
+
+        Gt^T v = r1,   Gt dx - v = W^{-T} r3,
+
+    a least-squares problem in dx. A column that no row touches (a variable
+    the model leaves unused) gets a unit row, so that its equation reads
+    dx_j = r1_j, which is 0 whenever c_j = 0.
+
+    Built once per solve, from the equilibrated `Nonzeros` table, never from
+    a dense G. G's columns that touch a PSD block are kept as chunks of at
+    most `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as the
     nonzeros of its columns: each value, divided as `lmi.smat` divides it,
     with the flat positions of its entry and the entry's mirror in the
-    chunk's (kc, d, d) smat stack. The columns that no row touches get the
-    unit rows E.
+    chunk's (kc, d, d) smat stack. The stack [Gt; E] is factored as a
+    staircase (`_stage_plan`): each PSD block, and E as one more, belongs to
+    the stage that first holds all of some columns' blocks, and each stage
+    is an F-order buffer (`_Stage`) over the columns of its own and later
+    stages, with room above its own rows for the rows that the stage before
+    leaves below its triangle. `perm` lists G's columns in the plan's order
+    and `place` the position of each column in it. T is the F-order (N, N)
+    buffer of the triangle in the plan's column order. Four flat work
+    arrays, sized for the largest chunk, hold one chunk's smat stack, its
+    congruence and its svec; chunks are expanded one after another, so they
+    share them.
 
-    The stack [W^{-T} G; E] is factored as a staircase (`_stage_plan`):
-    each PSD block, and E as one more, belongs to the stage that first
-    holds all of some columns' blocks, and each stage is an F-order buffer
-    (`_Stage`) over the columns of its own and later stages, with room above
-    its own rows for the rows that the stage before leaves below its
-    triangle. A build writes each chunk's columns straight into its block's
-    stage buffer, at the plan's row and column positions, so the buffers
-    hold only the rows that are live at each stage. A plan of one stage
-    keeps the stack's row and column order: its buffer is the whole stack.
-    `perm` lists G's columns in the plan's order and `place` the position of
-    each column in it; both are None for a plan of one stage. T is the
-    F-order (N, N) buffer of the triangle in the plan's column order, and
-    vout collects the cone rows of an application of Q in several stages.
-    Four flat work arrays, sized for the largest chunk, hold one chunk's smat
-    stack, its congruence and its svec; chunks are expanded one after
-    another, so they share them.
+    `factor(W)` writes each chunk's columns straight into its block's stage
+    buffer, at the plan's row and column positions, and factors the stages
+    in turn: each stage's columns by `dgeqrt`, Q_s kept as its Householder
+    vectors and the (nb, k) triangular factors t of its block reflectors,
+    nb = min(_QR_BLOCK, k); Q_s^T is applied to the stage's trailing columns
+    by `dgemqrt`; the rows below its triangle pass on to the next stage; and
+    its top rows are its rows of T. So P_r [Gt; E] P_c = Q T with
+    Q = Q_1 ... Q_K, each Q_s acting on its stage's live rows. Householder
+    QR of the permuted stack is backward stable as that of the stack is:
+    unlike the Schur complement Gt^T Gt, the factor's error grows with
+    cond(Gt), not with its square. A stage with fewer live rows than columns
+    leaves its columns rank deficient and raises LinAlgError. Each factor
+    overwrites the last, so an iteration allocates nothing proportional to
+    G.
 
-    A `_KKT` built on a workspace reads its factor from these buffers, and the
-    next build overwrites them: at most one `_KKT` per workspace is live.
+    Q and Q^T are applied to col, one F-order column of the stack's rows
+    laid out as the staircase: the L live rows of the stage at column c0
+    are col[c0 : c0 + L], so the rows that a stage leaves below its
+    triangle already sit where the next stage's lead rows are, and `slot`
+    is the position of each cone row in col. perm, place and slot
+    are held as slices when they are runs of consecutive indices, so that
+    indexing by them makes views. A plan of one stage keeps the stack's own
+    order, so all three are runs, and its Q is the one `dgeqrt` factor of
+    the whole stack. Solutions are refined against the residual of the full
+    system, which needs only the per-block W^T W and products with G, run
+    over G's nonzeros in row order (`Nonzeros`) without BLAS.
     """
 
     def __init__(self, cone: _Cone, G: Nonzeros):
@@ -577,15 +616,12 @@ class _Workspace:
                 touch[cols[e0:e1], b] = True
             touch[self.idle, -1] = True
             plan = _stage_plan(touch, [r1 - r0 for r0, r1 in ranges])
-        # G's columns in the plan's order and the position of each in it,
-        # None for a plan of one stage, whose order is the stack's
-        self.perm = self.place = None
-        if len(plan) > 1:
-            self.perm = np.concatenate([c for _, c in plan])
-            self.place = np.empty(N, np.intp)
-            self.place[self.perm] = np.arange(N)
+        perm = np.concatenate([c for _, c in plan])
+        place = np.empty(N, np.intp)
+        place[perm] = np.arange(N)
         self.stages = []
         at = {}                                     # block -> (stage, first buffer row)
+        slot = np.empty(M, np.intp)
         c0 = lead = 0
         for s, (blocks, cc) in enumerate(plan):
             own = lead
@@ -596,6 +632,8 @@ class _Workspace:
             cone_rows = np.concatenate([np.empty(0, np.intp)] + [
                 np.arange(*ranges[b]) for b in blocks.tolist() if b < len(cone.dims)])
             units = self.idle.size if blocks[-1] == len(cone.dims) else 0
+            # the stage's own rows follow its lead rows in col
+            slot[cone_rows] = c0 + lead + np.arange(cone_rows.size)
             self.stages.append(_Stage(c0, cc.size, lead, cone_rows, units, N))
             c0 += cc.size
             lead = max(own - cc.size, 0)
@@ -608,8 +646,7 @@ class _Workspace:
             up, lo, _, scale, _ = svec_tables(d)
             p, c, v = rows[e0:e1] - ranges[b][0], cols[e0:e1], vals[e0:e1]
             s, r0 = at[b]
-            # the entry's column in the stage buffer
-            pos = c if self.place is None else self.place[c] - self.stages[s].c0
+            pos = place[c] - self.stages[s].c0      # the entry's column in the stage buffer
             touched = np.unique(pos)
             which = np.searchsorted(touched, pos)   # the entry's column among touched
             kc = max(1, min(touched.size, _CHUNK_ENTRIES // (d * d)))
@@ -621,12 +658,13 @@ class _Workspace:
                                     np.stack([base + up[p[e]], base + lo[p[e]]]),
                                     v[e] / scale[p[e]]))
         s, r0 = at[len(cone.dims)]
-        self.unit = (s, r0 + np.arange(self.idle.size), self.idle if self.place is None
-                     else self.place[self.idle] - self.stages[s].c0)
+        self.unit = (s, r0 + np.arange(self.idle.size), place[self.idle] - self.stages[s].c0)
+        self.perm, self.place, self.slot = _run(perm), _run(place), _run(slot)
         self.T = np.zeros((N, N), order="F")
-        self.vout = np.empty(M)
+        self.col = np.empty((M + self.idle.size, 1), order="F")
         self._m1, self._m2 = np.empty(mat_size), np.empty(mat_size)
         self._a, self._b = np.empty(vec_size), np.empty(vec_size)
+        self.G, self.N = G, N
 
     def build(self, W: _Scaling):
         """Write [W^{-T} G; E] into the stages' own rows."""
@@ -646,68 +684,33 @@ class _Workspace:
         s, r, c = self.unit
         self.stages[s].buf[r, c] = 1.0
 
-
-class _KKT:
-    """The KKT system through a QR factorization of Gt = W^{-T} G.
-
-    With v = W dz the system reads
-
-        Gt^T v = r1,   Gt dx - v = W^{-T} r3,
-
-    a least-squares problem in dx. Gt is formed a chunk of columns at a
-    time from the nonzeros of the columns that touch each block. A column
-    that no row touches (a variable the model leaves unused) gets a unit
-    row, so that its equation reads dx_j = r1_j, which is 0 whenever
-    c_j = 0. The stack [Gt; E] is factored once per iterate, with its rows
-    and columns permuted into the workspace's stages: stage by stage, its
-    columns are factored by `dgeqrt`, Q_s kept as its Householder vectors and
-    the (nb, k) triangular factors t of its block reflectors,
-    nb = min(_QR_BLOCK, k); Q_s^T is applied to the stage's trailing columns
-    by `dgemqrt`; the rows below its triangle pass on to the next stage; and
-    its top rows are its rows of T. So P_r [Gt; E] P_c = Q T with
-    Q = Q_1 ... Q_K, each Q_s acting on its stage's live rows, and every
-    application of Q reuses the stages' factors. Householder QR of the
-    permuted stack is backward stable as that of the stack is: unlike the
-    Schur complement Gt^T Gt, the factor's error grows with cond(Gt), not with
-    its square. A stage with fewer live rows than columns leaves its columns
-    rank deficient and raises LinAlgError. Solutions are refined against the
-    residual of the full system, which needs only the per-block W^T W and
-    products with G, run over G's nonzeros in row order (`Nonzeros`) without
-    BLAS.
-
-    The stages, their factors and T live in the solve's `_Workspace`, built
-    once per solve: building a `_KKT` overwrites the previous one's factor,
-    so one `_KKT` per workspace is live at a time.
-    """
-
-    def __init__(self, G: Nonzeros, W: _Scaling, ws: _Workspace):
-        N, M = G.shape[1], W.cone.total
-        ws.build(W)
-        # T is written in place; rows of a later stage keep their zeros left
-        # of its diagonal block
-        self.T = ws.T
-        # the factor (qr, t) of each stage
+    def factor(self, W: _Scaling):
+        """Build [W^{-T} G; E] and factor it stage by stage, in place of the
+        last iterate's factor."""
+        self.build(W)
+        self.W = W
+        # the factor (qr, t) of each stage, with the view of col that holds
+        # the stage's live rows
         self.factors = []
         below = None
-        for st in ws.stages:
+        for st in self.stages:
             c0, c1, k = st.c0, st.c0 + st.k, st.k
             if below is not None:
                 st.buf[:st.lead] = below
             if st.buf.shape[0] < k:
                 raise np.linalg.LinAlgError("a stage of the QR has fewer live rows than columns")
             qr, t = _qr_factor(st.buf[:, :k], min(_QR_BLOCK, k))
-            self.factors.append((qr, t))
-            # a contiguous copy: the triangular solves are several times
-            # slower on the strided view into the factor
+            self.factors.append((qr, t, self.col[c0:c0 + st.buf.shape[0]]))
+            # T is a contiguous copy: the triangular solves are several times
+            # slower on the strided view into the factor. Rows of a later
+            # stage keep their zeros left of its diagonal block
             self.T[c0:c1, c0:c1] = qr[:k]
-            if c1 < N:
+            if c1 < self.N:
                 rest = _qr_apply(qr, t, "T", st.buf[:, k:])
                 self.T[c0:c1, c1:] = rest[:k]
                 below = rest[k:]
         if not np.all(np.diagonal(self.T)):
             raise np.linalg.LinAlgError("the cone rows leave a variable free")
-        self.stages, self.perm, self.place, self.vout = ws.stages, ws.perm, ws.place, ws.vout
-        self.G, self.W, self.N, self.M = G, W, N, M
 
     def _tri(self, b, trans):
         """T^{-1} b (trans 0) or T^{-T} b (trans 1), straight through LAPACK."""
@@ -718,52 +721,34 @@ class _KKT:
 
     def _qt(self, v):
         """The first N entries of Q^T P_r [v; 0], for v in the cone rows'
-        order: T's rows, in the plan's column order."""
-        if self.perm is None:              # one stage in the stack's order: no gathers
-            c, (qr, t) = self.stages[0].col, self.factors[0]
-            c[:v.size, 0] = v
-            c[v.size:, 0] = 0.0
-            return _qr_apply(qr, t, "T", c)[:self.N, 0]
-        top, below = [], ()
-        for st, (qr, t) in zip(self.stages, self.factors):
-            c = st.col
-            c[:st.lead, 0] = below
-            c[st.mine, 0] = v[st.rows]
-            c[st.mine.stop:, 0] = 0.0      # E's rows
-            c = _qr_apply(qr, t, "T", c)[:, 0]
-            top.append(c[:st.k])
-            below = c[st.k:]
-        return np.concatenate(top)
+        order: T's rows, in the plan's column order. A view into `col`,
+        which the next application of Q overwrites."""
+        c = self.col
+        c.fill(0.0)                        # E's rows stay zero
+        c[self.slot, 0] = v
+        for qr, t, run in self.factors:
+            _qr_apply(qr, t, "T", run)
+        return c[:self.N, 0]
 
     def _qn(self, w):
         """P_r^T Q [w; 0] in the cone rows' order, for w in the plan's column
-        order; it holds until the next call."""
-        if self.perm is None:
-            c, (qr, t) = self.stages[0].col, self.factors[0]
-            c[:w.size, 0] = w
-            c[w.size:, 0] = 0.0
-            return _qr_apply(qr, t, "N", c)[:self.M, 0]
-        out, above = self.vout, 0.0
-        for st, (qr, t) in zip(reversed(self.stages), reversed(self.factors)):
-            c = st.col
-            c[:st.k, 0] = w[st.c0:st.c0 + st.k]
-            c[st.k:, 0] = above
-            c = _qr_apply(qr, t, "N", c)[:, 0]
-            out[st.rows] = c[st.mine]
-            above = c[:st.lead]
-        return out
+        order; it holds until the next application of Q."""
+        c = self.col
+        c[:self.N, 0] = w
+        c[self.N:] = 0.0
+        for qr, t, run in reversed(self.factors):
+            _qr_apply(qr, t, "N", run)
+        return c[self.slot, 0]
 
     def _solve(self, rhs):
-        N = self.N
-        r1, r3 = rhs[:N], rhs[N:]
-        r3t = self.W.winvt_apply(r3)
-        # w = T P_c^T dx solves T^T w = P_c^T r1 + (Q^T P_r [r3t; 0])[:N]
-        w = self._tri(r1 if self.perm is None else r1[self.perm], 1) + self._qt(r3t)
+        r3t = self.W.winvt_apply(rhs[self.N:])
+        # w = T P_c^T dx solves T^T w = P_c^T r1 + (Q^T P_r [r3t; 0])[:N],
+        # where P_c^T r1 = rhs[perm]: perm indexes r1 = rhs[:N]
+        w = self._tri(rhs[self.perm], 1) + self._qt(r3t)
         # Gt dx = (P_r^T Q [w; 0])[:M]
         v = self._qn(w) - r3t
         dx = self._tri(w, 0)
-        return np.concatenate([dx if self.place is None else dx[self.place],
-                               self.W.winv_apply(v)])
+        return np.concatenate([dx[self.place], self.W.winv_apply(v)])
 
     def residual(self, rhs, sol):
         dx, dz = sol[:self.N], sol[self.N:]
@@ -810,7 +795,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
     kappa = 1.0
     nu = cone.degree + 1
 
-    ws = _Workspace(cone, G)
+    kkt = _KKT(cone, G)
     best = None      # (score, X, pobj, metrics, iteration)
     stall = 0
     for it in range(opts.max_iter + 1):
@@ -910,7 +895,7 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
 
         try:
             W = _Scaling(cone, s, z)
-            kkt = _KKT(G, W, ws)
+            kkt.factor(W)
             dx1, dz1 = solve2(c, h)
             g1 = hdot(c, dx1) + hdot(h, dz1)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySubspace
-from .linalg import as_matrix
+from .linalg import as_matrix, csv_row, read_matrix_csv
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,15 @@ def contains(spec: SubspaceSpec, K, tol: float = 1e-7) -> bool:
     return bool(resid <= tol * (1.0 + np.linalg.norm(K)))
 
 
+def _null_space(M, spec: SubspaceSpec) -> np.ndarray:
+    """The rows of V^T, from the SVD of M, that span M's null space. The
+    rank tolerance scales with spec's basis matrices, not with M's largest
+    singular value, so a map that is pure roundoff has no rank."""
+    _, sv, Vt = np.linalg.svd(M)
+    tol = max(M.shape) * np.finfo(float).eps * max(np.linalg.norm(S, 2) for S in spec.basis)
+    return Vt[int(np.count_nonzero(sv > tol)):]
+
+
 def upsilon_constraints(spec: SubspaceSpec) -> SubspaceSpec:
     """Upsilon(S) = {R : S_l R in S for every l} as a subspace of n-by-n matrices.
 
@@ -116,9 +125,7 @@ def upsilon_constraints(spec: SubspaceSpec) -> SubspaceSpec:
     U, _ = np.linalg.qr(spec.vec_basis)
     M = np.vstack([K - U @ (U.T @ K)
                    for K in (np.kron(S, np.eye(n)) for S in spec.basis)])
-    _, sv, Vt = np.linalg.svd(M)
-    tol = max(M.shape) * np.finfo(float).eps * max(np.linalg.norm(S, 2) for S in spec.basis)
-    return from_basis(Vt[int(np.count_nonzero(sv > tol)):].reshape(-1, n, n))
+    return from_basis(_null_space(M, spec).reshape(-1, n, n))
 
 
 def sharing_subspace(spec: SubspaceSpec) -> SubspaceSpec:
@@ -127,10 +134,7 @@ def sharing_subspace(spec: SubspaceSpec) -> SubspaceSpec:
     The result has dimension k - rank of that map. When it is {0} the
     returned spec has an empty basis (k = 0), which `from_basis` rejects.
     """
-    M = np.column_stack([S.sum(axis=0) for S in spec.basis])
-    _, sv, Vt = np.linalg.svd(M)
-    tol = max(M.shape) * np.finfo(float).eps * max(np.linalg.norm(S, 2) for S in spec.basis)
-    null = Vt[int(np.count_nonzero(sv > tol)):]
+    null = _null_space(np.column_stack([S.sum(axis=0) for S in spec.basis]), spec)
     if not null.size:
         return SubspaceSpec(m=spec.m, n=spec.n, basis=())
     return from_basis((null @ spec.vec_basis.T).reshape(-1, spec.m, spec.n))
@@ -172,8 +176,6 @@ def upsilon_free_mask(spec: SubspaceSpec) -> np.ndarray:
 
 def read_pattern_csv(path) -> np.ndarray:
     """Read a 0/1 pattern from CSV."""
-    from .linalg import read_matrix_csv
-
     M = read_matrix_csv(path)
     if not np.all((M == 0) | (M == 1)):
         raise ValueError(f"{path}: pattern entries must be 0 or 1")
@@ -185,19 +187,15 @@ def read_basis_csv(path) -> list:
     blocks, current = [], []
     width = None
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 if current:
                     blocks.append(np.asarray(current, dtype=float))
                     current = []
                 continue
-            parts = [float(p) for p in line.split(",")]
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ValueError(f"{path}: ragged row in basis file")
-            current.append(parts)
+            current.append(csv_row(path, ln, line, width))
+            width = len(current[-1])
     if current:
         blocks.append(np.asarray(current, dtype=float))
     if not blocks:

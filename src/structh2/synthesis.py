@@ -155,10 +155,9 @@ def _gamma_objective(prob: LmiProblem, opts: DesignOptions):
 
 
 def _finish(opts: DesignOptions, report: SolveReport, conic, values: dict,
-            data_vals=None) -> SynthesisResult:
+            alpha: float | None = None, beta: float | None = None) -> SynthesisResult:
     if report.status != "Optimal":
-        return SynthesisResult(status=report.status, report=report, conic=conic,
-                               **(data_vals or {}))
+        return SynthesisResult(status=report.status, report=report, conic=conic)
     P = symmetrize(values["P"])
     R = values["R"]
     Q = symmetrize(values["Q"])
@@ -173,12 +172,8 @@ def _finish(opts: DesignOptions, report: SolveReport, conic, values: dict,
         raise StructureViolation("decoded gain violates the sharing constraint")
     gamma = float(np.sqrt(max(values["gsq"][0, 0] if "gsq" in values
                               else float(opts.gamma) ** 2, 0.0)))
-    out = SynthesisResult(status="Optimal", gamma=gamma, K=K, P=P, Q=Q, R=R, L=L,
-                          report=report, conic=conic)
-    if data_vals:
-        out.alpha = data_vals.get("alpha")
-        out.beta = data_vals.get("beta")
-    return out
+    return SynthesisResult(status="Optimal", gamma=gamma, K=K, P=P, Q=Q, R=R, L=L,
+                           alpha=alpha, beta=beta, report=report, conic=conic)
 
 
 def _decode_values(conic, report: SolveReport, gain_exprs) -> dict:
@@ -310,10 +305,10 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
     conic = prob.compile()
     report = solve(conic, opts.solver)
     if report.status != "Optimal":
-        return SynthesisResult(status=report.status, report=report, conic=conic)
+        return _finish(opts, report, conic, {})
     values = _decode_values(conic, report, (Pe, Re, Le))
-    data_vals = {"alpha": float(values["alpha"][0, 0]), "beta": float(values["beta"][0, 0])}
-    return _finish(opts, report, conic, values, data_vals=data_vals)
+    return _finish(opts, report, conic, values, alpha=float(values["alpha"][0, 0]),
+                   beta=float(values["beta"][0, 0]))
 
 
 def slemma_holds(P, R, L, alpha: float, beta: float, Psi, E, tol: float = 1e-7) -> bool:

@@ -291,6 +291,17 @@ class TestConfigErrors:
         assert err.startswith("config error: basis:")
         assert "linearly dependent" in err
 
+    @pytest.mark.parametrize("row, what", [("1,x", "bad number"), ("1,0,0", "ragged row")])
+    def test_malformed_basis_names_path_and_line(self, tmp_path, capsys, row, what):
+        # a basis file reports a bad row as a matrix file does: its path and
+        # line, here the first row of the second block
+        path = tmp_path / "basis.csv"
+        path.write_text(f"1,0\n0,1\n\n{row}\n0,0\n")
+        code, err = self._design_exit(tmp_path, capsys, plant=self._plant_files(tmp_path),
+                                      basis=str(path))
+        assert code == 2
+        assert err.startswith(f"config error: basis: {path}: {what} at line 4"), err
+
     def test_plant_without_b(self, tmp_path, capsys):
         plant = self._plant_files(tmp_path)
         del plant["b"]

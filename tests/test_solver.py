@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgeqrt
+from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair,
                       SolverOptions, default_perf, design_data, design_model,
@@ -14,7 +14,7 @@ from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair
 import structh2
 from structh2 import solver, synthesis
 from structh2.lmi import ConicForm, Nonzeros, smat, svec, svec_len
-from structh2.solver import _KKT, _Cone, _Scaling, _svec_into, _Workspace
+from structh2.solver import _KKT, _Cone, _Scaling, _svec_into
 from structh2.subspace import from_pattern
 
 def scalar_bound_problem():
@@ -250,6 +250,28 @@ def dense_kkt(G, W):
                      [G, -WtW]])
 
 
+def factored(cone, G, W):
+    """The KKT of G (a `Nonzeros` table), factored at the scaling point W."""
+    kkt = _KKT(cone, G)
+    kkt.factor(W)
+    return kkt
+
+
+def example1_g(mode, design):
+    """The equilibrated G of an example1 LMI (data mode: the eps = 0.05,
+    T = 20 record of seed 100) and its cone."""
+    plant, perf = example1_plant(), example1_perf()
+    opts = DesignOptions(design=design, subspace=None if design == "D1" else example1_subspace(),
+                         solver=SolverOptions(max_iter=0))
+    if mode == "model":
+        conic = design_model(plant, perf, opts).conic
+    else:
+        batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
+        conic = design_data(batch, perf, opts).conic
+    cone = _Cone(conic.dims)
+    return solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0], cone
+
+
 def staged_system(seed=9, rows=(10, 10, 9)):
     """A block-sparse G whose stage plan has three stages: nb = _QR_BLOCK
     columns touch block 1 alone, nb blocks 1 and 2, nb + 4 every block, and
@@ -285,21 +307,22 @@ class TestKktSolve:
     def test_kkt_matches_dense_solve(self, N):
         G, W, cone, K2, rhs = self.random_system(N=N)
         Gn = Nonzeros.of(G)
-        sol, err = _KKT(Gn, W, _Workspace(cone, Gn)).solve(rhs)
+        sol, err = factored(cone, Gn, W).solve(rhs)
         assert err <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
 
     def test_staged_kkt_matches_dense_solve(self):
         G, W, cone, rng = staged_system()
         Gn = Nonzeros.of(G)
-        ws = _Workspace(cone, Gn)
+        kkt = _KKT(cone, Gn)
         nb = solver._QR_BLOCK
-        assert [(st.k, st.lead, st.buf.shape) for st in ws.stages] == [
+        assert [(st.k, st.lead, st.buf.shape) for st in kkt.stages] == [
             (nb, 0, (55, 3 * nb + 5)), (nb, 7, (52, 2 * nb + 5)), (nb + 5, 4, (60, nb + 5))]
-        assert not np.array_equal(ws.perm, np.arange(G.shape[1]))
+        assert not np.array_equal(kkt.perm, np.arange(G.shape[1]))
         rhs = rng.standard_normal(G.shape[1] + G.shape[0])
-        rhs[ws.idle] = 0.0               # c_j = 0 for a variable the model leaves unused
-        sol, err = _KKT(Gn, W, ws).solve(rhs)
+        rhs[kkt.idle] = 0.0              # c_j = 0 for a variable the model leaves unused
+        kkt.factor(W)
+        sol, err = kkt.solve(rhs)
         assert err <= 1e-10
         assert np.allclose(sol, np.linalg.solve(dense_kkt(G, W), rhs), rtol=1e-8, atol=1e-10)
 
@@ -308,10 +331,10 @@ class TestKktSolve:
         # dependent columns, and the stage cannot factor them
         G, W, cone, rng = staged_system(rows=(10, 7, 9))
         Gn = Nonzeros.of(G)
-        ws = _Workspace(cone, Gn)
-        assert ws.stages[0].buf.shape[0] < ws.stages[0].k
+        kkt = _KKT(cone, Gn)
+        assert kkt.stages[0].buf.shape[0] < kkt.stages[0].k
         with pytest.raises(np.linalg.LinAlgError, match="fewer live rows"):
-            _KKT(Gn, W, ws)
+            kkt.factor(W)
         # the solve's one handler ends it NumericalTrouble at iteration 0
         conic = ConicForm(c=rng.standard_normal(G.shape[1]), obj_const=0.0, nonzeros=Gn,
                           h=cone.identity(), dims=cone.dims, block_names=("a", "b", "c"),
@@ -322,9 +345,11 @@ class TestKktSolve:
 
     def test_stages_factor_in_place(self, monkeypatch):
         # every factor and application of Q is on a column slice of an
-        # F-order stage buffer, or on a stage's column, and writes into it: a
-        # wrapper that copied the slice would allocate a stage-sized copy on
-        # every call, which the workspace exists to avoid
+        # F-order stage buffer, or on a stage's rows of the KKT's column, and
+        # writes into it: a wrapper that copied the slice would allocate a
+        # stage-sized copy on every call, which the KKT's buffers exist to
+        # avoid, and an application that did not write into the column would
+        # lose its result
         seen = []
         qr_factor, qr_apply = solver._qr_factor, solver._qr_apply
 
@@ -342,11 +367,11 @@ class TestKktSolve:
         monkeypatch.setattr(solver, "_qr_apply", apply)
         G, W, cone, rng = staged_system()
         Gn = Nonzeros.of(G)
-        ws = _Workspace(cone, Gn)
-        kkt = _KKT(Gn, W, ws)
+        kkt = factored(cone, Gn, W)
         assert len(seen) == 5             # three factors, two trailing updates
-        for st, (qr, _) in zip(ws.stages, kkt.factors):
+        for st, (qr, _, run) in zip(kkt.stages, kkt.factors):
             assert np.shares_memory(qr, st.buf)
+            assert np.shares_memory(run, kkt.col)
         kkt.solve(rng.standard_normal(G.shape[1] + G.shape[0]))
         assert len(seen) > 5 and all(seen)
 
@@ -356,7 +381,7 @@ class TestKktSolve:
         rhs[0] = np.nan
         Gn = Nonzeros.of(G)
         with pytest.raises(np.linalg.LinAlgError):
-            _KKT(Gn, W, _Workspace(cone, Gn)).solve(rhs)
+            factored(cone, Gn, W).solve(rhs)
 
     @pytest.mark.parametrize("design", ["D1", "D2"])
     def test_data_endgame_stays_optimal(self, design):
@@ -402,27 +427,27 @@ class TestKktSolve:
         assert 465 + 300 + 79 == conic.nonzeros.shape[0]
 
 
-def stage_bytes(ws):
-    """Bytes of a workspace's stage buffers."""
-    return sum(st.buf.nbytes for st in ws.stages)
+def stage_bytes(kkt):
+    """Bytes of a KKT's stage buffers."""
+    return sum(st.buf.nbytes for st in kkt.stages)
 
 
-def assembled(ws, shape):
+def assembled(kkt, shape):
     """[W^{-T} G; E] in G's row and column order, read back from the stage
     buffers after a build: each stage's own rows, over its columns and the
     later stages'."""
     M, N = shape
-    out = np.zeros((M + ws.idle.size, N))
-    perm = np.arange(N) if ws.perm is None else ws.perm
-    for st in ws.stages:
+    out = np.zeros((M + kkt.idle.size, N))
+    perm = np.arange(N)[kkt.perm]
+    for st in kkt.stages:
         rows = np.concatenate([st.rows, M + np.arange(st.units)])
         out[np.ix_(rows, perm[st.c0:])] = st.buf[st.lead:]
     return out
 
 
 class TestWorkspace:
-    """One workspace per solve holds every KKT build's buffers; a build on a
-    reused workspace must equal, bit for bit, one on a fresh workspace."""
+    """One `_KKT` per solve holds every KKT build's buffers; a factor on a
+    reused KKT must equal, bit for bit, one on a fresh KKT."""
 
     @staticmethod
     def system(seed=6, dims=(30, 30, 8, 1), N=200, density=0.3, stairs=False):
@@ -455,14 +480,13 @@ class TestWorkspace:
         for stairs, stages in ((False, 1), (True, 3)):
             G, cone, W1, W2, rhs = self.system(stairs=stairs)
             G = Nonzeros.of(G)
-            ws = _Workspace(cone, G)
-            assert len(ws.stages) == stages
-            _KKT(G, W1, ws)
-            reused = _KKT(G, W2, ws)
-            fresh = _KKT(G, W2, _Workspace(cone, G))
+            reused = factored(cone, G, W1)
+            assert len(reused.stages) == stages
+            reused.factor(W2)
+            fresh = factored(cone, G, W2)
             assert np.array_equal(reused.T, fresh.T)
             assert len(reused.factors) == len(fresh.factors) == stages
-            for (qr, t), (qr0, t0) in zip(reused.factors, fresh.factors):
+            for (qr, t, _), (qr0, t0, _) in zip(reused.factors, fresh.factors):
                 assert np.array_equal(qr, qr0)
                 assert np.array_equal(t, t0)
             got, want = reused.solve(rhs), fresh.solve(rhs)
@@ -470,21 +494,19 @@ class TestWorkspace:
             assert got[1] == want[1]
 
     def test_build_allocates_less_than_the_stack(self):
-        # the build writes into the workspace: what it allocates (the QR work
-        # array, the reflectors' factor t, index temporaries) stays below one
-        # copy of the stack
+        # the factor writes into the KKT's buffers: what it allocates (the QR
+        # work array, the reflectors' factor t, index temporaries) stays
+        # below one copy of the stack
         G, cone, W1, W2, _ = self.system()
-        G = Nonzeros.of(G)
-        ws = _Workspace(cone, G)
-        assert stage_bytes(ws) >= 1 << 20
-        _KKT(G, W1, ws)
+        kkt = factored(cone, Nonzeros.of(G), W1)
+        assert stage_bytes(kkt) >= 1 << 20
         tracemalloc.start()
         try:
-            _KKT(G, W2, ws)
+            kkt.factor(W2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < stage_bytes(ws)
+        assert peak < stage_bytes(kkt)
 
     def test_chunked_build_matches_congruence(self):
         # every chunk's smat stack is scattered from G's nonzeros; the build
@@ -492,13 +514,13 @@ class TestWorkspace:
         # at the rows and columns the stage plan gives it
         for stairs in (False, True):
             G, cone, W1, _, _ = self.system(density=0.02, stairs=stairs)
-            ws = _Workspace(cone, Nonzeros.of(G))
-            assert (len(ws.stages) > 1) == stairs
+            kkt = _KKT(cone, Nonzeros.of(G))
+            assert (len(kkt.stages) > 1) == stairs
             d0 = cone.dims[0]
             kc = solver._CHUNK_ENTRIES // d0 ** 2
             assert np.count_nonzero(np.any(G[cone.slices[0]], axis=0)) > 2 * kc
-            ws.build(W1)
-            Gt = assembled(ws, G.shape)
+            kkt.build(W1)
+            Gt = assembled(kkt, G.shape)
             for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
                 touch = np.any(G[sl] != 0.0, axis=0)
                 cols = np.flatnonzero(touch)
@@ -507,7 +529,7 @@ class TestWorkspace:
                 assert np.array_equal(Gt[sl][:, cols], want.T)
                 assert not np.any(Gt[sl][:, ~touch])
             assert not np.any(G[cone.slices[0], 1]) and np.any(G[:, 1])
-            assert np.array_equal(ws.idle, [2])
+            assert np.array_equal(kkt.idle, [2])
             assert np.array_equal(Gt[cone.total:], np.eye(G.shape[1])[[2]])
 
     @staticmethod
@@ -524,10 +546,10 @@ class TestWorkspace:
     def test_holds_no_copy_of_g(self):
         # G's columns are kept as their nonzeros, about 9 per column and
         # block as in the LMIs' densest columns: beside the stack and T the
-        # workspace holds under 1 MB, where the dense smat stacks took 2.9 MB
+        # KKT holds under 1 MB, where the dense smat stacks took 2.9 MB
         G, cone, _, _, _ = self.system(density=0.02)
-        ws = _Workspace(cone, Nonzeros.of(G))
-        assert self.held(ws) < stage_bytes(ws) + ws.T.nbytes + (1 << 20)
+        kkt = _KKT(cone, Nonzeros.of(G))
+        assert self.held(kkt) < stage_bytes(kkt) + kkt.T.nbytes + (1 << 20)
 
     def test_holds_no_copy_of_g_at_scale(self, d4_16_conic):
         # the D4 model conic of a 16-state, 8-input plant: 1485 cone rows and
@@ -537,12 +559,13 @@ class TestWorkspace:
         M, N = conic.nonzeros.shape
         assert (M, N) == (1485, 522)
         cone = _Cone(conic.dims)
-        ws = _Workspace(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
-        assert self.held(ws) < stage_bytes(ws) + ws.T.nbytes + (1 << 20)
+        kkt = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
+        assert self.held(kkt) < stage_bytes(kkt) + kkt.T.nbytes + (1 << 20)
         # the stages hold no more than the whole stack and one stage's rows
         # passed on from the stage before
-        assert len(ws.stages) == 3 and ws.idle.size == 0
-        assert stage_bytes(ws) <= 8 * (M * N + max(st.lead * st.buf.shape[1] for st in ws.stages))
+        assert len(kkt.stages) == 3 and kkt.idle.size == 0
+        assert stage_bytes(kkt) <= 8 * (M * N + max(st.lead * st.buf.shape[1]
+                                                    for st in kkt.stages))
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_svec_into_matches_svec(self, d):
@@ -559,35 +582,29 @@ class TestStagePlan:
 
     @pytest.mark.parametrize("mode", ["model", "data"])
     @pytest.mark.parametrize("design", ["D1", "D2", "D3", "D4"])
-    def test_example1_is_one_plain_stage(self, mode, design, plant, perf, subspace):
+    def test_example1_is_one_plain_stage(self, mode, design):
         # a one-stage plan factors the whole stack in its own row and column
-        # order, bit for bit as one dgeqrt call on it
-        opts = DesignOptions(design=design, subspace=None if design == "D1" else subspace,
-                             solver=SolverOptions(max_iter=0))
-        if mode == "model":
-            conic = design_model(plant, perf, opts).conic
-        else:
-            batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
-            conic = design_data(batch, perf, opts).conic
-        cone = _Cone(conic.dims)
-        G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
+        # order, bit for bit as one dgeqrt call on it, and applies Q^T and Q
+        # bit for bit as dgemqrt with that factor does
+        G, cone = example1_g(mode, design)
         M, N = G.shape
-        ws, again = _Workspace(cone, G), _Workspace(cone, G)
-        for w in (ws, again):
-            (st,) = w.stages
-            assert w.perm is None and w.place is None
+        kkt, again = _KKT(cone, G), _KKT(cone, G)
+        for k in (kkt, again):
+            (st,) = k.stages
+            # the stack's own order: every index by perm, place and slot is a view
+            assert (k.perm, k.place, k.slot) == (slice(0, N), slice(0, N), slice(0, M))
             assert np.array_equal(st.rows, np.arange(M))
-            assert (st.c0, st.k, st.lead, st.units) == (0, N, 0, w.idle.size)
-            assert st.buf.shape == (M + w.idle.size, N)
-        # the workspace skips `_stage_plan` below 2 * _QR_BLOCK columns; the
-        # greedy gives the same one stage
+            assert (st.c0, st.k, st.lead, st.units) == (0, N, 0, k.idle.size)
+            assert st.buf.shape == (M + k.idle.size, N)
+        # the KKT skips `_stage_plan` below 2 * _QR_BLOCK columns; the greedy
+        # gives the same one stage
         keep = G.vals != 0.0
         touch = np.zeros((N, len(cone.dims) + 1), bool)
         touch[G.cols[keep], np.searchsorted([sl.stop for sl in cone.slices],
                                             G.rows[keep], side="right")] = True
-        touch[ws.idle, -1] = True
+        touch[kkt.idle, -1] = True
         ((blocks, cols),) = solver._stage_plan(touch, [sl.stop - sl.start for sl in cone.slices]
-                                               + [ws.idle.size])
+                                               + [kkt.idle.size])
         assert np.array_equal(blocks, np.arange(len(cone.dims) + 1))
         assert np.array_equal(cols, np.arange(N))
         rng = np.random.default_rng(12)
@@ -595,11 +612,18 @@ class TestStagePlan:
         again.build(W)
         qr, t, info = dgeqrt(min(solver._QR_BLOCK, N), again.stages[0].buf.copy(order="F"))
         assert info == 0
-        kkt = _KKT(G, W, ws)
-        ((got_qr, got_t),) = kkt.factors
+        kkt.factor(W)
+        ((got_qr, got_t, _),) = kkt.factors
         assert np.array_equal(got_qr, qr)
         assert np.array_equal(got_t, t)
         assert np.array_equal(kkt.T, qr[:N])
+        for trans, x, size in (("T", rng.standard_normal(M), N), ("N", rng.standard_normal(N), M)):
+            c = np.zeros((M + kkt.idle.size, 1), order="F")
+            c[:x.size, 0] = x
+            want, info = dgemqrt(qr, t, c, trans=trans)
+            assert info == 0
+            got = kkt._qt(x) if trans == "T" else kkt._qn(x)
+            assert np.array_equal(got, want[:size, 0])
 
     def test_plan_is_deterministic(self, d4_16_conic):
         conic = d4_16_conic
@@ -607,15 +631,49 @@ class TestStagePlan:
         G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
         plans = []
         for _ in range(2):
-            ws = _Workspace(cone, G)
-            plans.append((ws.perm, [(st.c0, st.k, st.lead, st.rows, st.buf.shape)
-                                    for st in ws.stages]))
+            kkt = _KKT(cone, G)
+            plans.append((kkt.perm, [(st.c0, st.k, st.lead, st.rows, st.buf.shape)
+                                     for st in kkt.stages]))
         (perm1, stages1), (perm2, stages2) = plans
         assert np.array_equal(perm1, perm2)
         assert len(stages1) == len(stages2) == 3
         for a, b in zip(stages1, stages2):
             assert a[:3] == b[:3] and a[4] == b[4]
             assert np.array_equal(a[3], b[3])
+
+
+class TestStaircaseColumn:
+    """Q and Q^T act on one column laid out as the staircase, each stage on
+    its own run of it: on Gt x, for x zero on the idle columns, Q^T gives
+    T's rows T x[perm], and Q takes them back to Gt x."""
+
+    @pytest.mark.parametrize("system", ["staged", "example1"])
+    def test_qt_and_qn_of_gt_x(self, system):
+        if system == "staged":
+            G, W, cone, rng = staged_system()
+            G = Nonzeros.of(G)
+            stages = 3
+        else:
+            G, cone = example1_g("data", "D4")
+            rng = np.random.default_rng(14)
+            W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+            stages = 1
+        M, N = G.shape
+        kkt = _KKT(cone, G)
+        assert len(kkt.stages) == stages
+        kkt.build(W)
+        Gt = assembled(kkt, G.shape)[:M]
+        kkt.factor(W)
+        # an application of Q leaves the column's E rows nonzero, and Q^T
+        # must not read them
+        kkt._qn(rng.standard_normal(N))
+        x = rng.standard_normal(N)
+        x[kkt.idle] = 0.0
+        # T's buffer holds the Householder vectors below its diagonal
+        gx, tx = Gt @ x, np.triu(kkt.T) @ x[kkt.perm]
+        qt = kkt._qt(gx).copy()
+        assert np.abs(qt - tx).max() <= 1e-12 * np.abs(tx).max()
+        assert np.abs(kkt._qn(qt) - gx).max() <= 1e-12 * np.abs(gx).max()
 
 
 # Status, iteration count and gamma of the D4 designs of `d4_16_plant`,
@@ -632,12 +690,12 @@ RECORDED_AT_SCALE = {
 def test_staged_designs_at_scale(mode, monkeypatch):
     stages = []
 
-    class Recording(_Workspace):
+    class Recording(_KKT):
         def __init__(self, cone, G):
             super().__init__(cone, G)
             stages.append(len(self.stages))
 
-    monkeypatch.setattr(solver, "_Workspace", Recording)
+    monkeypatch.setattr(solver, "_KKT", Recording)
     plant, pattern = d4_16_plant()
     n, m = 16, 8
     opts = DesignOptions(design="D4", subspace=from_pattern(pattern))
@@ -732,11 +790,11 @@ class TestNonzeros:
             assert np.array_equal(Gn.vals, G[Gn.rows, Gn.cols])      # left unscaled
 
     def test_solve_holds_no_copy_of_g(self, d4_16_conic):
-        # beside the workspace's stack and T, a solve allocates less than half
+        # beside the KKT's stack and T, a solve allocates less than half
         # of a dense G: the dense equilibrated copy that it held took all of it
         conic = d4_16_conic
         M, N = conic.nonzeros.shape
-        ws = _Workspace(_Cone(conic.dims), conic.nonzeros)
+        kkt = _KKT(_Cone(conic.dims), conic.nonzeros)
         tracemalloc.start()
         try:
             rep = solve(conic)
@@ -744,7 +802,7 @@ class TestNonzeros:
         finally:
             tracemalloc.stop()
         assert rep.status == "Optimal"
-        assert peak < stage_bytes(ws) + ws.T.nbytes + 8 * M * N // 2
+        assert peak < stage_bytes(kkt) + kkt.T.nbytes + 8 * M * N // 2
 
     def test_build_and_compile_hold_no_dense_g(self, monkeypatch):
         # the LMIs are built as their coefficients' nonzeros and compiled
