@@ -43,7 +43,12 @@ def _load_config(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, or one that is not UTF-8
+        raise ConfigError(f"{path}: could not read: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {json.dumps(cfg)}")
     cfg["_base"] = os.path.dirname(os.path.abspath(path))
     return cfg
 

@@ -42,9 +42,13 @@ of up to `_QR_BLOCK` columns with their triangular factors, the compact WY
 form of Schreiber & Van Loan (1989), and each of the iteration's one-column
 applications of Q or Q^T (`dgemqrt`) reuses those factors rather than
 forming them again. `_qr_factor` and `_qr_apply` are the solver's only
-calls into LAPACK's QR. A KKT solve with no finite residual raises
-`LinAlgError`, as a failed scaling or factorization does; one handler ends
-the solve NumericalTrouble with its best iterate.
+calls into LAPACK's QR, and the first call of either imports scipy's
+wrappers of these routines and of `dtrtrs` (`_load_lapack`). Importing this
+module does not: scipy.linalg takes about 0.1 s to import, which a process
+that never solves, such as `struct-h2 simulate` or `verify`, need not pay.
+A KKT solve with no finite residual raises `LinAlgError`, as a failed
+scaling or factorization does; one handler ends the solve NumericalTrouble
+with its best iterate.
 
 The factorization runs in stages, a staircase that skips the blocks of
 W^{-T} G that a column never touches. The LMIs give G a column structure:
@@ -117,11 +121,26 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused; bound only because the benchmark tracer perfbench/spans.py hooks them
-from scipy.linalg import lu_factor, lu_solve  # noqa: F401
-from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtrs
 
 from .lmi import ConicForm, Nonzeros, svec_len, svec_tables
+
+# scipy's LAPACK wrappers, bound by `_load_lapack` on first use
+dgeqrt = dgemqrt = dtrtrs = None
+
+
+def _load_lapack():
+    global dgeqrt, dgemqrt, dtrtrs
+    from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtrs
+
+
+def __getattr__(name):
+    # lu_factor and lu_solve are unused: the benchmark tracer
+    # perfbench/spans.py hooks them, so they resolve, importing scipy.linalg
+    # on first access rather than at import
+    if name in ("lu_factor", "lu_solve"):
+        import scipy.linalg
+        return getattr(scipy.linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # fraction of the step to the cone boundary that each iteration takes
 _STEP_FRAC = 0.98
@@ -448,6 +467,8 @@ def _qr_factor(a, nb):
     its diagonal and the Householder vectors below it, t the (nb, N) triangular
     factors of its block reflectors (compact WY). The solver's only QR
     factorization; a is a stage's leading columns (`_KKT.factor`)."""
+    if dgeqrt is None:
+        _load_lapack()
     qr, t, info = dgeqrt(nb, a, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"QR factorization failed: dgeqrt info {info}")
@@ -459,6 +480,8 @@ def _qr_apply(qr, t, trans, c):
     written over the F-order c, which has qr's rows: a stage's trailing
     columns or its run of the column `_KKT.col`. The solver's only
     application of Q."""
+    if dgemqrt is None:
+        _load_lapack()
     c, info = dgemqrt(qr, t, c, trans=trans, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"applying Q failed: dgemqrt info {info}")
@@ -713,7 +736,8 @@ class _KKT:
             raise np.linalg.LinAlgError("the cone rows leave a variable free")
 
     def _tri(self, b, trans):
-        """T^{-1} b (trans 0) or T^{-T} b (trans 1), straight through LAPACK."""
+        """T^{-1} b (trans 0) or T^{-T} b (trans 1), straight through LAPACK.
+        `factor` has bound dtrtrs: its `_qr_factor` call loads it."""
         x, info = dtrtrs(self.T, b, trans=trans)
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")

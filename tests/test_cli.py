@@ -63,6 +63,26 @@ class TestSimulate:
     def test_missing_config(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == 2
 
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {tmp_path}: could not read: "), err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"plant": "example1", "data_dir": "b\xe9"}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: could not read: "), err
+
+    @pytest.mark.parametrize("text", ["[]", "3", "null"])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: expected a JSON object, got {text}"), err
+
 
 class TestDesign:
     def test_model_designs_match_benchmark(self, tmp_path, capsys):

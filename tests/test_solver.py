@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair
                       example1_perf, example1_plant, example1_subspace,
                       infeasibility_residual, min_eig, simulate, solve, spectral_radius)
 import structh2
-from structh2 import solver, synthesis
+from structh2 import cli, solver, synthesis
 from structh2.lmi import ConicForm, Nonzeros, smat, svec, svec_len
 from structh2.solver import _KKT, _Cone, _Scaling, _svec_into
 from structh2.subspace import from_pattern
@@ -827,20 +828,101 @@ class TestNonzeros:
         assert (M, N) == (1485, 522)
         assert peak < 8 * M * N // 2
 
-    def test_import_adds_no_scipy_sparse(self):
+    def test_solve_adds_no_scipy_sparse(self):
         # the products need no scipy.sparse. scipy.linalg itself imports it
-        # before scipy 1.17, so only what importing structh2 adds is checked
-        src = os.path.dirname(os.path.dirname(structh2.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        # before scipy 1.17, so only what importing structh2 and a solve add
+        # is checked
         code = ("import sys, scipy.linalg, scipy.linalg.lapack\n"
                 "def sparse(): return {m for m in sys.modules if m.startswith('scipy.sparse')}\n"
                 "before = sparse()\n"
-                "import structh2\n"
+                + EXAMPLE1_D4 +
                 "print(sorted(sparse() - before))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60, check=True)
-        assert out.stdout.strip() == "[]"
+        assert run_fresh(code).splitlines()[-1] == "[]"
+
+
+# an example1 D4 model design, as a fresh interpreter's code
+EXAMPLE1_D4 = ("import structh2 as sh\n"
+               "res = sh.design_model(sh.example1_plant(), sh.example1_perf(),\n"
+               "                      sh.DesignOptions(design='D4', subspace=sh.example1_subspace()))\n")
+# prints the scipy modules that a fresh interpreter has loaded
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
+
+def run_fresh(code, *args):
+    """stdout of code run in a fresh interpreter, with args as sys.argv[1:],
+    that imports structh2 from the same tree as this process."""
+    src = os.path.dirname(os.path.dirname(structh2.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    return out.stdout
+
+
+class TestLazyLapack:
+    """scipy's LAPACK is imported on the first factorization, not with
+    structh2, so a process that never solves does not load scipy at all."""
+
+    def test_import_loads_no_scipy(self):
+        assert run_fresh("import sys, structh2, structh2.cli\n" + SCIPY_LOADED) == "[]\n"
+
+    def test_simulate_and_verify_load_no_scipy(self, tmp_path):
+        def cfg(name, **doc):
+            path = tmp_path / name
+            path.write_text(json.dumps(dict(plant="example1", **doc)))
+            return path
+
+        noise = {"eps": 0.1, "T": 20, "seed": 1, "exponent": 2}
+        des = cfg("des.json", designs=["D4"], mode="data", data_dir=str(tmp_path / "batch"),
+                  output_dir=str(tmp_path / "out"))
+        # the batch and the gain come from this process, which solves
+        assert cli.main(["simulate", "--config", str(cfg(
+            "sim.json", noise=noise, data_dir=str(tmp_path / "batch")))]) == 0
+        assert cli.main(["design", "--config", str(des)]) == 0
+        gamma = json.loads((tmp_path / "out" / "D4" / "result.json").read_text())["gamma"]
+        sim = cfg("sim2.json", noise=noise, data_dir=str(tmp_path / "batch2"))
+        ver = cfg("ver.json", mode="data", data_dir=str(tmp_path / "batch"),
+                  output_dir=str(tmp_path / "ver"),
+                  verify={"k": str(tmp_path / "out" / "D4" / "k.csv"), "gamma": gamma,
+                          "samples": 20, "seed": 3})
+        code = ("import sys\n"
+                "from structh2.cli import main\n"
+                "codes = [main(['simulate', '--config', sys.argv[1]]),\n"
+                "         main(['verify', '--config', sys.argv[2]])]\n"
+                "print(codes)\n" + SCIPY_LOADED)
+        assert run_fresh(code, sim, ver).splitlines()[-2:] == ["[0, 0]", "[]"]
+
+    def test_first_solve_loads_lapack(self, plant, perf, subspace):
+        res = design_model(plant, perf, DesignOptions(design="D4", subspace=subspace))
+        code = ("import sys\n"
+                "from structh2 import solver\n"
+                "print(solver.dtrtrs is None, 'scipy.linalg.lapack' in sys.modules)\n"
+                + EXAMPLE1_D4 +
+                "print(solver.dtrtrs is None, 'scipy.linalg.lapack' in sys.modules)\n"
+                "print(res.status, repr(res.gamma))")
+        assert run_fresh(code).splitlines() == [
+            "True False", "False True", f"{res.status} {res.gamma!r}"]
+
+    @pytest.mark.parametrize("order", [("_qr_factor", "_qr_apply"), ("_qr_apply", "_qr_factor")],
+                             ids=["factor-first", "apply-first"])
+    def test_qr_before_any_solve(self, order):
+        # whichever of the two a process calls first binds the wrappers
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from structh2 import solver\n"
+                "assert solver.dgeqrt is None and solver.dgemqrt is None\n"
+                "rng = np.random.default_rng(3)\n"
+                "a = np.asfortranarray(rng.standard_normal((9, 5)))\n"
+                "c = np.asfortranarray(rng.standard_normal((9, 1)))\n"
+                "from scipy.linalg.lapack import dgemqrt, dgeqrt\n"
+                "qr, t, _ = dgeqrt(2, a)\n"
+                "want_c, _ = dgemqrt(qr, t, c, trans='T')\n"
+                "calls = {'_qr_factor': lambda: solver._qr_factor(a.copy(order='F'), 2),\n"
+                "         '_qr_apply': lambda: (solver._qr_apply(qr, t, 'T', c.copy(order='F')),)}\n"
+                "got = {name: calls[name]() for name in sys.argv[1:]}\n"
+                "print(all(np.array_equal(g, w) for g, w in\n"
+                "          zip(got['_qr_factor'] + got['_qr_apply'], (qr, t, want_c))))")
+        assert run_fresh(code, *order) == "True\n"
 
 
 class TestGroupedCone:
