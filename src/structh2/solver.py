@@ -33,22 +33,21 @@ homogeneity allows, so tau is exactly 1 at the top of each iteration and is
 no state of the loop.
 
 Each iteration solves its KKT systems through one QR factorization of the
-NT-scaled cone rows W^{-T} G and refines every solution against the residual
-of the full (N+M)^2 system using products with G and the per-block W^T W
-only. The factor's error grows with the condition number of W^{-T} G rather
-than its square, which keeps the data-driven endgame, where W degenerates,
-solvable. The factorization (LAPACK `dgeqrt`) keeps Q as block reflectors
-of up to `_QR_BLOCK` columns with their triangular factors, the compact WY
-form of Schreiber & Van Loan (1989), and each of the iteration's one-column
-applications of Q or Q^T (`dgemqrt`) reuses those factors rather than
-forming them again. `_qr_factor` and `_qr_apply` are the solver's only
-calls into LAPACK's QR, and the first call of either imports scipy's
-wrappers of these routines and of `dtrtrs` (`_load_lapack`). Importing this
-module does not: scipy.linalg takes about 0.1 s to import, which a process
-that never solves, such as `struct-h2 simulate` or `verify`, need not pay.
-A KKT solve with no finite residual raises `LinAlgError`, as a failed
-scaling or factorization does; one handler ends the solve NumericalTrouble
-with its best iterate.
+NT-scaled cone rows W^{-T} G and refines every solution in the scaled system
+that the QR solves, with products with G and W's per-block maps only. The
+factor's error grows with the condition number of W^{-T} G rather than its
+square, which keeps the data-driven endgame, where W degenerates, solvable.
+The factorization (LAPACK `dgeqrt`) keeps Q as block reflectors of up to
+`_QR_BLOCK` columns with their triangular factors, the compact WY form of
+Schreiber & Van Loan (1989), and each of the iteration's one-column
+applications of Q or Q^T (`dgemqrt`) reuses those factors rather than forming
+them again. `_qr_factor` and `_qr_apply` are the solver's only calls into
+LAPACK's QR, and the first call of either imports scipy's wrappers of these
+routines and of `dtrtrs` (`_load_lapack`). Importing this module does not:
+scipy.linalg takes about 0.1 s to import, which a process that never solves,
+such as `struct-h2 simulate` or `verify`, need not pay. A KKT solve with no
+finite residual raises `LinAlgError`, as a failed scaling or factorization
+does; one handler ends the solve NumericalTrouble with its best iterate.
 
 The factorization runs in stages, a staircase that skips the blocks of
 W^{-T} G that a column never touches. The LMIs give G a column structure:
@@ -358,8 +357,8 @@ class _Scaling:
 
     def wtw_apply(self, v):
         """W^T W v = svec(Wm mat(v) Wm), formed in extended precision: it
-        cancels against G dx in the KKT residual and against ds0 in the slack
-        update, and Wm's spread near optimality swamps float64 products."""
+        cancels against ds0 in the slack update, and Wm's spread near
+        optimality swamps float64 products."""
         return self._map(v.astype(np.longdouble), self._wm_ext, self._wm_ext).astype(float)
 
     def winv_apply(self, v):
@@ -441,8 +440,8 @@ def _equilibrate(G: Nonzeros, h, c, cone: _Cone, iters: int = 4):
 #     [ 0     G^T  ] [dx]   [r1]
 #     [ G   -W^T W ] [dz] = [r3].
 
-# Refinement passes per solve: corrections against the residual of the full
-# system, each reusing the iterate's factorization.
+# Refinement passes per solve: corrections against the residual of the
+# scaled system, each reusing the iterate's factorization.
 _KKT_REFINE = 3
 
 # Entries of one chunk's (kc, d, d) smat stack in a KKT build: G's columns are
@@ -613,9 +612,9 @@ class _KKT:
     are held as slices when they are runs of consecutive indices, so that
     indexing by them makes views. A plan of one stage keeps the stack's own
     order, so all three are runs, and its Q is the one `dgeqrt` factor of
-    the whole stack. Solutions are refined against the residual of the full
-    system, which needs only the per-block W^T W and products with G, run
-    over G's nonzeros in row order (`Nonzeros`) without BLAS.
+    the whole stack. Solutions are refined in (dx, v) against the residual
+    of the scaled system, which needs only W's per-block maps and products
+    with G, run over G's nonzeros in row order (`Nonzeros`) without BLAS.
     """
 
     def __init__(self, cone: _Cone, G: Nonzeros):
@@ -764,39 +763,40 @@ class _KKT:
             _qr_apply(qr, t, "N", run)
         return c[self.slot, 0]
 
-    def _solve(self, rhs):
-        r3t = self.W.winvt_apply(rhs[self.N:])
+    def _solve(self, r1, r3t):
+        """(dx, v) solving Gt^T v = r1, Gt dx - v = r3t through the factor."""
         # w = T P_c^T dx solves T^T w = P_c^T r1 + (Q^T P_r [r3t; 0])[:N],
-        # where P_c^T r1 = rhs[perm]: perm indexes r1 = rhs[:N]
-        w = self._tri(rhs[self.perm], 1) + self._qt(r3t)
+        # where P_c^T r1 = r1[perm]
+        w = self._tri(r1[self.perm], 1) + self._qt(r3t)
         # Gt dx = (P_r^T Q [w; 0])[:M]
         v = self._qn(w) - r3t
         dx = self._tri(w, 0)
-        return np.concatenate([dx[self.place], self.W.winv_apply(v)])
-
-    def residual(self, rhs, sol):
-        dx, dz = sol[:self.N], sol[self.N:]
-        return rhs - np.concatenate([self.G.tdot(dz), self.G.dot(dx) - self.W.wtw_apply(dz)])
+        return dx[self.place], v
 
     def solve(self, rhs):
-        """Refined solution and the max-norm residual of the full system.
-
-        Raises LinAlgError when no solution has a finite residual."""
-        tol = 1e-13 * (1.0 + np.abs(rhs).max(initial=0.0))
-        sol = self._solve(rhs)
-        best_sol, best_err = sol, np.inf
+        """The refined (dx, dz) for rhs = (r1, r3), refined in (dx, v) against
+        the scaled system Gt^T v = r1, Gt dx - v = r3t = W^{-T} r3, and the
+        max-norm residual it leaves there; dz = W^{-1} v. Raises LinAlgError
+        when no solution has a finite residual."""
+        r1, r3t = rhs[:self.N], self.W.winvt_apply(rhs[self.N:])
+        tol = 1e-13 * (1.0 + max(np.abs(r1).max(initial=0.0), np.abs(r3t).max(initial=0.0)))
+        dx, v = self._solve(r1, r3t)
+        best, best_err = None, np.inf
         for k in range(_KKT_REFINE + 1):
-            resid = self.residual(rhs, sol)
-            err = np.abs(resid).max(initial=0.0)
-            if not err < best_err:       # also stops on a non-finite residual
+            dz = self.W.winv_apply(v)
+            rho1 = r1 - self.G.tdot(dz)
+            rho3 = r3t - (self.W.winvt_apply(self.G.dot(dx)) - v)
+            err = np.maximum(np.abs(rho1).max(initial=0.0), np.abs(rho3).max(initial=0.0))
+            if not err < best_err:       # a NaN, which np.maximum keeps, stops too
                 break
-            best_sol, best_err = sol, err
+            best, best_err = (dx, dz), err
             if err <= tol or k == _KKT_REFINE:
                 break
-            sol = sol + self._solve(resid)
+            ddx, dv = self._solve(rho1, rho3)
+            dx, v = dx + ddx, v + dv
         if not np.isfinite(best_err):
             raise np.linalg.LinAlgError("the KKT solve has no finite residual")
-        return best_sol, best_err
+        return np.concatenate(best), float(best_err)
 
 
 # --- the solver -------------------------------------------------------------

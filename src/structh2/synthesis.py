@@ -285,8 +285,16 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
     gexpr = _gamma_objective(prob, opts)
 
     RRP = Re + Re.T - Pe
+    # Psi in units of 2^k, the power of two nearest its largest entry: the
+    # solver's multiplier is alpha' = 2^k alpha, so that alpha' Psi 2^-k =
+    # alpha Psi. Both scalings are exact, and the consistency set does not
+    # move. Psi's entries reach 1e4-1e5 on small random records, and the
+    # equilibration then shrinks alpha's column until its dual residual,
+    # judged in the original data, stays above tol_feas
+    amax = np.abs(psi).max()
+    k = int(np.round(np.log2(amax))) if 0 < amax < np.inf else 0
     psi_pad = np.zeros((3 * n + m, 3 * n + m))
-    psi_pad[:2 * n + m, :2 * n + m] = psi
+    psi_pad[:2 * n + m, :2 * n + m] = np.ldexp(psi, -k)
     top_left = Pe - E @ E.T - MatExpr.scaled(beta, np.eye(n))
     big = block([
         [top_left, np.zeros((n, n)), np.zeros((n, m)), np.zeros((n, n))],
@@ -307,7 +315,7 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
     if report.status != "Optimal":
         return _finish(opts, report, conic, {})
     values = _decode_values(conic, report, (Pe, Re, Le))
-    return _finish(opts, report, conic, values, alpha=float(values["alpha"][0, 0]),
+    return _finish(opts, report, conic, values, alpha=float(np.ldexp(values["alpha"][0, 0], -k)),
                    beta=float(values["beta"][0, 0]))
 
 

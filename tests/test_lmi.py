@@ -199,16 +199,19 @@ class TestCompile:
 
     # sha1 of the bytes of G's table (rows and cols as int64, vals), h and c
     # of the example1 designs, as the dense compile gave them. The pattern
-    # subspace has 0/1 bases, so no LAPACK call enters the compile.
+    # subspace has 0/1 bases, so no LAPACK call enters the compile. The data
+    # tables were re-recorded when design_data put Psi in units of 2^k, the
+    # power of two nearest its largest entry: against the tables before, only
+    # alpha's column moved, each of its values by exactly 2^-6.
     PINNED = {
         ("model", "D1"): "aecd2217a682139750c5bcb1cae554ba0ab9a30e",
         ("model", "D2"): "92398a9f48447f5f793c13e4ce9e81ddf75c9246",
         ("model", "D3"): "241ad5f529e324322f4512ccecbdd0f55e1aa9ac",
         ("model", "D4"): "dbb6513a28c51ee56d6ce4967dfbfff9b351eaeb",
-        ("data", "D1"): "cb1a786611aa604f6b02ae95ec55a657c7b54b27",
-        ("data", "D2"): "4b61dbab5acee09d3d90edb9cdb5158448142542",
-        ("data", "D3"): "5a77c1788db782682366e5b455efa344b38ef148",
-        ("data", "D4"): "2f42905e8e12b6b94764b96996234ba1c2a6856a",
+        ("data", "D1"): "4450851e2fe86a31cb6fe040c5881d0e0efe705d",
+        ("data", "D2"): "8719b231a482156999cc6e207b93aa465fcdfe04",
+        ("data", "D3"): "1c9bed8acecf63f6303c20917bca1b9276ba98ac",
+        ("data", "D4"): "80dc00c16da7d17cdfea3a6e534af6d6937f1e78",
     }
 
     @pytest.mark.parametrize("mode,design", sorted(PINNED))
