@@ -12,9 +12,9 @@ those rows on the last line.
 With --coretypes, runs the repro once more in a fresh interpreter per named
 OpenBLAS kernel (`OPENBLAS_CORETYPE`, which needs an OpenBLAS built with
 DYNAMIC_ARCH, as the numpy wheels are) and exits 1 when any sha1 differs from
-this process's. A design that ends NumericalTrouble has so far always been
-one whose status changed with the kernel's rounding, so this is where one
-shows. Each run takes about 2 s. `tests/test_synthesis.py` checks the
+this process's. Undecided designs of this repro have followed the kernel's
+rounding, so one is likely to show here as a difference. Each run takes
+about 2 s. `tests/test_synthesis.py` checks the
 certificates of the (6, 3) and (8, 4) designs.
 """
 
