@@ -32,6 +32,17 @@ Every step renormalizes the iterate to tau = 1, which the embedding's positive
 homogeneity allows, so tau is exactly 1 at the top of each iteration and is
 no state of the loop.
 
+Each direction is taken in W's scaled space, as CVXOPT's cone solvers take
+it (Vandenberghe, "The CVXOPT linear and quadratic cone program solvers",
+2010). Its unknowns are v = W dz and W^{-T} ds: the linearized
+complementarity lambda o (v + W^{-T} ds) = eta gives W^{-T} ds = p - v for
+p = lam_solve(eta), so the KKT right-hand side is W^{-T} r - p, with W^{-T} r
+mapped once per iteration. p - v is a difference of quantities of the size
+of lambda, which float64 carries; the unscaled ds0 - W^T W dz cancels at
+small mu beyond what float64 carries. One W^T map takes p - v back to ds;
+the boundary step and the corrector's Jordan product read the scaled vectors.
+The tau pivot |W dz_1|^2 equals c^T dx_1 + h^T dz_1 and cannot go negative.
+
 Each iteration solves its KKT systems through one QR factorization of the
 NT-scaled cone rows W^{-T} G and refines every solution in the scaled system
 that the QR solves, with products with G and W's per-block maps only. The
@@ -61,13 +72,7 @@ its own rows and those that the stage before left below its triangle, as
 row-merge and multifrontal sparse QR do (George & Heath 1980; Davis,
 SuiteSparseQR 2011). This is Householder QR of the same matrix with its
 rows and columns permuted, so it is as backward stable, and on the 12- to
-20-state D4 designs it takes 0.44-0.73 of the flops of one dense QR. Q and
-Q^T are applied to one column laid out as the staircase, each stage in
-place on its own run of it, so the rows that a stage leaves below its
-triangle already sit where the next stage reads them. Every plan goes
-through that one path; a plan of one stage, as every example1 LMI has,
-keeps the stack's order, and its path makes the one `dgeqrt` call on the
-whole stack and the `dgemqrt` calls that apply it.
+20-state D4 designs it takes 0.44-0.73 of the flops of one dense QR.
 
 The cone layer works per block dimension, not per block, as SDPT3 (Toh, Todd
 & Tutuncu 1999) stores blocks of one kind together. The blocks of one
@@ -79,25 +84,21 @@ so this removes most of the per-block Python work. It changes no result:
 each matrix in a stack goes through the same kernel as it would on its own.
 
 The matrix products of W's maps and of the Jordan product go through 2-D
-`np.dot`, one matrix at a time, into one flat buffer per operation. The
-stacked `@` that they replace computes each matrix of a stack by the same
-kernel: the float64 products reach the same `dgemm` without the gufunc's
-overhead, and numpy's long-double products have no BLAS, so both `np.dot`
-and `@` sum each entry in sequence in extended precision. The bits are the
-same, and `tests/test_solver.py` checks them against `@`. The long-double
-W^T W product, the most expensive, costs a half to a third of its stacked
-form (about 550 -> 190 us for blocks of 24, 30, 12 and 1 on a 2-vCPU Xeon).
-A group of 1 x 1 blocks takes the same scalar products elementwise. Lambda
-is diagonal, so Lambda and Lambda o Lambda = diag(lambda^2) are scattered
-onto the diagonal svec positions with no product at all.
+`np.dot`, one matrix at a time, into one flat buffer per operation: the
+`dgemm` that the stacked `@` calls per matrix, without the gufunc's
+overhead, and so the same bits, which `tests/test_solver.py` checks against
+`@`. A group of 1 x 1 blocks takes the same scalar products elementwise, and
+its scaling and eigenvalues by scalar arithmetic that gives LAPACK's bits.
+Lambda is diagonal, so Lambda and Lambda o Lambda = diag(lambda^2) are
+scattered onto the diagonal svec positions, and `lam_solve` divides each
+svec entry by (lambda_i + lambda_j)/2, with no map at all.
 
 What does not change within a solve or a scaling point is computed once.
 `_Cone.map` reads its inputs into, and lets each group write into, per-cone
 scratch buffers whose group views are made on first use; only the svec it
-returns is new. A `_Scaling` keeps its transposed factors, the divisor
-(lambda_i + lambda_j)/2 of `lam_solve` and the sqrt(lambda_i) sqrt(lambda_j)
-of `max_step`, which takes both boundary directions in one eigvalsh per
-group.
+returns is new. A `_Scaling` keeps its transposed factors, the divisor of
+`lam_solve` at every svec position and the sqrt(lambda_i) sqrt(lambda_j) of
+`max_step`, which takes both boundary directions in one eigvalsh per group.
 
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. One `_KKT` is built per solve and
@@ -108,9 +109,9 @@ G's columns are kept per block as their nonzeros alone, as Fujisawa, Kojima
 & Nakata (1997) form the scaled system from sparse constraint data; each
 build scatters a chunk's nonzeros into its smat stack, applies the
 congruence by R^{-1} to the stack through BLAS and writes its svec into its
-stage buffer, with `out=` arguments throughout. So an iteration allocates nothing proportional
-to G, and each column's arithmetic is that of the congruence of its dense
-smat.
+stage buffer, with `out=` arguments throughout. So an iteration allocates
+nothing proportional to G, and each column's arithmetic is that of the
+congruence of its dense smat.
 """
 
 from __future__ import annotations
@@ -227,8 +228,10 @@ class _Cone:
             lo.append(flat[i] + l)
             scale.append(sc)
         self._up, self._lo = np.concatenate(up), np.concatenate(lo)
+        # svec's sqrt(2) scale per position, also smat's divisor of its entry;
         # 0.5 * scale is exact, so (u + l) * (0.5 * scale) == 0.5 * (u + l) * scale
-        self._half_scale = 0.5 * np.concatenate(scale)
+        self._scale = np.concatenate(scale)
+        self._half_scale = 0.5 * self._scale
         self._bufs = {}
 
     def _split(self, buf):
@@ -287,8 +290,7 @@ class _Cone:
 
     def max_violation(self, v):
         """The largest negated minimum eigenvalue over the blocks, at least 0."""
-        return max([0.0] + [e for S in self.stacks(v)
-                            for e in (-np.linalg.eigvalsh(S)[:, 0]).tolist()])
+        return max([0.0] + [e for S in self.stacks(v) for e in (-_min_eig(S)).tolist()])
 
     def identity(self):
         v = np.zeros(self.total)
@@ -296,12 +298,18 @@ class _Cone:
         return v
 
 
+def _min_eig(S):
+    """The least eigenvalue of each matrix of a (..., d, d) stack. A 1 x 1
+    matrix's is its entry, which is what eigvalsh returns for it."""
+    return S[..., 0, 0] if S.shape[-1] == 1 else np.linalg.eigvalsh(S)[..., 0]
+
+
 def _congruence(left, M, right, out):
     """out[j] = left[j] M[j] right[j] for every matrix j of the (k, d, d) stacks.
 
     Each matrix goes through 2-D np.dot, the dgemm that the stacked `@` calls
-    per matrix (long double: the same in-sequence sums) without its gufunc
-    overhead. A group of 1 x 1 blocks is the same scalar products, elementwise.
+    per matrix, without its gufunc overhead. A group of 1 x 1 blocks is the
+    same scalar products, elementwise.
     """
     if M.shape[-1] == 1:
         np.multiply(left * M, right, out=out)
@@ -313,39 +321,45 @@ def _congruence(left, M, right, out):
 class _Scaling:
     """Nesterov-Todd scaling point per block: W z = W^{-T} s = lambda.
 
-    W acts on block i as v -> svec(R_i^T mat(v) R_i), so W^T W is the
-    congruence by Wm_i = R_i R_i^T. R, Rinv, lambda and Wm are held as one
-    stack per group of the cone, and so is all that the maps and step tests
-    reuse within the iterate: the transposed factors, (lambda_i + lambda_j)/2
-    and sqrt(lambda_i) sqrt(lambda_j).
+    W acts on block i as v -> svec(R_i^T mat(v) R_i). R, Rinv and lambda are
+    held as one stack per group of the cone, and so is all that the maps and
+    step tests reuse within the iterate: the transposed factors,
+    sqrt(lambda_i) sqrt(lambda_j), and (lambda_i + lambda_j)/2 at every svec
+    position. A group of 1 x 1 blocks takes its factors by scalar arithmetic,
+    which gives LAPACK's results bit for bit: the Cholesky factor of a is
+    sqrt(a), the SVD of x > 0 is 1 * x * 1, and a 1 x 1 product is one
+    multiplication. An entry that is not positive, or NaN, raises
+    LinAlgError, as LAPACK's path does.
     """
 
     def __init__(self, cone: _Cone, s, z):
         self.cone = cone
         self.R, self.Rinv, self.lam = [], [], []
         for S, Z in zip(cone.stacks(s), cone.stacks(z)):
-            Ls = np.linalg.cholesky(S)
-            Lz = np.linalg.cholesky(Z)
-            U, sig, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Ls)
-            sq = np.sqrt(sig)[:, None, :]
-            self.R.append(Ls @ (Vt.swapaxes(-1, -2) / sq))
-            self.Rinv.append((U / sq).swapaxes(-1, -2) @ Lz.swapaxes(-1, -2))
+            if S.shape[-1] == 1:
+                if not (np.all(S > 0.0) and np.all(Z > 0.0)):     # NaN fails too
+                    raise np.linalg.LinAlgError("Matrix is not positive definite")
+                Ls, Lz = np.sqrt(S), np.sqrt(Z)
+                sig = (Lz * Ls)[:, 0]
+                inv = 1.0 / np.sqrt(sig)[:, None, :]
+                self.R.append(Ls * inv)
+                self.Rinv.append(inv * Lz)
+            else:
+                Ls = np.linalg.cholesky(S)
+                Lz = np.linalg.cholesky(Z)
+                U, sig, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Ls)
+                sq = np.sqrt(sig)[:, None, :]
+                self.R.append(Ls @ (Vt.swapaxes(-1, -2) / sq))
+                self.Rinv.append((U / sq).swapaxes(-1, -2) @ Lz.swapaxes(-1, -2))
             self.lam.append(sig)
-        self._wm_ext = [(R @ R.swapaxes(-1, -2)).astype(np.longdouble) for R in self.R]
         self._Rt = [R.swapaxes(-1, -2) for R in self.R]
         self._Rinvt = [Ri.swapaxes(-1, -2) for Ri in self.Rinv]
-        self._lam_mean = [0.5 * (lam[:, :, None] + lam[:, None, :]) for lam in self.lam]
-        self._sqrt_outer = []
-        for lam in self.lam:
-            sq = np.sqrt(lam)
-            self._sqrt_outer.append(sq[:, :, None] * sq[:, None, :])
+        self._sqrt_outer = [sq[:, :, None] * sq[:, None, :] for sq in map(np.sqrt, self.lam)]
+        mean = [0.5 * (lam[:, :, None] + lam[:, None, :]) for lam in self.lam]
+        self._lam_mean = np.concatenate([m.reshape(-1) for m in mean])[cone._up]
 
     def _map(self, v, left, right):
         return self.cone.map(lambda g, out, M: _congruence(left[g], M, right[g], out), v)
-
-    def w_apply(self, dz):
-        """W dz = svec(R^T mat(dz) R)."""
-        return self._map(dz, self._Rt, self.R)
 
     def wt_apply(self, v):
         """W^T v = svec(R mat(v) R^T)."""
@@ -354,12 +368,6 @@ class _Scaling:
     def winvt_apply(self, ds):
         """W^{-T} ds = svec(R^{-1} mat(ds) R^{-T})."""
         return self._map(ds, self.Rinv, self._Rinvt)
-
-    def wtw_apply(self, v):
-        """W^T W v = svec(Wm mat(v) Wm), formed in extended precision: it
-        cancels against ds0 in the slack update, and Wm's spread near
-        optimality swamps float64 products."""
-        return self._map(v.astype(np.longdouble), self._wm_ext, self._wm_ext).astype(float)
 
     def winv_apply(self, v):
         """W^{-1} v = svec(R^{-T} mat(v) R^{-1})."""
@@ -370,8 +378,14 @@ class _Scaling:
         return self.cone.diagonal([lam * lam for lam in self.lam])
 
     def lam_solve(self, v):
-        """Solve lambda o u = v in svec coordinates (Lambda is diagonal)."""
-        return self.cone.map(lambda g, out, M: np.divide(M, self._lam_mean[g], out=out), v)
+        """Solve lambda o u = v in svec coordinates. Lambda is diagonal, so
+        each entry is divided by (lambda_i + lambda_j)/2: three elementwise
+        operations in the order of a cone map's gather (smat's divisor), its
+        division and its scatter (svec's scale), whose bits they give."""
+        u = v / self.cone._scale
+        u /= self._lam_mean
+        u *= self.cone._scale
+        return u
 
     def max_step(self, *dirs):
         """Largest alpha with Lambda + alpha*mat(d) staying PSD for every d in
@@ -379,7 +393,7 @@ class _Scaling:
         alpha = np.inf
         per = [self.cone.stacks(d) for d in dirs]
         for g, sq in enumerate(self._sqrt_outer):
-            lmin = np.linalg.eigvalsh(np.stack([p[g] for p in per]) / sq)[..., 0]
+            lmin = _min_eig(np.stack([p[g] for p in per]) / sq)
             neg = lmin[lmin < 0]
             if neg.size:
                 alpha = min(alpha, float((-1.0 / neg).min()))
@@ -438,7 +452,9 @@ def _equilibrate(G: Nonzeros, h, c, cone: _Cone, iters: int = 4):
 # Every search direction solves, in the equilibrated data,
 #
 #     [ 0     G^T  ] [dx]   [r1]
-#     [ G   -W^T W ] [dz] = [r3].
+#     [ G   -W^T W ] [dz] = [r3],
+#
+# given as r1 and r3t = W^{-T} r3, for (dx, dz) and v = W dz.
 
 # Refinement passes per solve: corrections against the residual of the
 # scaled system, each reusing the iterate's factorization.
@@ -596,13 +612,9 @@ class _KKT:
     nb = min(_QR_BLOCK, k); Q_s^T is applied to the stage's trailing columns
     by `dgemqrt`; the rows below its triangle pass on to the next stage; and
     its top rows are its rows of T. So P_r [Gt; E] P_c = Q T with
-    Q = Q_1 ... Q_K, each Q_s acting on its stage's live rows. Householder
-    QR of the permuted stack is backward stable as that of the stack is:
-    unlike the Schur complement Gt^T Gt, the factor's error grows with
-    cond(Gt), not with its square. A stage with fewer live rows than columns
-    leaves its columns rank deficient and raises LinAlgError. Each factor
-    overwrites the last, so an iteration allocates nothing proportional to
-    G.
+    Q = Q_1 ... Q_K, each Q_s acting on its stage's live rows. A stage with
+    fewer live rows than columns leaves its columns rank deficient and raises
+    LinAlgError. Each factor overwrites the last.
 
     Q and Q^T are applied to col, one F-order column of the stack's rows
     laid out as the staircase: the L live rows of the stage at column c0
@@ -612,9 +624,7 @@ class _KKT:
     are held as slices when they are runs of consecutive indices, so that
     indexing by them makes views. A plan of one stage keeps the stack's own
     order, so all three are runs, and its Q is the one `dgeqrt` factor of
-    the whole stack. Solutions are refined in (dx, v) against the residual
-    of the scaled system, which needs only W's per-block maps and products
-    with G, run over G's nonzeros in row order (`Nonzeros`) without BLAS.
+    the whole stack.
     """
 
     def __init__(self, cone: _Cone, G: Nonzeros):
@@ -773,12 +783,12 @@ class _KKT:
         dx = self._tri(w, 0)
         return dx[self.place], v
 
-    def solve(self, rhs):
-        """The refined (dx, dz) for rhs = (r1, r3), refined in (dx, v) against
-        the scaled system Gt^T v = r1, Gt dx - v = r3t = W^{-T} r3, and the
-        max-norm residual it leaves there; dz = W^{-1} v. Raises LinAlgError
-        when no solution has a finite residual."""
-        r1, r3t = rhs[:self.N], self.W.winvt_apply(rhs[self.N:])
+    def solve(self, r1, r3t):
+        """The refined (dx, dz, v) with v = W dz that solve G^T dz = r1 and
+        G dx - W^T W dz = r3 for r3t = W^{-T} r3, refined in (dx, v) against
+        the scaled system Gt^T v = r1, Gt dx - v = r3t; dz = W^{-1} v is the
+        map that the residual needs. Raises LinAlgError when no solution has
+        a finite residual."""
         tol = 1e-13 * (1.0 + max(np.abs(r1).max(initial=0.0), np.abs(r3t).max(initial=0.0)))
         dx, v = self._solve(r1, r3t)
         best, best_err = None, np.inf
@@ -789,14 +799,14 @@ class _KKT:
             err = np.maximum(np.abs(rho1).max(initial=0.0), np.abs(rho3).max(initial=0.0))
             if not err < best_err:       # a NaN, which np.maximum keeps, stops too
                 break
-            best, best_err = (dx, dz), err
+            best, best_err = (dx, dz, v), err
             if err <= tol or k == _KKT_REFINE:
                 break
             ddx, dv = self._solve(rho1, rho3)
             dx, v = dx + ddx, v + dv
         if not np.isfinite(best_err):
             raise np.linalg.LinAlgError("the KKT solve has no finite residual")
-        return np.concatenate(best), float(best_err)
+        return best
 
 
 # --- the solver -------------------------------------------------------------
@@ -886,47 +896,36 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         rtau = -float(c @ x) - float(h @ z) - kappa
         mu = (float(s @ z) + kappa) / nu
 
-        def hdot(u, v):
-            return np.dot(u.astype(np.longdouble), v.astype(np.longdouble))
-
-        def solve2(rxh, rzh):
-            sol, _ = kkt.solve(np.concatenate([rxh, -rzh]))
-            return sol[:N], sol[N:]
-
         def direction(sigma, eta_s, eta_kappa):
-            ds0 = W.wt_apply(W.lam_solve(eta_s))
-            dx2, dz2 = solve2(-(1 - sigma) * rx, -(1 - sigma) * rz + ds0)
-            # the tau pivot and the slack update both suffer catastrophic
-            # cancellation at small mu; extended precision keeps them honest
-            g2 = hdot(c, dx2) + hdot(h, dz2)
-            dtau = float((g2 + eta_kappa - (1 - sigma) * rtau) / (g1 + kappa))
-            dx = dx2 - dtau * dx1
-            dz = dz2 - dtau * dz1
-            ds = ds0 - W.wtw_apply(dz)
+            """(dx, dz, ds, dtau, dkappa) for the slack target
+            W^{-T} ds0 = p = lam_solve(eta_s), the step to the boundary along
+            it, and the W dz and W^{-T} ds that the step is measured on."""
+            p = W.lam_solve(eta_s)
+            dx2, dz2, v2 = kkt.solve(-(1 - sigma) * rx, (1 - sigma) * rzt - p)
+            g2 = float(c @ dx2) + float(h @ dz2)
+            dtau = (g2 + eta_kappa - (1 - sigma) * rtau) / (g1 + kappa)
             dkappa = eta_kappa - kappa * dtau
-            return dx, dz, ds, dtau, dkappa
-
-        def boundary_step(dz, ds, dtau, dkappa):
-            """The step to the boundary, with the scaled directions W dz and
-            W^{-T} ds that it measures it on."""
-            wdz, wds = W.w_apply(dz), W.winvt_apply(ds)
-            alpha = W.max_step(wdz, wds)
+            wdz = v2 - dtau * v1
+            wds = p - wdz
+            step = W.max_step(wdz, wds)
             if dtau < 0:
-                alpha = min(alpha, -1.0 / dtau)
+                step = min(step, -1.0 / dtau)
             if dkappa < 0:
-                alpha = min(alpha, -kappa / dkappa)
-            return alpha, wdz, wds
+                step = min(step, -kappa / dkappa)
+            return (dx2 - dtau * dx1, dz2 - dtau * dz1, W.wt_apply(wds), dtau,
+                    dkappa), step, wdz, wds
 
         try:
             W = _Scaling(cone, s, z)
             kkt.factor(W)
-            dx1, dz1 = solve2(c, h)
-            g1 = hdot(c, dx1) + hdot(h, dz1)
+            rzt = W.winvt_apply(rz)
+            dx1, dz1, v1 = kkt.solve(c, -W.winvt_apply(h))
+            # c^T dx1 + h^T dz1 = v1^T v1, which cannot go negative
+            g1 = float(v1 @ v1)
 
             # predictor
             lam_sq = W.lam_sq()
-            da = direction(0.0, -lam_sq, -kappa)
-            step_aff, wdz_aff, wds_aff = boundary_step(*da[1:])
+            da, step_aff, wdz_aff, wds_aff = direction(0.0, -lam_sq, -kappa)
             a_aff = min(1.0, step_aff)
             mu_aff = (float((s + a_aff * da[2]) @ (z + a_aff * da[1]))
                       + (1.0 + a_aff * da[3]) * (kappa + a_aff * da[4])) / nu
@@ -945,9 +944,10 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             else:
                 eta_s = base
                 eta_kappa = sigma * mu - kappa
-            dx, dz, ds, dtau, dkappa = direction(sigma, eta_s, eta_kappa)
-            # eigvalsh raises on a non-finite direction, as from g1 + kappa == 0
-            alpha = min(1.0, _STEP_FRAC * boundary_step(dz, ds, dtau, dkappa)[0])
+            # eigvalsh raises on a non-finite direction in a block of d > 1;
+            # the iterate's check below catches one in a 1 x 1 block
+            (dx, dz, ds, dtau, dkappa), step, _, _ = direction(sigma, eta_s, eta_kappa)
+            alpha = min(1.0, _STEP_FRAC * step)
         except np.linalg.LinAlgError:
             break
 

@@ -6,15 +6,18 @@
 Designs D1 and D4 in data mode on the random plants of seeds 0-5 at
 (n, m) = (4, 2), (6, 3) and (8, 4), built by the benchmark's
 `perfbench/workloads.random_data_plant` with `plants.default_perf`: 36 solves.
-Prints one row per design (its status and iteration count) and the sha1 of
-those rows on the last line.
+Then the endgame design, D4 in data mode on the 16-state plant of
+`d4_16_plant` with A at spectral radius 1.05, whose last iterations are the
+most sensitive to rounding of the solver's designs (about 1.2 s). Prints one
+row per design (its status and iteration count) and the sha1 of those rows on
+the last line.
 
 With --coretypes, runs the repro once more in a fresh interpreter per named
 OpenBLAS kernel (`OPENBLAS_CORETYPE`, which needs an OpenBLAS built with
 DYNAMIC_ARCH, as the numpy wheels are) and exits 1 when any sha1 differs from
 this process's. Undecided designs of this repro have followed the kernel's
 rounding, so one is likely to show here as a difference. Each run takes
-about 2 s. `tests/test_synthesis.py` checks the
+about 3 s. `tests/test_synthesis.py` checks the
 certificates of the (6, 3) and (8, 4) designs.
 """
 
@@ -29,10 +32,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ((4, 2), (6, 3), (8, 4))
 SEEDS = range(6)
 DESIGNS = ("D1", "D4")
+# the endgame design's row label, in the repro's (n, m, seed, design) form
+ENDGAME = (16, 8, 0, "D4 radius 1.05")
 
 
 @functools.cache
@@ -49,6 +56,33 @@ def random_data_plant(seed, n, m):
     return _workloads().random_data_plant(seed, n=n, m=m)
 
 
+def d4_16_plant(radius=0.7):
+    """A 16-state, 8-input plant (rng seed 0, A scaled to spectral radius
+    radius) and its pattern (density 0.4 plus the diagonal and
+    superdiagonal)."""
+    from structh2 import PlantPair, spectral_radius
+    rng = np.random.default_rng(0)
+    n, m = 16, 8
+    A = rng.standard_normal((n, n))
+    A *= radius / spectral_radius(A)
+    B = rng.standard_normal((n, m))
+    pattern = (rng.uniform(size=(m, n)) < 0.4).astype(int)
+    pattern[np.arange(m), np.arange(m)] = 1
+    pattern[np.arange(m), np.arange(1, m + 1)] = 1
+    return PlantPair(A=A, B=B), pattern
+
+
+def d4_16_data_design(radius=0.7):
+    """design_data's (batch, perf, options) for the D4 design of
+    `d4_16_plant`: eps = 0.02, T = 4 (n + m), noise seed 0."""
+    from structh2 import DesignOptions, default_perf, simulate
+    from structh2.subspace import from_pattern
+    plant, pattern = d4_16_plant(radius)
+    n, m = plant.n, plant.m
+    batch, _ = simulate(plant, np.zeros(n), None, 0.02, seed=0, exponent=2, T=4 * (n + m))
+    return batch, default_perf(n, m), DesignOptions(design="D4", subspace=from_pattern(pattern))
+
+
 def cases(shapes=SHAPES):
     """(n, m, seed, design) of every design of the repro."""
     return [(n, m, seed, d) for n, m in shapes for seed in SEEDS for d in DESIGNS]
@@ -63,11 +97,13 @@ def design(n, m, seed, d):
 
 
 def run(shapes=SHAPES):
-    """One (case, status, iterations) row per design."""
+    """One (case, status, iterations) row per design, the endgame's last."""
     from structh2 import design_data
+    jobs = [(case, design(*case)) for case in cases(shapes)]
+    jobs.append((ENDGAME, d4_16_data_design(1.05)))
     rows = []
-    for case in cases(shapes):
-        res = design_data(*design(*case))
+    for case, args in jobs:
+        res = design_data(*args)
         rows.append((case, res.status, res.report.iterations))
     return rows
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgemqrt, dgeqrt
 
+from kernel_repro import d4_16_data_design, d4_16_plant
+
 from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair,
                       SolverOptions, default_perf, design_data, design_model,
                       example1_perf, example1_plant, example1_subspace,
@@ -55,21 +57,6 @@ def sharing12_plant():
     pattern = np.block([[np.ones((3, 2)), np.ones((3, 8)), np.zeros((3, 2))],
                         [np.zeros((3, 2)), np.ones((3, 8)), np.ones((3, 2))]]).astype(int)
     return PlantPair(A=A, B=B), from_pattern(pattern)
-
-
-def d4_16_plant(radius=0.7):
-    """A 16-state, 8-input plant (rng seed 0, A scaled to spectral radius
-    radius) and its pattern (density 0.4 plus the diagonal and
-    superdiagonal)."""
-    rng = np.random.default_rng(0)
-    n, m = 16, 8
-    A = rng.standard_normal((n, n))
-    A *= radius / spectral_radius(A)
-    B = rng.standard_normal((n, m))
-    pattern = (rng.uniform(size=(m, n)) < 0.4).astype(int)
-    pattern[np.arange(m), np.arange(m)] = 1
-    pattern[np.arange(m), np.arange(1, m + 1)] = 1
-    return PlantPair(A=A, B=B), pattern
 
 
 def d4_16_design():
@@ -242,14 +229,44 @@ def interior_point(cone, rng):
     return v
 
 
+def congruence(W, mats, v):
+    """svec(A_i smat(v_i) A_i^T) per block i, for A_i = mats[g][j] at the
+    block's place (g, j) in W's cone: one block at a time, by matmul."""
+    cone = W.cone
+    return np.concatenate([svec(mats[g][j] @ smat(v[sl], d) @ mats[g][j].T)
+                           for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where)])
+
+
+def winvt(W, v):
+    """W^{-T} v = svec(R^{-1} smat(v) R^{-T}) per block."""
+    return congruence(W, W.Rinv, v)
+
+
 def dense_kkt(G, W):
     """The KKT matrix [[0, G^T], [G, -W^T W]], with a unit diagonal entry in
     the column of each variable that no row touches: the equation dx_j = r1_j
-    that the unit rows E give it."""
+    that the unit rows E give it. W^T W is the congruence by R R^T."""
     M, N = G.shape
-    WtW = np.column_stack([W.wtw_apply(e) for e in np.eye(M)])
+    Wm = [R @ R.swapaxes(-1, -2) for R in W.R]
+    WtW = np.column_stack([congruence(W, Wm, e) for e in np.eye(M)])
     return np.block([[np.diag(1.0 * ~np.any(G, axis=0)), G.T],
                      [G, -WtW]])
+
+
+def kkt_solve(kkt, rhs):
+    """(dx, dz) of the KKT system with right-hand side rhs = (r1, r3), and
+    v = W dz, through `_KKT.solve` of (r1, W^{-T} r3) at the factored W."""
+    N = kkt.N
+    dx, dz, v = kkt.solve(rhs[:N], winvt(kkt.W, rhs[N:]))
+    return np.concatenate([dx, dz]), v
+
+
+def scaled_residual(kkt, r1, r3t, sol):
+    """The max-norm residual of a solution (dx, dz, v) of `_KKT.solve` in the
+    scaled system G^T dz = r1, W^{-T} G dx - v = r3t."""
+    dx, dz, v = sol
+    Gn = kkt.G
+    return max(np.abs(r1 - Gn.tdot(dz)).max(), np.abs(r3t - winvt(kkt.W, Gn.dot(dx)) + v).max())
 
 
 def factored(cone, G, W):
@@ -308,10 +325,8 @@ class TestKktSolve:
                                    solver._QR_BLOCK + 1, 2 * solver._QR_BLOCK + 3])
     def test_kkt_matches_dense_solve(self, N):
         G, W, cone, K2, rhs = self.random_system(N=N)
-        Gn = Nonzeros.of(G)
-        sol, err = factored(cone, Gn, W).solve(rhs)
-        # err is the residual of the scaled system; K2's is the unscaled one
-        assert err <= 1e-10
+        kkt = factored(cone, Nonzeros.of(G), W)
+        sol, v = kkt_solve(kkt, rhs)
         assert np.abs(K2 @ sol - rhs).max() <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
 
@@ -326,11 +341,33 @@ class TestKktSolve:
         monkeypatch.setattr(_KKT, "_solve", counting)
         G, W, cone, K2, rhs = self.random_system()
         kkt = factored(cone, Nonzeros.of(G), W)
-        sol, err = kkt.solve(rhs)
+        N = G.shape[1]
+        r1, r3t = rhs[:N], winvt(W, rhs[N:])
+        got = kkt.solve(r1, r3t)
         # the first back-solve meets the tolerance, so no correction is made
-        assert len(calls) == 1 and np.array_equal(calls[0], rhs[:G.shape[1]])
-        assert err <= 1e-13 * (1.0 + np.abs(rhs).max())
-        assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
+        assert len(calls) == 1 and np.array_equal(calls[0], r1)
+        tol = 1e-13 * (1.0 + max(np.abs(r1).max(), np.abs(r3t).max()))
+        assert scaled_residual(kkt, r1, r3t, got) <= tol
+        assert np.allclose(np.concatenate(got[:2]), np.linalg.solve(K2, rhs),
+                           rtol=1e-8, atol=1e-10)
+
+    def test_v_is_w_dz(self):
+        # v, which the solve refines, is W dz: R_i^T smat(dz_i) R_i per block
+        G, W, cone, K2, rhs = self.random_system(N=solver._QR_BLOCK + 1)
+        kkt = factored(cone, Nonzeros.of(G), W)
+        sol, v = kkt_solve(kkt, rhs)
+        want = congruence(W, [R.swapaxes(-1, -2) for R in W.R], sol[G.shape[1]:])
+        assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_tau_pivot_is_a_squared_norm(self):
+        # g1 = |v1|^2 for the solve of (c, -W^{-T} h) equals c^T dx1 + h^T dz1,
+        # since G^T dz1 = c and G dx1 - W^T W dz1 = -h, to roundoff
+        G, W, cone, K2, rhs = self.random_system(N=solver._QR_BLOCK + 1)
+        N = G.shape[1]
+        c, h = rhs[:N], rhs[N:]
+        dx1, dz1, v1 = factored(cone, Nonzeros.of(G), W).solve(c, -winvt(W, h))
+        terms = np.concatenate([c * dx1, h * dz1])
+        assert abs(v1 @ v1 - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
     def test_corrections_reduce_the_residual(self, monkeypatch, plant, perf, subspace):
         # every KKT solve of an example1 data design, once with no correction
@@ -339,13 +376,13 @@ class TestKktSolve:
         pairs = []
         solve = _KKT.solve
 
-        def both(self, rhs):
+        def both(self, r1, r3t):
             monkeypatch.setattr(solver, "_KKT_REFINE", 0)
-            first = solve(self, rhs)[1]
+            first = scaled_residual(self, r1, r3t, solve(self, r1, r3t))
             monkeypatch.setattr(solver, "_KKT_REFINE", 3)
-            sol, err = solve(self, rhs)
-            pairs.append((first, err))
-            return sol, err
+            sol = solve(self, r1, r3t)
+            pairs.append((first, scaled_residual(self, r1, r3t, sol)))
+            return sol
 
         monkeypatch.setattr(_KKT, "solve", both)
         batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
@@ -353,6 +390,25 @@ class TestKktSolve:
         assert res.status == "Optimal"
         assert all(err <= first for first, err in pairs)
         assert any(err < first for first, err in pairs)
+
+    def test_maps_per_iteration(self, monkeypatch, plant, perf, subspace):
+        # each direction is taken in W's scaled space: an iteration maps h
+        # and rz through W^{-T} once, each of its three KKT solves maps once
+        # each way per pass, each of its two directions maps W^{-T} ds back
+        # through W^T, and its corrector's Jordan product is one more map:
+        # 11, and 2 per correction
+        calls = []
+        cone_map = _Cone.map
+
+        def counting(self, fn, *vs):
+            calls.append(fn)
+            return cone_map(self, fn, *vs)
+
+        monkeypatch.setattr(_Cone, "map", counting)
+        batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
+        res = design_data(batch, perf, DesignOptions(design="D4", subspace=subspace))
+        assert res.status == "Optimal"
+        assert 11 * res.report.iterations <= len(calls) <= 13 * res.report.iterations
 
     def test_staged_kkt_matches_dense_solve(self):
         G, W, cone, rng = staged_system()
@@ -366,9 +422,8 @@ class TestKktSolve:
         rhs = rng.standard_normal(G.shape[1] + G.shape[0])
         rhs[kkt.idle] = 0.0              # c_j = 0 for a variable the model leaves unused
         kkt.factor(W)
-        sol, err = kkt.solve(rhs)
+        sol, v = kkt_solve(kkt, rhs)
         K2 = dense_kkt(G, W)
-        assert err <= 1e-10
         assert np.abs(K2 @ sol - rhs).max() <= 1e-10
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
 
@@ -418,16 +473,16 @@ class TestKktSolve:
         for st, (qr, _, run) in zip(kkt.stages, kkt.factors):
             assert np.shares_memory(qr, st.buf)
             assert np.shares_memory(run, kkt.col)
-        kkt.solve(rng.standard_normal(G.shape[1] + G.shape[0]))
+        kkt.solve(rng.standard_normal(G.shape[1]), rng.standard_normal(G.shape[0]))
         assert len(seen) > 5 and all(seen)
 
     def test_nonfinite_solve_raises(self):
         # the solver's one failure exit catches LinAlgError
         G, W, cone, _, rhs = self.random_system()
         rhs[0] = np.nan
-        Gn = Nonzeros.of(G)
+        N = G.shape[1]
         with pytest.raises(np.linalg.LinAlgError):
-            factored(cone, Gn, W).solve(rhs)
+            factored(cone, Nonzeros.of(G), W).solve(rhs[:N], rhs[N:])
 
     @pytest.mark.parametrize("design", ["D1", "D2"])
     def test_data_endgame_stays_optimal(self, design):
@@ -535,9 +590,10 @@ class TestWorkspace:
             for (qr, t, _), (qr0, t0, _) in zip(reused.factors, fresh.factors):
                 assert np.array_equal(qr, qr0)
                 assert np.array_equal(t, t0)
-            got, want = reused.solve(rhs), fresh.solve(rhs)
-            assert np.array_equal(got[0], want[0])
-            assert got[1] == want[1]
+            N = G.shape[1]
+            got, want = (k.solve(rhs[:N], rhs[N:]) for k in (reused, fresh))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_build_allocates_less_than_the_stack(self):
         # the factor writes into the KKT's buffers: what it allocates (the QR
@@ -748,14 +804,12 @@ def test_staged_designs_at_scale(mode, monkeypatch):
             stages.append(len(self.stages))
 
     monkeypatch.setattr(solver, "_KKT", Recording)
-    plant, pattern = d4_16_plant(radius=1.05 if mode.endswith("1.05") else 0.7)
-    n, m = 16, 8
-    opts = DesignOptions(design="D4", subspace=from_pattern(pattern))
     if mode == "model":
-        res = design_model(plant, default_perf(n, m), opts)
+        plant, pattern = d4_16_plant()
+        res = design_model(plant, default_perf(16, 8),
+                           DesignOptions(design="D4", subspace=from_pattern(pattern)))
     else:
-        batch, _ = simulate(plant, np.zeros(n), None, 0.02, seed=0, exponent=2, T=4 * (n + m))
-        res = design_data(batch, default_perf(n, m), opts)
+        res = design_data(*d4_16_data_design(radius=1.05 if mode.endswith("1.05") else 0.7))
     status, iterations, gamma = RECORDED_AT_SCALE[mode]
     assert stages and min(stages) >= 2
     assert res.status == status
@@ -1007,19 +1061,14 @@ class TestGroupedCone:
             R.append(Ls @ (Vt.T / sq))
             Rinv.append((U / sq).T @ Lz.T)
             lam.append(sig)
-        wm = [(Rb @ Rb.T).astype(np.longdouble) for Rb in R]
 
         def loop(fn, *vs):
             return self.per_block(cone, fn, *vs)
 
         cases = {
-            "w_apply": (W.w_apply(v), loop(lambda i, M: R[i].T @ M @ R[i], v)),
             "wt_apply": (W.wt_apply(v), loop(lambda i, M: R[i] @ M @ R[i].T, v)),
             "winvt_apply": (W.winvt_apply(v), loop(lambda i, M: Rinv[i] @ M @ Rinv[i].T, v)),
             "winv_apply": (W.winv_apply(v), loop(lambda i, M: Rinv[i].T @ M @ Rinv[i], v)),
-            "wtw_apply": (W.wtw_apply(v),
-                          loop(lambda i, M: wm[i] @ M @ wm[i],
-                               v.astype(np.longdouble)).astype(float)),
             "lam_solve": (W.lam_solve(v),
                           loop(lambda i, M: M / (0.5 * (lam[i][:, None] + lam[i][None, :])),
                                v)),
@@ -1044,6 +1093,34 @@ class TestGroupedCone:
                                  for d, sl in zip(cone.dims, cone.slices)])
         assert violation > 0
         assert cone.max_violation(v) == violation
+
+    def test_scalar_blocks_match_lapack(self):
+        # a group of 1 x 1 blocks takes sqrt and products in place of the
+        # Cholesky, the SVD and eigvalsh, and must give LAPACK's bits
+        rng = np.random.default_rng(13)
+        cone = _Cone((1,) * 1000)
+        s, z = (10.0 ** rng.uniform(-12, 12, cone.total) for _ in range(2))
+        W = _Scaling(cone, s, z)
+        Ls, Lz = (np.linalg.cholesky(v.reshape(-1, 1, 1)) for v in (s, z))
+        U, sig, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Ls)
+        sq = np.sqrt(sig)[:, None, :]
+        assert np.array_equal(W.lam[0], sig)
+        assert np.array_equal(W.R[0], Ls @ (Vt.swapaxes(-1, -2) / sq))
+        assert np.array_equal(W.Rinv[0], (U / sq).swapaxes(-1, -2) @ Lz.swapaxes(-1, -2))
+        d = (rng.standard_normal((cone.total, 1, 1))
+             * 10.0 ** rng.uniform(-12, 12, (cone.total, 1, 1)))
+        assert np.array_equal(solver._min_eig(d), np.linalg.eigvalsh(d)[:, 0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("side", ["s", "z"])
+    def test_scalar_block_not_positive_raises(self, bad, side):
+        # as LAPACK's path does (the Cholesky for 0 and -1, the SVD for NaN),
+        # so that the solve's one handler catches it
+        cone = _Cone((2, 1, 1))
+        pt = {"s": cone.identity(), "z": cone.identity()}
+        pt[side][cone.slices[2]] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _Scaling(cone, pt["s"], pt["z"])
 
 
 class TestKernelBits:
@@ -1083,7 +1160,6 @@ class TestKernelBits:
     def test_scaling_matches_stacked_matmul(self, seed):
         cone, W, u, v = self.scaled_system(seed)
         R, Rinv = W.R, W.Rinv
-        wm = [(Rg @ Rg.swapaxes(-1, -2)).astype(np.longdouble) for Rg in R]
 
         def t(X):
             return X.swapaxes(-1, -2)
@@ -1099,14 +1175,10 @@ class TestKernelBits:
 
         lam_vec = stacked(diag)
         cases = {
-            "w_apply": (W.w_apply(v), stacked(lambda g, M: t(R[g]) @ M @ R[g], v)),
             "wt_apply": (W.wt_apply(v), stacked(lambda g, M: R[g] @ M @ t(R[g]), v)),
             "winvt_apply": (W.winvt_apply(v),
                             stacked(lambda g, M: Rinv[g] @ M @ t(Rinv[g]), v)),
             "winv_apply": (W.winv_apply(v), stacked(lambda g, M: t(Rinv[g]) @ M @ Rinv[g], v)),
-            "wtw_apply": (W.wtw_apply(v),
-                          stacked(lambda g, M: wm[g] @ M @ wm[g],
-                                  v.astype(np.longdouble)).astype(float)),
             "lam_solve": (W.lam_solve(v), stacked(
                 lambda g, M: M / (0.5 * (W.lam[g][:, :, None] + W.lam[g][:, None, :])), v)),
             "sym_prod": (solver._sym_prod(cone, u, v),
@@ -1129,9 +1201,9 @@ class TestKernelBits:
     def test_map_results_are_fresh(self):
         # map reads and writes the cone's scratch, but returns a new svec
         cone, W, u, v = self.scaled_system(0)
-        a = W.w_apply(u)
+        a = W.wt_apply(u)
         kept = a.copy()
-        b = W.w_apply(v)
+        b = W.wt_apply(v)
         assert not np.shares_memory(a, b)
         assert np.array_equal(a, kept)
         c = solver._sym_prod(cone, u, v)
@@ -1141,20 +1213,19 @@ class TestKernelBits:
         cone, W, u, v = self.scaled_system(0)
         for bad in (u[:-1], np.append(u, 0.0)):
             with pytest.raises(ValueError, match="svec of length"):
-                W.w_apply(bad)
+                W.wt_apply(bad)
             with pytest.raises(ValueError, match="svec of length"):
                 solver._sym_prod(cone, u, bad)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    def test_congruence_matches_matmul(self, dtype):
+    def test_congruence_matches_matmul(self):
         # the kernel on its own, over every dimension the designs use and
         # beyond, with a transposed (F-order) right factor as W's maps pass it
         rng = np.random.default_rng(11)
         for d in range(1, 33):
             k = 1 + d % 3
-            L, M, Rt = (rng.standard_normal((k, d, d)).astype(dtype)
-                        * 10.0 ** rng.uniform(-6, 6) for _ in range(3))
-            out = np.empty((k, d, d), dtype)
+            L, M, Rt = (rng.standard_normal((k, d, d)) * 10.0 ** rng.uniform(-6, 6)
+                        for _ in range(3))
+            out = np.empty((k, d, d))
             solver._congruence(L, M, Rt.swapaxes(-1, -2), out)
             assert np.array_equal(out, L @ M @ Rt.swapaxes(-1, -2)), d
 
