@@ -39,15 +39,26 @@ complementarity lambda o (v + W^{-T} ds) = eta gives W^{-T} ds = p - v for
 p = lam_solve(eta), so the KKT right-hand side is W^{-T} r - p, with W^{-T} r
 mapped once per iteration. p - v is a difference of quantities of the size
 of lambda, which float64 carries; the unscaled ds0 - W^T W dz cancels at
-small mu beyond what float64 carries. One W^T map takes p - v back to ds;
-the boundary step and the corrector's Jordan product read the scaled vectors.
-The tau pivot |W dz_1|^2 equals c^T dx_1 + h^T dz_1 and cannot go negative.
+small mu beyond what float64 carries. One W^T map takes the corrector's
+p - v back to ds; the boundary step and the corrector's Jordan product read
+the scaled vectors. The tau pivot |W dz_1|^2 equals c^T dx_1 + h^T dz_1 and
+cannot go negative.
+
+Mehrotra's predictor only sets sigma and the corrector's second-order term
+(Mehrotra, SIAM J. Optim. 2, 1992), so it takes one back-solve through the
+factor, with no refinement, and makes no cone map: h^T dz_2 is
+(W^{-T} h)^T v_2, with W^{-T} h mapped once for the tau pivot's solve, and
+mu_aff is read from the scaled vectors as CVXOPT reads it, since
+(W^T u).(W^{-1} v) = u.v gives (s + a ds).(z + a dz) =
+(lambda + a W^{-T} ds).(lambda + a W dz). The pivot's solve and the
+corrector's are refined.
 
 Each iteration solves its KKT systems through one QR factorization of the
-NT-scaled cone rows W^{-T} G and refines every solution in the scaled system
-that the QR solves, with products with G and W's per-block maps only. The
-factor's error grows with the condition number of W^{-T} G rather than its
-square, which keeps the data-driven endgame, where W degenerates, solvable.
+NT-scaled cone rows W^{-T} G and refines the solutions of the tau pivot and
+the corrector in the scaled system that the QR solves, with products with G
+and W's per-block maps only. The factor's error grows with the condition
+number of W^{-T} G rather than its square, which keeps the data-driven
+endgame, where W degenerates, solvable.
 The factorization (LAPACK `dgeqrt`) keeps Q as block reflectors of up to
 `_QR_BLOCK` columns with their triangular factors, the compact WY form of
 Schreiber & Van Loan (1989), and each of the iteration's one-column
@@ -98,7 +109,8 @@ What does not change within a solve or a scaling point is computed once.
 scratch buffers whose group views are made on first use; only the svec it
 returns is new. A `_Scaling` keeps its transposed factors, the divisor of
 `lam_solve` at every svec position and the sqrt(lambda_i) sqrt(lambda_j) of
-`max_step`, which takes both boundary directions in one eigvalsh per group.
+`max_step`, which gathers both boundary directions into one buffer and
+takes them in one eigvalsh per group.
 
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. One `_KKT` is built per solve and
@@ -109,7 +121,10 @@ G's columns are kept per block as their nonzeros alone, as Fujisawa, Kojima
 & Nakata (1997) form the scaled system from sparse constraint data; each
 build scatters a chunk's nonzeros into its smat stack, applies the
 congruence by R^{-1} to the stack through BLAS and writes its svec into its
-stage buffer, with `out=` arguments throughout. So an iteration allocates
+stage buffer, with `out=` arguments throughout. The 1 x 1 blocks (the
+LMIs' scalar rows) take no chunk: each stage writes their entries
+r_i v r_i in one elementwise operation, the products of the 1 x 1
+congruence, whose svec leaves them as they are. So an iteration allocates
 nothing proportional to G, and each column's arithmetic is that of the
 congruence of its dense smat.
 """
@@ -235,10 +250,11 @@ class _Cone:
         self._bufs = {}
 
     def _split(self, buf):
-        """The (k, d, d) stack of every group, as views into a flat buffer."""
+        """The (..., k, d, d) stack of every group, as views into a buffer
+        whose last axis is flat."""
         out, off = [], 0
         for d, k in self.groups:
-            out.append(buf[off:off + k * d * d].reshape(k, d, d))
+            out.append(buf[..., off:off + k * d * d].reshape(buf.shape[:-1] + (k, d, d)))
             off += k * d * d
         return out
 
@@ -247,6 +263,13 @@ class _Cone:
         buf = v[self._gather]
         buf /= self._div
         return self._split(buf)
+
+    def _take(self, v, out):
+        """Gather the svec v into the flat buffer out, in group order."""
+        # take(mode="clip") would clamp the indices of a short v
+        if v.shape != (self.total,):
+            raise ValueError(f"expected an svec of length {self.total}, got shape {v.shape}")
+        v.take(self._gather, out=out, mode="clip")
 
     def _scratch(self, slot, dtype):
         """Flat buffer number slot of dtype and its group views, made on first
@@ -266,11 +289,8 @@ class _Cone:
         returned is a new array."""
         per = []
         for slot, v in enumerate(vs, 1):
-            # take(mode="clip") would clamp the indices of a short v
-            if v.shape != (self.total,):
-                raise ValueError(f"expected an svec of length {self.total}, got shape {v.shape}")
             buf, views = self._scratch(slot, v.dtype)
-            v.take(self._gather, out=buf, mode="clip")
+            self._take(v, buf)
             buf /= self._div
             per.append(views)
         buf, views = self._scratch(0, np.result_type(*vs))
@@ -389,11 +409,17 @@ class _Scaling:
 
     def max_step(self, *dirs):
         """Largest alpha with Lambda + alpha*mat(d) staying PSD for every d in
-        dirs: one eigvalsh per group over the stacks of all of them."""
+        dirs: one gather per direction into one (len(dirs), flat) buffer, one
+        division by smat's divisor, and one eigvalsh per group over the
+        stacks of all of them."""
+        cone = self.cone
+        buf = np.empty((len(dirs), cone._flat))
+        for row, d in zip(buf, dirs):
+            cone._take(d, row)
+        buf /= cone._div
         alpha = np.inf
-        per = [self.cone.stacks(d) for d in dirs]
-        for g, sq in enumerate(self._sqrt_outer):
-            lmin = _min_eig(np.stack([p[g] for p in per]) / sq)
+        for S, sq in zip(cone._split(buf), self._sqrt_outer):
+            lmin = _min_eig(S / sq)
             neg = lmin[lmin < 0]
             if neg.size:
                 alpha = min(alpha, float((-1.0 / neg).min()))
@@ -589,25 +615,32 @@ class _KKT:
     dx_j = r1_j, which is 0 whenever c_j = 0.
 
     Built once per solve, from the equilibrated `Nonzeros` table, never from
-    a dense G. G's columns that touch a PSD block are kept as chunks of at
-    most `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as the
-    nonzeros of its columns: each value, divided as `lmi.smat` divides it,
-    with the flat positions of its entry and the entry's mirror in the
-    chunk's (kc, d, d) smat stack. The stack [Gt; E] is factored as a
-    staircase (`_stage_plan`): each PSD block, and E as one more, belongs to
-    the stage that first holds all of some columns' blocks, and each stage
-    is an F-order buffer (`_Stage`) over the columns of its own and later
-    stages, with room above its own rows for the rows that the stage before
-    leaves below its triangle. `perm` lists G's columns in the plan's order
+    a dense G. G's columns that touch a PSD block of d > 1 are kept as chunks
+    of at most `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as
+    the nonzeros of its columns: each value, divided as `lmi.smat` divides
+    it, with the flat positions of its entry and the entry's mirror in the
+    chunk's (kc, d, d) smat stack. The entries of the 1 x 1 blocks are kept
+    per stage (`scalars`), each with its stage row and column, its block's
+    member index j in the group of 1 x 1 blocks (`scalar_group`) and its
+    value v; `build` writes r_j v r_j there for r = R^{-1} of that group, in
+    one elementwise operation per stage. These are the chunks' products
+    (r_j v) r_j, and svec's (x + x) * 0.5 of a diagonal entry is x, so the
+    bits are the chunks'. The stack [Gt; E] is factored as a staircase
+    (`_stage_plan`): each PSD block, and E as one more, belongs to the stage
+    that first holds all of some columns' blocks, and each stage is an
+    F-order buffer (`_Stage`) over the columns of its own and later stages,
+    with room above its own rows for the rows that the stage before leaves
+    below its triangle. `perm` lists G's columns in the plan's order
     and `place` the position of each column in it. T is the F-order (N, N)
     buffer of the triangle in the plan's column order. Four flat work
     arrays, sized for the largest chunk, hold one chunk's smat stack, its
     congruence and its svec; chunks are expanded one after another, so they
     share them.
 
-    `factor(W)` writes each chunk's columns straight into its block's stage
-    buffer, at the plan's row and column positions, and factors the stages
-    in turn: each stage's columns by `dgeqrt`, Q_s kept as its Householder
+    `factor(W)` writes each chunk's columns, and the 1 x 1 blocks' entries,
+    straight into their block's stage buffer, at the plan's row and column
+    positions, and factors the stages in turn: each stage's columns by
+    `dgeqrt`, Q_s kept as its Householder
     vectors and the (nb, k) triangular factors t of its block reflectors,
     nb = min(_QR_BLOCK, k); Q_s^T is applied to the stage's trailing columns
     by `dgemqrt`; the rows below its triangle pass on to the next stage; and
@@ -670,8 +703,11 @@ class _KKT:
             c0 += cc.size
             lead = max(own - cc.size, 0)
         # (stage, row slice, columns, group, member, d, flat targets, values)
-        # per chunk
+        # per chunk of a block of d > 1, and (stage row, stage column, member,
+        # value) per entry of a 1 x 1 block, by stage
         self.chunks = []
+        scalars = [[] for _ in self.stages]
+        self.scalar_group = None
         mat_size = vec_size = 0
         for b, (d, (g, j), e0, e1) in enumerate(zip(cone.dims, cone.where,
                                                     bounds[:-1], bounds[1:])):
@@ -679,6 +715,10 @@ class _KKT:
             p, c, v = rows[e0:e1] - ranges[b][0], cols[e0:e1], vals[e0:e1]
             s, r0 = at[b]
             pos = place[c] - self.stages[s].c0      # the entry's column in the stage buffer
+            if d == 1:
+                self.scalar_group = g
+                scalars[s].append((np.full(c.size, r0), pos, np.full(c.size, j), v))
+                continue
             touched = np.unique(pos)
             which = np.searchsorted(touched, pos)   # the entry's column among touched
             kc = max(1, min(touched.size, _CHUNK_ENTRIES // (d * d)))
@@ -689,6 +729,8 @@ class _KKT:
                 self.chunks.append((s, slice(r0, r0 + svec_len(d)), touched[k0:k0 + kc], g, j, d,
                                     np.stack([base + up[p[e]], base + lo[p[e]]]),
                                     v[e] / scale[p[e]]))
+        self.scalars = [(s, *(np.concatenate(t) for t in zip(*entries)))
+                        for s, entries in enumerate(scalars) if entries]
         s, r0 = at[len(cone.dims)]
         self.unit = (s, r0 + np.arange(self.idle.size), place[self.idle] - self.stages[s].c0)
         self.perm, self.place, self.slot = _run(perm), _run(place), _run(slot)
@@ -713,6 +755,12 @@ class _KKT:
             np.matmul(m2, Ri.T, out=m1)
             a = _svec_into(m1, self._a[:k * L].reshape(k, L), self._b[:k * L].reshape(k, L))
             self.stages[s].buf[rs, pos] = a.T
+        if self.scalars:
+            # the 1 x 1 congruence ri v ri, in the chunks' order of products;
+            # their svec's (x + x) * 0.5 is x exactly
+            ri = W.Rinv[self.scalar_group][:, 0, 0]
+            for s, r, c, j, v in self.scalars:
+                self.stages[s].buf[r, c] = ri[j] * v * ri[j]
         s, r, c = self.unit
         self.stages[s].buf[r, c] = 1.0
 
@@ -896,13 +944,11 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         rtau = -float(c @ x) - float(h @ z) - kappa
         mu = (float(s @ z) + kappa) / nu
 
-        def direction(sigma, eta_s, eta_kappa):
-            """(dx, dz, ds, dtau, dkappa) for the slack target
-            W^{-T} ds0 = p = lam_solve(eta_s), the step to the boundary along
-            it, and the W dz and W^{-T} ds that the step is measured on."""
-            p = W.lam_solve(eta_s)
-            dx2, dz2, v2 = kkt.solve(-(1 - sigma) * rx, (1 - sigma) * rzt - p)
-            g2 = float(c @ dx2) + float(h @ dz2)
+        def direction(sigma, eta_kappa, p, v2, g2):
+            """(dtau, dkappa, W dz, W^{-T} ds, step) of the direction whose
+            KKT solve with r3t = (1 - sigma) W^{-T} rz - p gave v2 and
+            g2 = c^T dx2 + h^T dz2, for the slack target W^{-T} ds0 = p: the
+            step to the boundary is measured on the scaled vectors."""
             dtau = (g2 + eta_kappa - (1 - sigma) * rtau) / (g1 + kappa)
             dkappa = eta_kappa - kappa * dtau
             wdz = v2 - dtau * v1
@@ -912,23 +958,29 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
                 step = min(step, -1.0 / dtau)
             if dkappa < 0:
                 step = min(step, -kappa / dkappa)
-            return (dx2 - dtau * dx1, dz2 - dtau * dz1, W.wt_apply(wds), dtau,
-                    dkappa), step, wdz, wds
+            return dtau, dkappa, wdz, wds, step
 
         try:
             W = _Scaling(cone, s, z)
             kkt.factor(W)
             rzt = W.winvt_apply(rz)
-            dx1, dz1, v1 = kkt.solve(c, -W.winvt_apply(h))
+            ht = W.winvt_apply(h)
+            dx1, dz1, v1 = kkt.solve(c, -ht)
             # c^T dx1 + h^T dz1 = v1^T v1, which cannot go negative
             g1 = float(v1 @ v1)
 
-            # predictor
+            # predictor: one unrefined back-solve and no map (module
+            # docstring); h^T dz2 = (W^{-T} h)^T v2, and mu_aff reads
+            # (lam + a W^{-T} ds).(lam + a W dz) = (s + a ds).(z + a dz)
+            lam = cone.diagonal(W.lam)
             lam_sq = W.lam_sq()
-            da, step_aff, wdz_aff, wds_aff = direction(0.0, -lam_sq, -kappa)
+            p = W.lam_solve(-lam_sq)
+            dx2, v2 = kkt._solve(-rx, rzt - p)
+            g2 = float(c @ dx2) + float(ht @ v2)
+            dtau_aff, dkappa_aff, wdz_aff, wds_aff, step_aff = direction(0.0, -kappa, p, v2, g2)
             a_aff = min(1.0, step_aff)
-            mu_aff = (float((s + a_aff * da[2]) @ (z + a_aff * da[1]))
-                      + (1.0 + a_aff * da[3]) * (kappa + a_aff * da[4])) / nu
+            mu_aff = (float((lam + a_aff * wds_aff) @ (lam + a_aff * wdz_aff))
+                      + (1.0 + a_aff * dtau_aff) * (kappa + a_aff * dkappa_aff)) / nu
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
             # corrector, dropped when its lambda-inverse amplification would
@@ -940,13 +992,17 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
             corr_amp = np.abs(W.lam_solve(corr)).max(initial=0.0)
             if corr_amp <= 100.0 * (1.0 + base_amp):
                 eta_s = base - corr
-                eta_kappa = sigma * mu - kappa - da[3] * da[4]
+                eta_kappa = sigma * mu - kappa - dtau_aff * dkappa_aff
             else:
                 eta_s = base
                 eta_kappa = sigma * mu - kappa
+            p = W.lam_solve(eta_s)
+            dx2, dz2, v2 = kkt.solve(-(1 - sigma) * rx, (1 - sigma) * rzt - p)
+            g2 = float(c @ dx2) + float(h @ dz2)
             # eigvalsh raises on a non-finite direction in a block of d > 1;
             # the iterate's check below catches one in a 1 x 1 block
-            (dx, dz, ds, dtau, dkappa), step, _, _ = direction(sigma, eta_s, eta_kappa)
+            dtau, dkappa, _, wds, step = direction(sigma, eta_kappa, p, v2, g2)
+            dx, dz, ds = dx2 - dtau * dx1, dz2 - dtau * dz1, W.wt_apply(wds)
             alpha = min(1.0, _STEP_FRAC * step)
         except np.linalg.LinAlgError:
             break

@@ -6,18 +6,19 @@
 Designs D1 and D4 in data mode on the random plants of seeds 0-5 at
 (n, m) = (4, 2), (6, 3) and (8, 4), built by the benchmark's
 `perfbench/workloads.random_data_plant` with `plants.default_perf`: 36 solves.
-Then the endgame design, D4 in data mode on the 16-state plant of
-`d4_16_plant` with A at spectral radius 1.05, whose last iterations are the
-most sensitive to rounding of the solver's designs (about 1.2 s). Prints one
-row per design (its status and iteration count) and the sha1 of those rows on
-the last line.
+Then the endgame designs, D4 in data mode on the plants of `d4_plant` with A
+at spectral radius 1.05: the 16-state plant, whose last iterations are the
+most sensitive to rounding of the solver's designs (`Optimal`, about 1.2 s),
+and the 12-state plant, whose endgame is a certificate of infeasibility
+(`Infeasible`, about 0.4 s). Prints one row per design (its status and
+iteration count) and the sha1 of all the rows on the last line.
 
 With --coretypes, runs the repro once more in a fresh interpreter per named
 OpenBLAS kernel (`OPENBLAS_CORETYPE`, which needs an OpenBLAS built with
 DYNAMIC_ARCH, as the numpy wheels are) and exits 1 when any sha1 differs from
 this process's. Undecided designs of this repro have followed the kernel's
 rounding, so one is likely to show here as a difference. Each run takes
-about 3 s. `tests/test_synthesis.py` checks the
+about 4 s. `tests/test_synthesis.py` checks the
 certificates of the (6, 3) and (8, 4) designs.
 """
 
@@ -38,8 +39,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ((4, 2), (6, 3), (8, 4))
 SEEDS = range(6)
 DESIGNS = ("D1", "D4")
-# the endgame design's row label, in the repro's (n, m, seed, design) form
-ENDGAME = (16, 8, 0, "D4 radius 1.05")
+# the endgame designs' state counts and row labels, in the repro's
+# (n, m, seed, design) form
+ENDGAMES = {16: (16, 8, 0, "D4 radius 1.05"), 12: (12, 6, 0, "D4 radius 1.05")}
 
 
 @functools.cache
@@ -56,13 +58,13 @@ def random_data_plant(seed, n, m):
     return _workloads().random_data_plant(seed, n=n, m=m)
 
 
-def d4_16_plant(radius=0.7):
-    """A 16-state, 8-input plant (rng seed 0, A scaled to spectral radius
+def d4_plant(radius=0.7, n=16):
+    """An n-state, n/2-input plant (rng seed 0, A scaled to spectral radius
     radius) and its pattern (density 0.4 plus the diagonal and
     superdiagonal)."""
     from structh2 import PlantPair, spectral_radius
     rng = np.random.default_rng(0)
-    n, m = 16, 8
+    m = n // 2
     A = rng.standard_normal((n, n))
     A *= radius / spectral_radius(A)
     B = rng.standard_normal((n, m))
@@ -72,12 +74,12 @@ def d4_16_plant(radius=0.7):
     return PlantPair(A=A, B=B), pattern
 
 
-def d4_16_data_design(radius=0.7):
+def d4_data_design(radius=0.7, n=16):
     """design_data's (batch, perf, options) for the D4 design of
-    `d4_16_plant`: eps = 0.02, T = 4 (n + m), noise seed 0."""
+    `d4_plant`: eps = 0.02, T = 4 (n + m), noise seed 0."""
     from structh2 import DesignOptions, default_perf, simulate
     from structh2.subspace import from_pattern
-    plant, pattern = d4_16_plant(radius)
+    plant, pattern = d4_plant(radius, n)
     n, m = plant.n, plant.m
     batch, _ = simulate(plant, np.zeros(n), None, 0.02, seed=0, exponent=2, T=4 * (n + m))
     return batch, default_perf(n, m), DesignOptions(design="D4", subspace=from_pattern(pattern))
@@ -97,10 +99,10 @@ def design(n, m, seed, d):
 
 
 def run(shapes=SHAPES):
-    """One (case, status, iterations) row per design, the endgame's last."""
+    """One (case, status, iterations) row per design, the endgames' last."""
     from structh2 import design_data
     jobs = [(case, design(*case)) for case in cases(shapes)]
-    jobs.append((ENDGAME, d4_16_data_design(1.05)))
+    jobs += [(case, d4_data_design(1.05, n)) for n, case in ENDGAMES.items()]
     rows = []
     for case, args in jobs:
         res = design_data(*args)

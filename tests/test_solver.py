@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgemqrt, dgeqrt
 
-from kernel_repro import d4_16_data_design, d4_16_plant
+from kernel_repro import d4_data_design, d4_plant
 
 from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair,
                       SolverOptions, default_perf, design_data, design_model,
@@ -60,9 +60,9 @@ def sharing12_plant():
 
 
 def d4_16_design():
-    """The D4 model design of `d4_16_plant`, with no solver iterations:
-    design_model's arguments."""
-    plant, pattern = d4_16_plant()
+    """The D4 model design of the 16-state `d4_plant`, with no solver
+    iterations: design_model's arguments."""
+    plant, pattern = d4_plant()
     return (plant, default_perf(16, 8),
             DesignOptions(design="D4", subspace=from_pattern(pattern),
                           solver=SolverOptions(max_iter=0)))
@@ -391,12 +391,55 @@ class TestKktSolve:
         assert all(err <= first for first, err in pairs)
         assert any(err < first for first, err in pairs)
 
+    def test_scaled_products(self):
+        # what lets the predictor skip every map: (W^T u).(W^{-1} v) = u.v,
+        # so mu_aff reads lambda + a W^{-T} ds and lambda + a W dz, and
+        # (W^{-T} h)^T v = h^T W^{-1} v, so g2 needs no dz2, both to roundoff
+        rng = np.random.default_rng(8)
+        cone = _Cone((4, 1, 3, 1, 4))
+        W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+        u, v, h = (rng.standard_normal(cone.total) for _ in range(3))
+        dx, c = rng.standard_normal(5), rng.standard_normal(5)
+        for got, want in ((W.wt_apply(u) * W.winv_apply(v), u * v),
+                          (np.concatenate([c * dx, W.winvt_apply(h) * v]),
+                           np.concatenate([c * dx, h * W.winv_apply(v)]))):
+            assert abs(got.sum() - want.sum()) <= 1e-13 * np.abs(got).sum()
+
+    def test_predictor_makes_one_back_solve_and_no_map(self, monkeypatch, plant, perf,
+                                                        subspace):
+        # the calls of each iteration, in order, not counting what a refined
+        # solve or the Jordan product calls inside: W^{-T} rz, W^{-T} h, the
+        # refined solve for dx1, the predictor's one back-solve, the
+        # corrector's Jordan product, its refined solve and W^T of its ds
+        calls, depth = [], [0]
+
+        def recording(name, fn):
+            def call(*args):
+                if not depth[0]:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        monkeypatch.setattr(_Cone, "map", recording("map", _Cone.map))
+        monkeypatch.setattr(_KKT, "solve", recording("solve", _KKT.solve))
+        monkeypatch.setattr(_KKT, "_solve", recording("_solve", _KKT._solve))
+        monkeypatch.setattr(solver, "_sym_prod", recording("sym_prod", solver._sym_prod))
+        batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
+        res = design_data(batch, perf, DesignOptions(design="D4", subspace=subspace))
+        assert res.status == "Optimal"
+        iteration = ["map", "map", "solve", "_solve", "sym_prod", "solve", "map"]
+        assert calls == iteration * res.report.iterations
+
     def test_maps_per_iteration(self, monkeypatch, plant, perf, subspace):
         # each direction is taken in W's scaled space: an iteration maps h
-        # and rz through W^{-T} once, each of its three KKT solves maps once
-        # each way per pass, each of its two directions maps W^{-T} ds back
-        # through W^T, and its corrector's Jordan product is one more map:
-        # 11, and 2 per correction
+        # and rz through W^{-T} once, its predictor makes no map, each of its
+        # two refined KKT solves maps once each way per pass, its corrector
+        # maps W^{-T} ds back through W^T, and its Jordan product is one more
+        # map: 8, and 2 per correction
         calls = []
         cone_map = _Cone.map
 
@@ -408,7 +451,7 @@ class TestKktSolve:
         batch, _ = simulate(plant, EXAMPLE1_X0, None, 0.05, seed=100, exponent=2, T=20)
         res = design_data(batch, perf, DesignOptions(design="D4", subspace=subspace))
         assert res.status == "Optimal"
-        assert 11 * res.report.iterations <= len(calls) <= 13 * res.report.iterations
+        assert 8 * res.report.iterations <= len(calls) <= 10 * res.report.iterations
 
     def test_staged_kkt_matches_dense_solve(self):
         G, W, cone, rng = staged_system()
@@ -634,6 +677,34 @@ class TestWorkspace:
             assert np.array_equal(kkt.idle, [2])
             assert np.array_equal(Gt[cone.total:], np.eye(G.shape[1])[[2]])
 
+    def test_scalar_rows_match_congruence(self):
+        # the rows of the 1 x 1 blocks skip the chunks: one elementwise write
+        # per stage of ri v ri must equal the chunks' congruence Ri M Ri^T of
+        # each block's smat and its svec, with the blocks in three stages
+        # and columns that touch two or three of them
+        nb = solver._QR_BLOCK
+        rng = np.random.default_rng(12)
+        cone = _Cone((10, 1, 9, 1, 1))
+        N = 3 * nb + 5
+        G = np.zeros((cone.total, N))
+        for c0, c1, blocks in ((0, nb, [0, 1]), (nb, 2 * nb, [0, 1, 2, 3]),
+                               (2 * nb, N, [0, 1, 2, 3, 4])):
+            for b in blocks:
+                G[cone.slices[b], c0:c1] = (rng.standard_normal((svec_len(cone.dims[b]), c1 - c0))
+                                            * 10.0 ** rng.uniform(-3, 3))
+        G = G[:, rng.permutation(N)]
+        W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+        kkt = _KKT(cone, Nonzeros.of(G))
+        assert all(d > 1 for *_, d, _, _ in kkt.chunks)
+        assert len(kkt.scalars) == len(kkt.stages) == 3
+        kkt.build(W)
+        Gt = assembled(kkt, G.shape)
+        for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
+            cols = np.flatnonzero(np.any(G[sl] != 0.0, axis=0))
+            Ri = W.Rinv[g][j]
+            want = svec(Ri @ smat(G[sl][:, cols].T, d) @ Ri.T)
+            assert np.array_equal(Gt[sl][:, cols], want.T), d
+
     @staticmethod
     def held(obj):
         """Bytes of the arrays obj holds, through its attributes, lists and tuples."""
@@ -778,7 +849,7 @@ class TestStaircaseColumn:
         assert np.abs(kkt._qn(qt) - gx).max() <= 1e-12 * np.abs(gx).max()
 
 
-# Status, iteration count and gamma of the D4 designs of `d4_16_plant`,
+# Status, iteration count and gamma of the D4 designs of `d4_plant`,
 # recorded with the single-stage QR the staircase replaced: the radius-0.7,
 # n = 16 plant of the scale measurements, in model mode and in data mode
 # (eps = 0.02, T = 4 (n + m), noise seed 0). The data design was re-recorded
@@ -805,11 +876,11 @@ def test_staged_designs_at_scale(mode, monkeypatch):
 
     monkeypatch.setattr(solver, "_KKT", Recording)
     if mode == "model":
-        plant, pattern = d4_16_plant()
+        plant, pattern = d4_plant()
         res = design_model(plant, default_perf(16, 8),
                            DesignOptions(design="D4", subspace=from_pattern(pattern)))
     else:
-        res = design_data(*d4_16_data_design(radius=1.05 if mode.endswith("1.05") else 0.7))
+        res = design_data(*d4_data_design(radius=1.05 if mode.endswith("1.05") else 0.7))
     status, iterations, gamma = RECORDED_AT_SCALE[mode]
     assert stages and min(stages) >= 2
     assert res.status == status
@@ -1198,6 +1269,36 @@ class TestKernelBits:
         assert np.isfinite(both)
         assert both == min(W.max_step(u), W.max_step(v))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_step_matches_stacked_groups(self, seed):
+        # one gather of every direction into one buffer and one division by
+        # smat's divisor, then each group's view divided by sqrt(lambda_i)
+        # sqrt(lambda_j): the two divisions of each direction's stacks joined
+        # per group by np.stack, in the same order. Each direction is zero
+        # outside one group, so that group alone sets the step, the k = 2
+        # group of 24 x 24 blocks and the k = 3 group of 1 x 1 blocks too
+        cone, W, u, v = self.scaled_system(seed)
+        dirs = (u, v, u - 2.0 * v)
+
+        def stacked_max_step(*dirs):
+            per = [cone.stacks(d) for d in dirs]
+            alpha = np.inf
+            for g, sq in enumerate(W._sqrt_outer):
+                lmin = solver._min_eig(np.stack([p[g] for p in per]) / sq)
+                neg = lmin[lmin < 0]
+                if neg.size:
+                    alpha = min(alpha, float((-1.0 / neg).min()))
+            return alpha
+
+        for g in range(len(cone.groups)):
+            mask = np.zeros(cone.total)
+            for sl, (gi, _) in zip(cone.slices, cone.where):
+                mask[sl] = gi == g
+            got = W.max_step(*(d * mask for d in dirs))
+            assert np.isfinite(got)
+            assert got == stacked_max_step(*(d * mask for d in dirs)), cone.groups[g]
+        assert W.max_step(*dirs) == stacked_max_step(*dirs)
+
     def test_map_results_are_fresh(self):
         # map reads and writes the cone's scratch, but returns a new svec
         cone, W, u, v = self.scaled_system(0)
@@ -1216,6 +1317,8 @@ class TestKernelBits:
                 W.wt_apply(bad)
             with pytest.raises(ValueError, match="svec of length"):
                 solver._sym_prod(cone, u, bad)
+            with pytest.raises(ValueError, match="svec of length"):
+                W.max_step(u, bad)
 
     def test_congruence_matches_matmul(self):
         # the kernel on its own, over every dimension the designs use and
