@@ -105,12 +105,15 @@ scattered onto the diagonal svec positions, and `lam_solve` divides each
 svec entry by (lambda_i + lambda_j)/2, with no map at all.
 
 What does not change within a solve or a scaling point is computed once.
-`_Cone.map` reads its inputs into, and lets each group write into, per-cone
-scratch buffers whose group views are made on first use; only the svec it
-returns is new. A `_Scaling` keeps its transposed factors, the divisor of
-`lam_solve` at every svec position and the sqrt(lambda_i) sqrt(lambda_j) of
-`max_step`, which gathers both boundary directions into one buffer and
-takes them in one eigvalsh per group.
+`_Cone.stacks` is the cone's one gather: it reads any number of svecs into
+one buffer, which the cone keeps per number of vectors, with one division by
+smat's divisor, and returns each group's stack of all of them. `map` reads
+its inputs through it and lets each group write into one kept output
+buffer, so only the svec it returns is new; `max_step` takes both boundary
+directions in one eigvalsh per group, and a `_Scaling` factors s and z in
+one batched Cholesky per group. A `_Scaling` keeps its transposed factors,
+the divisor of `lam_solve` at every svec position and the
+sqrt(lambda_i) sqrt(lambda_j) of `max_step`.
 
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. One `_KKT` is built per solve and
@@ -247,6 +250,8 @@ class _Cone:
         # 0.5 * scale is exact, so (u + l) * (0.5 * scale) == 0.5 * (u + l) * scale
         self._scale = np.concatenate(scale)
         self._half_scale = 0.5 * self._scale
+        self._out = np.empty(self._flat)
+        self._out_stacks = self._split(self._out)
         self._bufs = {}
 
     def _split(self, buf):
@@ -258,46 +263,32 @@ class _Cone:
             off += k * d * d
         return out
 
-    def stacks(self, v):
-        """The smat blocks of v as one (k, d, d) stack per group."""
-        buf = v[self._gather]
-        buf /= self._div
-        return self._split(buf)
-
-    def _take(self, v, out):
-        """Gather the svec v into the flat buffer out, in group order."""
-        # take(mode="clip") would clamp the indices of a short v
-        if v.shape != (self.total,):
-            raise ValueError(f"expected an svec of length {self.total}, got shape {v.shape}")
-        v.take(self._gather, out=out, mode="clip")
-
-    def _scratch(self, slot, dtype):
-        """Flat buffer number slot of dtype and its group views, made on first
-        use and kept: `map` reads its inputs into slots 1, 2, ... and lets fn
-        write into slot 0."""
-        got = self._bufs.get((slot, dtype))
+    def stacks(self, *vs):
+        """The smat blocks of the svecs vs as one (len(vs), k, d, d) stack
+        per group: views into one (len(vs), flat) buffer, which the cone
+        keeps per len(vs) and the next call with as many vectors overwrites."""
+        got = self._bufs.get(len(vs))
         if got is None:
-            buf = np.empty(self._flat, dtype)
-            got = self._bufs[slot, dtype] = buf, self._split(buf)
-        return got
+            buf = np.empty((len(vs), self._flat))
+            got = self._bufs[len(vs)] = buf, self._split(buf)
+        buf, views = got
+        for row, v in zip(buf, vs):
+            # take(mode="clip") would clamp the indices of a short v
+            if v.shape != (self.total,):
+                raise ValueError(f"expected an svec of length {self.total}, got shape {v.shape}")
+            v.take(self._gather, out=row, mode="clip")
+        buf /= self._div
+        return views
 
     def map(self, fn, *vs):
         """The svec, in block order, of what fn(g, out, stacks of vs...)
-        writes into out for each group g: out is g's (k, d, d) stack in one
-        flat buffer of the dtype of vs. The stacks are the cone's scratch,
-        overwritten by the next call, so fn must not call `map`; the svec
-        returned is a new array."""
-        per = []
-        for slot, v in enumerate(vs, 1):
-            buf, views = self._scratch(slot, v.dtype)
-            self._take(v, buf)
-            buf /= self._div
-            per.append(views)
-        buf, views = self._scratch(0, np.result_type(*vs))
-        for g, out in enumerate(views):
-            fn(g, out, *(p[g] for p in per))
-        v = buf[self._up]
-        v += buf[self._lo]
+        writes into out for each group g: out is g's (k, d, d) stack in a
+        flat buffer that the cone keeps. The stacks are `stacks(*vs)`, so fn
+        must not call `map`; the svec returned is a new array."""
+        for g, (out, S) in enumerate(zip(self._out_stacks, self.stacks(*vs))):
+            fn(g, out, *S)
+        v = self._out[self._up]
+        v += self._out[self._lo]
         v *= self._half_scale
         return v
 
@@ -310,7 +301,7 @@ class _Cone:
 
     def max_violation(self, v):
         """The largest negated minimum eigenvalue over the blocks, at least 0."""
-        return max([0.0] + [e for S in self.stacks(v) for e in (-_min_eig(S)).tolist()])
+        return max([0.0] + [e for S in self.stacks(v) for e in (-_min_eig(S)).ravel().tolist()])
 
     def identity(self):
         v = np.zeros(self.total)
@@ -355,18 +346,17 @@ class _Scaling:
     def __init__(self, cone: _Cone, s, z):
         self.cone = cone
         self.R, self.Rinv, self.lam = [], [], []
-        for S, Z in zip(cone.stacks(s), cone.stacks(z)):
-            if S.shape[-1] == 1:
-                if not (np.all(S > 0.0) and np.all(Z > 0.0)):     # NaN fails too
+        for SZ in cone.stacks(s, z):
+            if SZ.shape[-1] == 1:
+                if not np.all(SZ > 0.0):                # NaN fails too
                     raise np.linalg.LinAlgError("Matrix is not positive definite")
-                Ls, Lz = np.sqrt(S), np.sqrt(Z)
+                Ls, Lz = np.sqrt(SZ)
                 sig = (Lz * Ls)[:, 0]
                 inv = 1.0 / np.sqrt(sig)[:, None, :]
                 self.R.append(Ls * inv)
                 self.Rinv.append(inv * Lz)
             else:
-                Ls = np.linalg.cholesky(S)
-                Lz = np.linalg.cholesky(Z)
+                Ls, Lz = np.linalg.cholesky(SZ)
                 U, sig, Vt = np.linalg.svd(Lz.swapaxes(-1, -2) @ Ls)
                 sq = np.sqrt(sig)[:, None, :]
                 self.R.append(Ls @ (Vt.swapaxes(-1, -2) / sq))
@@ -409,16 +399,9 @@ class _Scaling:
 
     def max_step(self, *dirs):
         """Largest alpha with Lambda + alpha*mat(d) staying PSD for every d in
-        dirs: one gather per direction into one (len(dirs), flat) buffer, one
-        division by smat's divisor, and one eigvalsh per group over the
-        stacks of all of them."""
-        cone = self.cone
-        buf = np.empty((len(dirs), cone._flat))
-        for row, d in zip(buf, dirs):
-            cone._take(d, row)
-        buf /= cone._div
+        dirs: one eigvalsh per group over the stacks of all of them."""
         alpha = np.inf
-        for S, sq in zip(cone._split(buf), self._sqrt_outer):
+        for S, sq in zip(self.cone.stacks(*dirs), self._sqrt_outer):
             lmin = _min_eig(S / sq)
             neg = lmin[lmin < 0]
             if neg.size:
@@ -443,8 +426,9 @@ def _sym_prod(cone: _Cone, u, v):
 
 # --- equilibration ----------------------------------------------------------
 
-def _equilibrate(G: Nonzeros, h, c, cone: _Cone, iters: int = 4):
-    """Ruiz-style scaling; PSD blocks get one uniform row scale each.
+def _equilibrate(G: Nonzeros, h, c, cone: _Cone):
+    """Four passes of Ruiz-style scaling; PSD blocks get one uniform row
+    scale each.
 
     Each entry of G is multiplied by the same scales in the same order as a
     dense pass over G would, and the maxima are exact, so the scaled values
@@ -455,7 +439,7 @@ def _equilibrate(G: Nonzeros, h, c, cone: _Cone, iters: int = 4):
     vals = G.vals.copy()
     # the table is row-major: each block's entries are one run of it
     bounds = np.searchsorted(G.rows, [sl.start for sl in cone.slices] + [M])
-    for _ in range(iters):
+    for _ in range(4):
         cm = np.zeros(N)
         np.maximum.at(cm, G.cols, np.abs(vals))
         sc = 1.0 / np.sqrt(np.maximum(cm, 1e-8))
@@ -921,9 +905,8 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
                                    certificate={"kind": "primal_infeasibility",
                                                 "z": Zc, "residual": float(res)})
         # unboundedness: x ray with G x + s = 0, c^T x < 0
-        cdx = float(c0 @ X)
-        if cdx < 0:
-            Xc, Sc = X / (-cdx), s / drG / (-cdx)
+        if pobj < 0:
+            Xc, Sc = X / (-pobj), s / drG / (-pobj)
             res = np.abs(G0.dot(Xc) + Sc).max(initial=0.0)
             if res <= _TOL_INFEAS * (1.0 + np.abs(Xc).max(initial=0.0)):
                 return SolveReport(status="Unbounded", x=None, objective=None,
@@ -983,19 +966,10 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
                       + (1.0 + a_aff * dtau_aff) * (kappa + a_aff * dkappa_aff)) / nu
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
-            # corrector, dropped when its lambda-inverse amplification would
-            # swamp the base right-hand side and inject roundoff into the
-            # linear rows (only happens very near the central-path endgame)
-            base = sigma * mu * ident - lam_sq
-            corr = _sym_prod(cone, wds_aff, wdz_aff)
-            base_amp = np.abs(W.lam_solve(base)).max(initial=0.0)
-            corr_amp = np.abs(W.lam_solve(corr)).max(initial=0.0)
-            if corr_amp <= 100.0 * (1.0 + base_amp):
-                eta_s = base - corr
-                eta_kappa = sigma * mu - kappa - dtau_aff * dkappa_aff
-            else:
-                eta_s = base
-                eta_kappa = sigma * mu - kappa
+            # corrector, with Mehrotra's second-order term at every iteration,
+            # as CVXOPT applies it
+            eta_s = sigma * mu * ident - lam_sq - _sym_prod(cone, wds_aff, wdz_aff)
+            eta_kappa = sigma * mu - kappa - dtau_aff * dkappa_aff
             p = W.lam_solve(eta_s)
             dx2, dz2, v2 = kkt.solve(-(1 - sigma) * rx, (1 - sigma) * rzt - p)
             g2 = float(c @ dx2) + float(h @ dz2)

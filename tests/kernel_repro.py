@@ -11,7 +11,10 @@ at spectral radius 1.05: the 16-state plant, whose last iterations are the
 most sensitive to rounding of the solver's designs (`Optimal`, about 1.2 s),
 and the 12-state plant, whose endgame is a certificate of infeasibility
 (`Infeasible`, about 0.4 s). Prints one row per design (its status and
-iteration count) and the sha1 of all the rows on the last line.
+iteration count) and the sha1 of all the rows on the last line, and exits 1
+when that sha1 is not `DIGEST`, the rows' recorded sha1: a change that moves
+any design's status or iteration count shows here, and must record the new
+rows and say why they moved.
 
 With --coretypes, runs the repro once more in a fresh interpreter per named
 OpenBLAS kernel (`OPENBLAS_CORETYPE`, which needs an OpenBLAS built with
@@ -42,6 +45,9 @@ DESIGNS = ("D1", "D4")
 # the endgame designs' state counts and row labels, in the repro's
 # (n, m, seed, design) form
 ENDGAMES = {16: (16, 8, 0, "D4 radius 1.05"), 12: (12, 6, 0, "D4 radius 1.05")}
+# the sha1 of the rows, the same under the SkylakeX, Haswell and Sandybridge
+# kernels and at 1 and 2 OpenBLAS threads
+DIGEST = "c5c059ae8c369f2fbf68d504a340aa91bb8aeb75"
 
 
 @functools.cache
@@ -124,21 +130,23 @@ def main(argv=None):
     for (n, m, seed, d), status, iterations in rows:
         print(f"({n},{m}) seed {seed} {d}: {status} {iterations}")
     ours = digest(rows)
-    print(ours)
+    if ours != DIGEST:
+        print(f"the rows differ from the recorded ones, whose sha1 is {DIGEST}")
+    print(ours)                          # the last line, which --coretypes reads
     differ = []
     for core in args.coretypes:
         env = dict(os.environ, OPENBLAS_CORETYPE=core)
-        out = subprocess.run([sys.executable, __file__], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        theirs = out.split()[-1]
+        # exits 1 when its rows are not the recorded ones: its output says how
+        out = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                             text=True)
+        theirs = (out.stdout.split() or ["no sha1"])[-1]
         print(f"{core}: {theirs}")
         if theirs != ours:
             differ.append(core)
-            print(out, end="")
+            print(out.stdout + out.stderr, end="")
     if differ:
         print(f"status or iterations differ under {', '.join(differ)}")
-        return 1
-    return 0
+    return 1 if differ or ours != DIGEST else 0
 
 
 if __name__ == "__main__":

@@ -203,6 +203,45 @@ class TestCertificates:
         assert rep.iterations == 0
         assert rep.x is not None
 
+    @staticmethod
+    def assert_stops_at_iteration_2(monkeypatch, name, fn, call):
+        """Solve trace_floor_problem(I) with the result of _Scaling.<name>'s
+        call number call replaced by fn of it, and check that the solve ends
+        NumericalTrouble at iteration 2 with the best iterate, which the
+        checks at the top of iteration 2 recorded: the report of the same
+        solve stopped by max_iter = 2."""
+        conic = trace_floor_problem(np.eye(3))
+        want = solve(conic, SolverOptions(max_iter=2))
+        calls = []
+        method = getattr(_Scaling, name)
+
+        def patched(W, *args):
+            calls.append(name)
+            got = method(W, *args)
+            return fn(got) if len(calls) == call else got
+
+        monkeypatch.setattr(_Scaling, name, patched)
+        rep = solve(conic)
+        assert len(calls) == call
+        assert rep.status == "NumericalTrouble"
+        assert rep.iterations == 2
+        assert np.array_equal(rep.x, want.x)
+        assert (rep.objective, rep.residuals) == (want.objective, want.residuals)
+
+    @pytest.mark.parametrize("step", [0.0, -np.inf])
+    def test_step_not_positive_ends_the_solve(self, monkeypatch, step):
+        # the corrector's step at iteration 2 (max_step's sixth call) is 0, a
+        # direction that leaves the cone at once, or -inf, which alpha keeps
+        # non-finite
+        self.assert_stops_at_iteration_2(monkeypatch, "max_step", lambda _: step, 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_iterate_ends_the_solve(self, monkeypatch, bad):
+        # ds, the one W^T map of an iteration, is non-finite at iteration 2,
+        # and so is s after the step
+        self.assert_stops_at_iteration_2(monkeypatch, "wt_apply",
+                                         lambda ds: np.full_like(ds, bad), 3)
+
     def test_max_iter_floor(self):
         # zero iterations still report the starting point; fewer is an error
         with pytest.raises(ValueError, match="max_iter"):
@@ -1202,10 +1241,20 @@ class TestKernelBits:
     DIMS = (24, 1, 30, 1, 12, 24, 1, 3)     # a k = 3 group of 1 x 1 blocks, d up to 30
 
     @staticmethod
-    def stacked(cone, fn, *vs):
+    def smat_stacks(cone, v):
+        """The smat blocks of v as one (k, d, d) stack per group, each block
+        by lmi.smat and put at its place (g, j): no code shared with
+        `_Cone.stacks`, whose buffer it cannot alias."""
+        out = [np.empty((k, d, d)) for d, k in cone.groups]
+        for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
+            out[g][j] = smat(v[sl], d)
+        return out
+
+    @classmethod
+    def stacked(cls, cone, fn, *vs):
         """svec of fn(g, stacks of vs...), a (k, d, d) stack per group, by
         lmi.svec's 0.5 * (u + l) * scale, put in block order."""
-        per = [cone.stacks(v) for v in vs]
+        per = [cls.smat_stacks(cone, v) for v in vs]
         out = [svec(fn(g, *(p[g] for p in per))) for g in range(len(cone.groups))]
         return np.concatenate([out[g][j] for g, j in cone.where])
 
@@ -1281,7 +1330,7 @@ class TestKernelBits:
         dirs = (u, v, u - 2.0 * v)
 
         def stacked_max_step(*dirs):
-            per = [cone.stacks(d) for d in dirs]
+            per = [self.smat_stacks(cone, d) for d in dirs]
             alpha = np.inf
             for g, sq in enumerate(W._sqrt_outer):
                 lmin = solver._min_eig(np.stack([p[g] for p in per]) / sq)
@@ -1311,14 +1360,15 @@ class TestKernelBits:
         assert not np.shares_memory(c, solver._sym_prod(cone, v, u))
 
     def test_map_rejects_a_wrong_length(self):
+        # every gather goes through `_Cone.stacks`, which checks each vector
         cone, W, u, v = self.scaled_system(0)
+        s = interior_point(cone, np.random.default_rng(0))
         for bad in (u[:-1], np.append(u, 0.0)):
-            with pytest.raises(ValueError, match="svec of length"):
-                W.wt_apply(bad)
-            with pytest.raises(ValueError, match="svec of length"):
-                solver._sym_prod(cone, u, bad)
-            with pytest.raises(ValueError, match="svec of length"):
-                W.max_step(u, bad)
+            for call in (lambda: W.wt_apply(bad), lambda: solver._sym_prod(cone, u, bad),
+                         lambda: W.max_step(u, bad), lambda: cone.max_violation(bad),
+                         lambda: _Scaling(cone, s, bad), lambda: _Scaling(cone, bad, s)):
+                with pytest.raises(ValueError, match="svec of length"):
+                    call()
 
     def test_congruence_matches_matmul(self):
         # the kernel on its own, over every dimension the designs use and
