@@ -63,27 +63,46 @@ The factorization (LAPACK `dgeqrt`) keeps Q as block reflectors of up to
 `_QR_BLOCK` columns with their triangular factors, the compact WY form of
 Schreiber & Van Loan (1989), and each of the iteration's one-column
 applications of Q or Q^T (`dgemqrt`) reuses those factors rather than forming
-them again. `_qr_factor` and `_qr_apply` are the solver's only calls into
-LAPACK's QR, and the first call of either imports scipy's wrappers of these
-routines and of `dtrtrs` (`_load_lapack`). Importing this module does not:
+them again. `_qr_factor` and `_qr_apply` are the KKT factorization's only
+calls into LAPACK's QR (the small QR of an eliminated block's scaling factor
+is `np.linalg.qr`'s), and the first call of either, or of
+`_tri_congruence`, imports scipy's wrappers of these routines and of
+`dtrtrs` (`_load_lapack`). Importing this module does not:
 scipy.linalg takes about 0.1 s to import, which a process that never solves,
 such as `struct-h2 simulate` or `verify`, need not pay. A KKT solve with no
 finite residual raises `LinAlgError`, as a failed scaling or factorization
 does; one handler ends the solve NumericalTrouble with its best iterate.
 
-The factorization runs in stages, a staircase that skips the blocks of
-W^{-T} G that a column never touches. The LMIs give G a column structure:
-the entries of the H2 bound Q appear only in the output block and the trace
-row, and in data mode the H2 block's variables never touch the S-lemma
-block. Once per solve, `_stage_plan` adds the PSD blocks one at a time and
-places each column in the first stage that holds all of its blocks, so that
-a block's rows have nonzeros only in the columns of its own stage and of
-later ones. Each stage factors its columns on the rows still live at it,
-its own rows and those that the stage before left below its triangle, as
-row-merge and multifrontal sparse QR do (George & Heath 1980; Davis,
-SuiteSparseQR 2011). This is Householder QR of the same matrix with its
-rows and columns permuted, so it is as backward stable, and on the 12- to
-20-state D4 designs it takes 0.44-0.73 of the flops of one dense QR.
+The H2 bound Q enters the LMIs only as the leading q x q principal block of
+the output block [[Q, X], [X^T, Y]] and through the trace row g - tr Q, yet
+its q(q+1)/2 columns are most of G's. Where the stack is wide enough for a
+staircase, the KKT takes them out of the factorization (`_Elimination`), as
+Vandenberghe, Balakrishnan, Wallin, Hansson & Roh (2005) use the structure of
+a KYP-lemma LMI's matrix variable in the Newton system. At each iterate the
+QR R^{-1} = V Rr of the output block's scaling factor gives an orthogonal V,
+and in the block's rows rotated by V's congruence Q's image is
+svec(T' Q T'^T) on the svec(q) rows of the leading block, T' the leading
+q x q block of Rr, and zero on the others. Of those rows and the trace row,
+the least-squares problem keeps one: the projection onto the unit vector w
+orthogonal to Q's columns there. w, and dQ and its share of v in each
+solve, take q x q triangular solves by T' (`dtrtrs`). The stack that the
+QR factors is the other columns on the other rows and that one row: 673 x
+231 in place of 844 x 402 on the 12-state sharing D4 design. The refinement
+still runs against the whole scaled system, through G's products.
+
+The factorization runs in stages, a staircase that skips the blocks of the
+stack that a column never touches: in data mode the H2 block's variables
+never touch the S-lemma block, for instance. Once per solve, `_stage_plan`
+adds the PSD blocks one at a time and places each column in the first stage
+that holds all of its blocks, so that a block's rows have nonzeros only in
+the columns of its own stage and of later ones. Each stage factors its
+columns on the rows still live at it, its own rows and those that the stage
+before left below its triangle, as row-merge and multifrontal sparse QR do
+(George & Heath 1980; Davis, SuiteSparseQR 2011). This is Householder QR of
+the same matrix with its rows and columns permuted, so it is as backward
+stable. Once Q is eliminated, the plan of every design LMI tried, the
+12-state sharing designs and the 20-state D4 designs in model and data
+mode, has one stage, which is one `dgeqrt` of the whole stack.
 
 The cone layer works per block dimension, not per block, as SDPT3 (Toh, Todd
 & Tutuncu 1999) stores blocks of one kind together. The blocks of one
@@ -118,8 +137,9 @@ sqrt(lambda_i) sqrt(lambda_j) of `max_step`.
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. One `_KKT` is built per solve and
 factored at each iterate, and it holds every buffer: the stage buffers of
-[W^{-T} G; E] that the QR factors in place, its triangle, the column that Q
-is applied to, and work arrays for one cache-sized chunk of G's columns.
+the stack that the QR factors in place, an eliminated Q's rotated rows of
+the other columns, its triangle, the column that Q is applied to, and work
+arrays for one cache-sized chunk of G's columns.
 G's columns are kept per block as their nonzeros alone, as Fujisawa, Kojima
 & Nakata (1997) form the scaled system from sparse constraint data; each
 build scatters a chunk's nonzeros into its smat stack, applies the
@@ -140,7 +160,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lmi import ConicForm, Nonzeros, svec_len, svec_tables
+from .lmi import ConicForm, Nonzeros, smat, svec, svec_len, svec_tables
 
 # scipy's LAPACK wrappers, bound by `_load_lapack` on first use
 dgeqrt = dgemqrt = dtrtrs = None
@@ -513,13 +533,14 @@ def _qr_apply(qr, t, trans, c):
     return c
 
 
-def _svec_into(M, out, work):
+def _svec_into(M, out, work, tables=None):
     """lmi.svec of a (k, d, d) stack, written into out, a (k, svec_len(d))
     array; work is scratch of out's shape. (u + l) * (0.5 * scale) equals
     lmi.svec's 0.5 * (u + l) * scale exactly, and mode "clip" keeps np.take
-    from buffering its output."""
+    from buffering its output. tables, the (up, lo, scale) of lmi.svec_tables
+    taken in another order of the svec positions, writes them in that order."""
     k, d = M.shape[0], M.shape[-1]
-    up, lo, _, scale, _ = svec_tables(d)
+    up, lo, scale = tables or [svec_tables(d)[i] for i in (0, 1, 3)]
     flat = M.reshape(k, d * d)
     np.take(flat, up, axis=1, out=out, mode="clip")
     np.take(flat, lo, axis=1, out=work, mode="clip")
@@ -577,13 +598,138 @@ class _Stage:
     """One stage of the staircase QR: the columns c0 ... c0 + k - 1 of the
     plan's column order, factored in an F-order buffer over the columns
     c0 ... N - 1. Its first lead rows are those that the stage before left
-    below its triangle. Its own rows follow: the cone rows `rows` (indices
+    below its triangle. Its own rows follow: the stack rows `rows` (indices
     into them), then `units` unit rows of E, which the stage of E's
     pseudo-block holds, in the order of the idle columns."""
 
     def __init__(self, c0, k, lead, rows, units, N):
         self.c0, self.k, self.lead, self.rows, self.units = c0, k, lead, rows, units
         self.buf = np.zeros((lead + rows.size + units, N - c0), order="F")
+
+
+def _tri_congruence(T, v, trans):
+    """svec(T^{-1} smat(v) T^{-T}) (trans 0) or svec(T^{-T} smat(v) T^{-1})
+    (trans 1), for T upper triangular: two triangular solves, the second on
+    the transpose of the first's result, whose svec is that of its own
+    transpose, since svec averages an entry with its mirror."""
+    if dtrtrs is None:
+        _load_lapack()
+    X = smat(v, T.shape[0])
+    for _ in range(2):
+        X, info = dtrtrs(T, X.T, trans=trans)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
+    return svec(X)
+
+
+class _Elimination:
+    """The columns of a symmetric q x q variable that enters one PSD block of
+    d > 1 only as its leading principal block, once per entry, and otherwise
+    only one 1 x 1 row: the H2 bound Q of the output block
+    [[Q, X], [X^T, Y]] >= eta I and its trace row g - tr Q >= 0. `_KKT` takes
+    them out of its QR and solves for them exactly.
+
+    At each iterate, the QR R^{-1} = V Rr of the block's scaling factor gives
+    an orthogonal V whose congruence is an orthogonal map of the block's svec
+    rows, and Rr = V^T R^{-1}, upper triangular, whose leading q x q block T'
+    comes from the QR of R^{-1}'s first q columns alone. In the rotated rows,
+    svec(Rr mat(g) Rr^T) of a column g, a column of the variable is
+    svec(T' E T'^T) on the svec(q) rows of the leading block, with E its one
+    entry, and zero on the others. With D the variable's entries in the
+    block's svec (one per column, so diagonal once the columns are sorted by
+    position) and c their entries in the 1 x 1 row, the variable's columns
+    of the scaled stack are A = [K D; c^T] on those svec(q) + 1 rows, where
+    K u = svec(T' mat(u) T'^T). A has full column rank and a one-dimensional
+    left null space, spanned by the unit vector w with w_top proportional to
+    -K^{-T} D^{-1} c and w_row to 1. Minimizing over the variable's entries
+    leaves, of those rows, only the projection w^T: the stack that `_KKT`
+    factors keeps the block's other rows and, in the 1 x 1 row's place, w^T
+    times the other columns' rows. A solve then needs K^{-1} and K^{-T}
+    only, two q x q triangular solves by T' each (`_tri_congruence`).
+
+    The columns are sorted by their entry's position in svec(q): `cols`,
+    with their entries `d` in the block and `c` in the row `row` (0 where
+    the column has none). `order` lists the block's svec positions with the
+    leading block's svec(q) first, in svec(q)'s order, and `tables` are
+    lmi.svec_tables in that order. `top` holds the svec(q) rotated rows of
+    the other columns, and `proj` the projected row before the QR, both in
+    the QR's column order; `_KKT` sizes them, and the block's chunks write
+    `top` from its column `top_c0` on."""
+
+    def __init__(self, cone: _Cone, block, q, row, cols, d, c):
+        self.block, self.q, self.row, self.cols, self.d, self.c = block, q, row, cols, d, c
+        self.nq = svec_len(q)
+        self.rows = cone.slices[block]
+        up, lo, pos, scale, _ = svec_tables(cone.dims[block])
+        lead = pos[np.triu_indices(q)]
+        self.order = np.concatenate([lead, np.setdiff1d(np.arange(up.size), lead)])
+        self.tables = up[self.order], lo[self.order], scale[self.order]
+        self.row_block = int(np.searchsorted([sl.stop for sl in cone.slices], row, side="right"))
+        self.where, self.row_where = cone.where[block], cone.where[self.row_block]
+
+    @classmethod
+    def find(cls, cone: _Cone, rows, cols, vals, bounds, N):
+        """The elimination of the largest such variable that G's table holds,
+        or None. A column qualifies in a block of d > 1 when it has one entry
+        there and none in any other block of d > 1; the variable's q is the
+        largest for which the qualifying entries in the leading q x q block
+        are svec(q), at distinct positions, and its columns must then touch
+        exactly one 1 x 1 row between them."""
+        dims = np.array(cone.dims)
+        big = dims[np.repeat(np.arange(dims.size), np.diff(bounds))] > 1
+        nbig = np.bincount(cols[big], minlength=N)
+        best = None
+        for b, d in enumerate(cone.dims):
+            if d == 1:
+                continue
+            e = np.arange(bounds[b], bounds[b + 1])
+            e = e[nbig[cols[e]] == 1]
+            p = rows[e] - cone.slices[b].start
+            i, j = (t[p] for t in np.triu_indices(d))      # i <= j
+            q = next((q for q in range(d, 0, -1) if np.count_nonzero(j < q) == svec_len(q)
+                      and np.unique(p[j < q]).size == svec_len(q)), None)
+            if q is None or (best is not None and q <= best[0]):
+                continue
+            e, i, j = e[j < q], i[j < q], j[j < q]
+            scalar = ~big & np.isin(cols, cols[e])
+            if np.unique(rows[scalar]).size == 1:
+                best = q, b, e[np.argsort(svec_tables(q)[2][i, j])], scalar
+        if best is None:
+            return None
+        q, b, e, scalar = best
+        c = np.zeros(N)
+        c[cols[scalar]] = vals[scalar]
+        return cls(cone, b, q, rows[scalar][0], cols[e], vals[e], c[cols[e]])
+
+    def rotate(self, W: _Scaling):
+        """Factor the block's R^{-1} at the iterate W: V, Rr and T'."""
+        g, j = self.where
+        self.V, self.Rr = np.linalg.qr(W.Rinv[g][j])
+        self.Tq = self.Rr[:self.q, :self.q]
+
+    def project(self, W: _Scaling, row, lo):
+        """w at the iterate, and the projected row written over row, the 1 x 1
+        row's entries of the other columns from column lo of the QR's order
+        on: w_row times them plus w_top^T top."""
+        g, j = self.row_where
+        ri = W.Rinv[g][j, 0, 0]
+        z = -_tri_congruence(self.Tq, (ri * self.c * ri) / self.d, 1)
+        norm = math.sqrt(1.0 + float(z @ z))
+        self.w_top, self.w_row = z / norm, 1.0 / norm
+        row *= self.w_row
+        row += self.w_top @ self.top[:, lo:]
+        self.proj[lo:] = row
+
+    def to_block(self, x):
+        """svec(V^T mat(x) V) of the block's rows x, in `order`."""
+        d = self.V.shape[0]
+        return svec(self.V.T @ smat(x, d) @ self.V)[self.order]
+
+    def from_block(self, y):
+        """svec(V mat(x) V^T) of the rotated rows y, given in `order`."""
+        x = np.empty(y.size)
+        x[self.order] = y
+        return svec(self.V @ smat(x, self.V.shape[0]) @ self.V.T)
 
 
 class _KKT:
@@ -599,7 +745,15 @@ class _KKT:
     dx_j = r1_j, which is 0 whenever c_j = 0.
 
     Built once per solve, from the equilibrated `Nonzeros` table, never from
-    a dense G. G's columns that touch a PSD block of d > 1 are kept as chunks
+    a dense G. Where the stack is wide enough for a staircase (N >= 2
+    `_QR_BLOCK`), `_Elimination.find` looks in the table for a variable that
+    enters one PSD block only as its leading principal block and otherwise
+    one 1 x 1 row, the H2 bound Q. Its columns then stay out of the QR
+    (`elim`): the stack holds that block's other rows, rotated, and the
+    projected row in place of the 1 x 1 row, and `_solve` recovers them
+    exactly. Otherwise `elim` is None and the stack is [Gt; E] itself.
+
+    G's other columns that touch a PSD block of d > 1 are kept as chunks
     of at most `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as
     the nonzeros of its columns: each value, divided as `lmi.smat` divides
     it, with the flat positions of its entry and the entry's mirror in the
@@ -609,26 +763,28 @@ class _KKT:
     value v; `build` writes r_j v r_j there for r = R^{-1} of that group, in
     one elementwise operation per stage. These are the chunks' products
     (r_j v) r_j, and svec's (x + x) * 0.5 of a diagonal entry is x, so the
-    bits are the chunks'. The stack [Gt; E] is factored as a staircase
+    bits are the chunks'. The stack is factored as a staircase
     (`_stage_plan`): each PSD block, and E as one more, belongs to the stage
     that first holds all of some columns' blocks, and each stage is an
     F-order buffer (`_Stage`) over the columns of its own and later stages,
     with room above its own rows for the rows that the stage before leaves
-    below its triangle. `perm` lists G's columns in the plan's order
-    and `place` the position of each column in it. T is the F-order (N, N)
-    buffer of the triangle in the plan's column order. Four flat work
-    arrays, sized for the largest chunk, hold one chunk's smat stack, its
-    congruence and its svec; chunks are expanded one after another, so they
-    share them.
+    below its triangle. The stack's rows are the cone rows, less the svec(q)
+    rows of an eliminated variable's block, in block order. `perm` lists the
+    factored columns of G in the plan's order and `place` the position of
+    each column in it. T is the F-order buffer of the triangle in the plan's
+    column order. Four flat work arrays, sized for the largest chunk, hold
+    one chunk's smat stack, its congruence and its svec; chunks are expanded
+    one after another, so they share them.
 
     `factor(W)` writes each chunk's columns, and the 1 x 1 blocks' entries,
     straight into their block's stage buffer, at the plan's row and column
-    positions, and factors the stages in turn: each stage's columns by
-    `dgeqrt`, Q_s kept as its Householder
+    positions (an eliminated variable's block through Rr in place of R^{-1},
+    its svec(q) rotated rows into `elim.top`), and factors the stages in
+    turn: each stage's columns by `dgeqrt`, Q_s kept as its Householder
     vectors and the (nb, k) triangular factors t of its block reflectors,
     nb = min(_QR_BLOCK, k); Q_s^T is applied to the stage's trailing columns
     by `dgemqrt`; the rows below its triangle pass on to the next stage; and
-    its top rows are its rows of T. So P_r [Gt; E] P_c = Q T with
+    its top rows are its rows of T. So P_r S P_c = Q T for the stack S, with
     Q = Q_1 ... Q_K, each Q_s acting on its stage's live rows. A stage with
     fewer live rows than columns leaves its columns rank deficient and raises
     LinAlgError. Each factor overwrites the last.
@@ -637,7 +793,7 @@ class _KKT:
     laid out as the staircase: the L live rows of the stage at column c0
     are col[c0 : c0 + L], so the rows that a stage leaves below its
     triangle already sit where the next stage's lead rows are, and `slot`
-    is the position of each cone row in col. perm, place and slot
+    is the position of each stack row in col. perm, place and slot
     are held as slices when they are runs of consecutive indices, so that
     indexing by them makes views. A plan of one stage keeps the stack's own
     order, so all three are runs, and its Q is the one `dgeqrt` factor of
@@ -653,24 +809,40 @@ class _KKT:
         rows, cols, vals = G.rows[keep], G.cols[keep], G.vals[keep]
         bounds = np.searchsorted(rows, [sl.start for sl in cone.slices] + [M])
         self.idle = np.flatnonzero(np.bincount(cols, minlength=N) == 0)
-        # the row ranges of the blocks in the stack, E's last
-        ranges = [(sl.start, sl.stop) for sl in cone.slices] + [(M, M + self.idle.size)]
+        # the stack's rows of each block, in block order, and E's
+        sizes = [svec_len(d) for d in cone.dims]
+        factored = np.ones(N, bool)
         # two stages need 2 * _QR_BLOCK columns: below that, the one stage
         # that `_stage_plan` gives, without its cost (about 0.1 ms a solve)
-        if N < 2 * _QR_BLOCK:
-            plan = [(np.arange(len(ranges)), np.arange(N))]
+        e = self.elim = None if N < 2 * _QR_BLOCK else _Elimination.find(
+            cone, rows, cols, vals, bounds, N)
+        if e is not None:
+            factored[e.cols] = False
+            rest = factored[cols]
+            rows, cols, vals = rows[rest], cols[rest], vals[rest]
+            bounds = np.searchsorted(rows, [sl.start for sl in cone.slices] + [M])
+            sizes[e.block] -= e.nq
+        start = np.cumsum([0] + sizes).tolist()
+        ranges = [(r0, r1) for r0, r1 in zip(start[:-1], start[1:])]
+        ranges.append((start[-1], start[-1] + self.idle.size))
+        free = np.flatnonzero(factored)
+        if free.size < 2 * _QR_BLOCK:
+            plan = [(np.arange(len(ranges)), np.arange(free.size))]
         else:
             touch = np.zeros((N, len(ranges)), bool)
             for b, (e0, e1) in enumerate(zip(bounds[:-1], bounds[1:])):
                 touch[cols[e0:e1], b] = True
             touch[self.idle, -1] = True
-            plan = _stage_plan(touch, [r1 - r0 for r0, r1 in ranges])
-        perm = np.concatenate([c for _, c in plan])
+            if e is not None:
+                # the projected row holds every column of the rotated block
+                touch[:, e.row_block] |= touch[:, e.block]
+            plan = _stage_plan(touch[free], [r1 - r0 for r0, r1 in ranges])
+        perm = free[np.concatenate([c for _, c in plan])]
         place = np.empty(N, np.intp)
-        place[perm] = np.arange(N)
+        place[perm] = np.arange(perm.size)
         self.stages = []
         at = {}                                     # block -> (stage, first buffer row)
-        slot = np.empty(M, np.intp)
+        slot = np.empty(start[-1], np.intp)
         c0 = lead = 0
         for s, (blocks, cc) in enumerate(plan):
             own = lead
@@ -678,12 +850,12 @@ class _KKT:
                 at[b] = s, own
                 own += ranges[b][1] - ranges[b][0]
             # E's pseudo-block has the highest index, so its rows come last
-            cone_rows = np.concatenate([np.empty(0, np.intp)] + [
+            stack_rows = np.concatenate([np.empty(0, np.intp)] + [
                 np.arange(*ranges[b]) for b in blocks.tolist() if b < len(cone.dims)])
             units = self.idle.size if blocks[-1] == len(cone.dims) else 0
             # the stage's own rows follow its lead rows in col
-            slot[cone_rows] = c0 + lead + np.arange(cone_rows.size)
-            self.stages.append(_Stage(c0, cc.size, lead, cone_rows, units, N))
+            slot[stack_rows] = c0 + lead + np.arange(stack_rows.size)
+            self.stages.append(_Stage(c0, cc.size, lead, stack_rows, units, perm.size))
             c0 += cc.size
             lead = max(own - cc.size, 0)
         # (stage, row slice, columns, group, member, d, flat targets, values)
@@ -693,10 +865,10 @@ class _KKT:
         scalars = [[] for _ in self.stages]
         self.scalar_group = None
         mat_size = vec_size = 0
-        for b, (d, (g, j), e0, e1) in enumerate(zip(cone.dims, cone.where,
-                                                    bounds[:-1], bounds[1:])):
+        for b, (d, (g, j), sl, e0, e1) in enumerate(zip(cone.dims, cone.where, cone.slices,
+                                                        bounds[:-1], bounds[1:])):
             up, lo, _, scale, _ = svec_tables(d)
-            p, c, v = rows[e0:e1] - ranges[b][0], cols[e0:e1], vals[e0:e1]
+            p, c, v = rows[e0:e1] - sl.start, cols[e0:e1], vals[e0:e1]
             s, r0 = at[b]
             pos = place[c] - self.stages[s].c0      # the entry's column in the stage buffer
             if d == 1:
@@ -708,36 +880,52 @@ class _KKT:
             kc = max(1, min(touched.size, _CHUNK_ENTRIES // (d * d)))
             mat_size, vec_size = max(mat_size, kc * d * d), max(vec_size, kc * svec_len(d))
             for k0 in range(0, touched.size, kc):
-                e = np.flatnonzero((which >= k0) & (which < k0 + kc))
-                base = (which[e] - k0) * (d * d)
-                self.chunks.append((s, slice(r0, r0 + svec_len(d)), touched[k0:k0 + kc], g, j, d,
-                                    np.stack([base + up[p[e]], base + lo[p[e]]]),
-                                    v[e] / scale[p[e]]))
+                k = np.flatnonzero((which >= k0) & (which < k0 + kc))
+                base = (which[k] - k0) * (d * d)
+                self.chunks.append((s, slice(r0, r0 + sizes[b]), touched[k0:k0 + kc], g, j, d,
+                                    np.stack([base + up[p[k]], base + lo[p[k]]]),
+                                    v[k] / scale[p[k]]))
         self.scalars = [(s, *(np.concatenate(t) for t in zip(*entries)))
                         for s, entries in enumerate(scalars) if entries]
         s, r0 = at[len(cone.dims)]
         self.unit = (s, r0 + np.arange(self.idle.size), place[self.idle] - self.stages[s].c0)
+        if e is not None:
+            # the block's chunks write their columns from its stage's first
+            # one on, and the projected row sits in the 1 x 1 row's stage
+            e.top = np.zeros((e.nq, perm.size), order="F")
+            e.proj = np.zeros(perm.size)
+            e.top_c0 = self.stages[at[e.block][0]].c0
+            self.projected = at[e.row_block]
         self.perm, self.place, self.slot = _run(perm), _run(place), _run(slot)
-        self.T = np.zeros((N, N), order="F")
-        self.col = np.empty((M + self.idle.size, 1), order="F")
+        self.T = np.zeros((perm.size, perm.size), order="F")
+        self.col = np.empty((start[-1] + self.idle.size, 1), order="F")
         self._m1, self._m2 = np.empty(mat_size), np.empty(mat_size)
         self._a, self._b = np.empty(vec_size), np.empty(vec_size)
         self.G, self.N = G, N
 
     def build(self, W: _Scaling):
-        """Write [W^{-T} G; E] into the stages' own rows."""
+        """Write the stack at W into the stages' own rows."""
+        e = self.elim
+        if e is not None:
+            e.rotate(W)
+            top = e.top[:, e.top_c0:]
         for st in self.stages:
             st.buf[st.lead:] = 0.0         # the last factorization overwrote them
         for s, rs, pos, g, j, d, targets, values in self.chunks:
             k, L = pos.size, svec_len(d)
-            Ri = W.Rinv[g][j]
+            rotated = e is not None and (g, j) == e.where
+            Ri = e.Rr if rotated else W.Rinv[g][j]
             m1, m2 = self._m1[:k * d * d], self._m2[:k * d * d].reshape(k, d, d)
             m1.fill(0.0)
             m1[targets] = values           # the smat stack of the chunk's columns
             m1 = m1.reshape(k, d, d)
             np.matmul(Ri, m1, out=m2)
             np.matmul(m2, Ri.T, out=m1)
-            a = _svec_into(m1, self._a[:k * L].reshape(k, L), self._b[:k * L].reshape(k, L))
+            a = _svec_into(m1, self._a[:k * L].reshape(k, L), self._b[:k * L].reshape(k, L),
+                           e.tables if rotated else None)
+            if rotated:
+                top[:, pos] = a[:, :e.nq].T
+                a = a[:, e.nq:]
             self.stages[s].buf[rs, pos] = a.T
         if self.scalars:
             # the 1 x 1 congruence ri v ri, in the chunks' order of products;
@@ -747,9 +935,12 @@ class _KKT:
                 self.stages[s].buf[r, c] = ri[j] * v * ri[j]
         s, r, c = self.unit
         self.stages[s].buf[r, c] = 1.0
+        if e is not None:
+            s, r = self.projected
+            e.project(W, self.stages[s].buf[r], self.stages[s].c0)
 
     def factor(self, W: _Scaling):
-        """Build [W^{-T} G; E] and factor it stage by stage, in place of the
+        """Build the stack at W and factor it stage by stage, in place of the
         last iterate's factor."""
         self.build(W)
         self.W = W
@@ -757,6 +948,7 @@ class _KKT:
         # the stage's live rows
         self.factors = []
         below = None
+        n = self.T.shape[0]
         for st in self.stages:
             c0, c1, k = st.c0, st.c0 + st.k, st.k
             if below is not None:
@@ -769,7 +961,7 @@ class _KKT:
             # slower on the strided view into the factor. Rows of a later
             # stage keep their zeros left of its diagonal block
             self.T[c0:c1, c0:c1] = qr[:k]
-            if c1 < self.N:
+            if c1 < n:
                 rest = _qr_apply(qr, t, "T", st.buf[:, k:])
                 self.T[c0:c1, c1:] = rest[:k]
                 below = rest[k:]
@@ -785,7 +977,7 @@ class _KKT:
         return x
 
     def _qt(self, v):
-        """The first N entries of Q^T P_r [v; 0], for v in the cone rows'
+        """The leading entries of Q^T P_r [v; 0], for v in the stack rows'
         order: T's rows, in the plan's column order. A view into `col`,
         which the next application of Q overwrites."""
         c = self.col
@@ -793,27 +985,61 @@ class _KKT:
         c[self.slot, 0] = v
         for qr, t, run in self.factors:
             _qr_apply(qr, t, "T", run)
-        return c[:self.N, 0]
+        return c[:self.T.shape[0], 0]
 
     def _qn(self, w):
-        """P_r^T Q [w; 0] in the cone rows' order, for w in the plan's column
-        order; it holds until the next application of Q."""
+        """P_r^T Q [w; 0] in the stack rows' order, for w in the plan's
+        column order; it holds until the next application of Q."""
         c = self.col
-        c[:self.N, 0] = w
-        c[self.N:] = 0.0
+        n = self.T.shape[0]
+        c[:n, 0] = w
+        c[n:] = 0.0
         for qr, t, run in reversed(self.factors):
             _qr_apply(qr, t, "N", run)
         return c[self.slot, 0]
 
+    def _back(self, r1, r3):
+        """(x, v) solving S^T v = r1, S x - v = r3 for the factored stack S,
+        x in the plan's column order and v in the stack rows' order."""
+        # w = T x solves T^T w = r1 + (Q^T P_r [r3; 0])[:n]
+        w = self._tri(r1, 1) + self._qt(r3)
+        # S x = (P_r^T Q [w; 0])[:M]
+        v = self._qn(w) - r3
+        return self._tri(w, 0), v
+
     def _solve(self, r1, r3t):
         """(dx, v) solving Gt^T v = r1, Gt dx - v = r3t through the factor."""
-        # w = T P_c^T dx solves T^T w = P_c^T r1 + (Q^T P_r [r3t; 0])[:N],
-        # where P_c^T r1 = r1[perm]
-        w = self._tri(r1[self.perm], 1) + self._qt(r3t)
-        # Gt dx = (P_r^T Q [w; 0])[:M]
-        v = self._qn(w) - r3t
-        dx = self._tri(w, 0)
-        return dx[self.place], v
+        e = self.elim
+        if e is None:
+            dx, v = self._back(r1[self.perm], r3t)
+            return dx[self.place], v
+        # in the block's rotated rows y, the variable's columns A live on the
+        # leading svec(q) rows and the 1 x 1 row t; the stack holds w^T of
+        # those rows in t's place
+        b0, b1, nq, t = e.rows.start, e.rows.stop, e.nq, e.row
+        y = e.to_block(r3t[b0:b1])
+        r3 = np.concatenate([r3t[:b0], y[nq:], r3t[b1:]])
+        t_stack = t - nq if t > b0 else t
+        r3[t_stack] = e.w_top @ y[:nq] + e.w_row * r3t[t]
+        # y0, on the leading rows, solves A^T y0 = r1's entries of the
+        # variable; v there is y0 - w (w^T y0) + w dv, so the other columns'
+        # equations lose top^T y0 - (w^T y0) proj
+        y0 = _tri_congruence(e.Tq, r1[e.cols] / e.d, 1)
+        zy = float(e.w_top @ y0)
+        x, v = self._back(r1[self.perm] - (e.top.T @ y0 - zy * e.proj), r3)
+        dv = v[t_stack] - zy
+        v_top = y0 + dv * e.w_top
+        # the variable's dx is what v and the other columns leave on the
+        # leading rows, through K D
+        xa = _tri_congruence(e.Tq, v_top - e.top @ x + y[:nq], 0) / e.d
+        Lr = b1 - b0 - nq
+        v = np.concatenate([v[:b0], e.from_block(np.concatenate([v_top, v[b0:b0 + Lr]])),
+                            v[b0 + Lr:]])
+        v[t] = e.w_row * dv
+        dx = np.empty(self.N)
+        dx[self.perm] = x
+        dx[e.cols] = xa
+        return dx, v
 
     def solve(self, r1, r3t):
         """The refined (dx, dz, v) with v = W dz that solve G^T dz = r1 and
@@ -981,7 +1207,8 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         except np.linalg.LinAlgError:
             break
 
-        if not np.isfinite(alpha) or alpha <= 0:
+        # on the step itself: min(1.0, 0.98 * nan) is a full step
+        if not step > 0:
             break
         stall = stall + 1 if alpha < 1e-4 else 0
 

@@ -11,12 +11,13 @@ from scipy.linalg.lapack import dgemqrt, dgeqrt
 from kernel_repro import d4_data_design, d4_plant
 
 from structh2 import (EXAMPLE1_X0, DesignOptions, LmiProblem, MatExpr, PlantPair,
-                      SolverOptions, default_perf, design_data, design_model,
+                      SolverOptions, certify_fixed_k, default_perf, design_data, design_model,
                       example1_perf, example1_plant, example1_subspace,
-                      infeasibility_residual, min_eig, simulate, solve, spectral_radius)
+                      h2_norm, infeasibility_residual, min_eig, simulate, solve,
+                      spectral_radius)
 import structh2
 from structh2 import cli, solver, synthesis
-from structh2.lmi import ConicForm, Nonzeros, smat, svec, svec_len
+from structh2.lmi import ConicForm, Nonzeros, smat, svec, svec_len, svec_tables
 from structh2.solver import _KKT, _Cone, _Scaling, _svec_into
 from structh2.subspace import from_pattern
 
@@ -228,11 +229,12 @@ class TestCertificates:
         assert np.array_equal(rep.x, want.x)
         assert (rep.objective, rep.residuals) == (want.objective, want.residuals)
 
-    @pytest.mark.parametrize("step", [0.0, -np.inf])
+    @pytest.mark.parametrize("step", [0.0, -np.inf, np.nan])
     def test_step_not_positive_ends_the_solve(self, monkeypatch, step):
         # the corrector's step at iteration 2 (max_step's sixth call) is 0, a
-        # direction that leaves the cone at once, or -inf, which alpha keeps
-        # non-finite
+        # direction that leaves the cone at once, -inf, which alpha keeps
+        # non-finite, or NaN, which min(1.0, 0.98 * step) would make a full
+        # step
         self.assert_stops_at_iteration_2(monkeypatch, "max_step", lambda _: step, 6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -599,20 +601,18 @@ class TestKktSolve:
         # pattern's free entries, and no equality rows
         conic = res.conic
         assert conic.n_reduced == 402
-        # one QR factorization per stage of the staircase per iteration, the
-        # stages' columns adding up to G's; the stages have 465, 300 and 79
-        # of the 844 cone rows, and the rows that each leaves below its
-        # triangle on top
-        stages = factored[:3]
-        assert factored == stages * res.report.iterations
-        assert stages == [(465, 153), (465 - 153 + 300, 152), (465 + 300 - 305 + 79, 97)]
-        assert sum(k for _, k in stages) == conic.n_reduced
-        assert 465 + 300 + 79 == conic.nonzeros.shape[0]
+        # one QR factorization per iteration: the H2 bound's svec(18) = 171
+        # columns are eliminated, and the 231 others factor in one stage on
+        # the 844 cone rows less the output block's 171 rotated rows of Q
+        assert factored == [(844 - 171, 402 - 171)] * res.report.iterations
+        assert 844 == conic.nonzeros.shape[0]
 
 
 def stage_bytes(kkt):
-    """Bytes of a KKT's stage buffers."""
-    return sum(st.buf.nbytes for st in kkt.stages)
+    """Bytes of a KKT's stage buffers, and of the rotated rows of an
+    eliminated variable's block, which the stack leaves out of the QR."""
+    return (sum(st.buf.nbytes for st in kkt.stages)
+            + (0 if kkt.elim is None else kkt.elim.top.nbytes))
 
 
 def assembled(kkt, shape):
@@ -774,8 +774,9 @@ class TestWorkspace:
         kkt = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
         assert self.held(kkt) < stage_bytes(kkt) + kkt.T.nbytes + (1 << 20)
         # the stages hold no more than the whole stack and one stage's rows
-        # passed on from the stage before
-        assert len(kkt.stages) == 3 and kkt.idle.size == 0
+        # passed on from the stage before; the H2 bound's columns are
+        # eliminated
+        assert kkt.elim is not None and kkt.idle.size == 0
         assert stage_bytes(kkt) <= 8 * (M * N + max(st.lead * st.buf.shape[1]
                                                     for st in kkt.stages))
 
@@ -802,6 +803,7 @@ class TestStagePlan:
         M, N = G.shape
         kkt, again = _KKT(cone, G), _KKT(cone, G)
         for k in (kkt, again):
+            assert k.elim is None
             (st,) = k.stages
             # the stack's own order: every index by perm, place and slot is a view
             assert (k.perm, k.place, k.slot) == (slice(0, N), slice(0, N), slice(0, M))
@@ -848,7 +850,9 @@ class TestStagePlan:
                                      for st in kkt.stages]))
         (perm1, stages1), (perm2, stages2) = plans
         assert np.array_equal(perm1, perm2)
-        assert len(stages1) == len(stages2) == 3
+        # the H2 bound's columns are eliminated, so the plan has fewer columns
+        assert kkt.elim is not None and perm1.size < G.shape[1]
+        assert len(stages1) == len(stages2)
         for a, b in zip(stages1, stages2):
             assert a[:3] == b[:3] and a[4] == b[4]
             assert np.array_equal(a[3], b[3])
@@ -888,6 +892,141 @@ class TestStaircaseColumn:
         assert np.abs(kkt._qn(qt) - gx).max() <= 1e-12 * np.abs(gx).max()
 
 
+def leading_block_system(seed=3, dims=(14, 10, 1, 1), q=6, nb=50):
+    """A G whose first svec(q) columns are a symmetric q x q variable that
+    enters block 0 only as its leading principal block, one entry per column,
+    and the 1 x 1 block 2 through its trace. Of the other columns, nb touch
+    blocks 0, 1 and 2, nb touch block 1 and the 1 x 1 block 3, and one no
+    row touches; the column order is shuffled. Returns the variable's
+    columns after G, W, the cone and the generator."""
+    rng = np.random.default_rng(seed)
+    cone = _Cone(dims)
+    nq = svec_len(q)
+    M, N = cone.total, nq + 2 * nb + 1
+    G = np.zeros((M, N))
+    i, j = np.triu_indices(q)
+    pos = svec_tables(dims[0])[2]
+    G[cone.slices[0].start + pos[i, j], np.arange(nq)] = rng.uniform(-2.0, 2.0, nq)
+    G[cone.slices[2].start, np.flatnonzero(i == j)] = rng.uniform(0.5, 2.0, q)
+    for c0, c1, blocks in ((nq, nq + nb, [0, 1, 2]), (nq + nb, nq + 2 * nb, [1, 3])):
+        for b in blocks:
+            G[cone.slices[b], c0:c1] = rng.standard_normal((svec_len(cone.dims[b]), c1 - c0))
+    order = rng.permutation(N)
+    W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+    return G[:, order], W, cone, rng, np.flatnonzero(order < nq)
+
+
+@pytest.fixture(scope="module")
+def sharing12_d4_conic():
+    """The conic of the sharing12 D4 model design: 844 cone rows and 402
+    columns, 171 of them the 18 x 18 H2 bound Q's."""
+    plant12, spec12 = sharing12_plant()
+    return design_model(plant12, default_perf(12, 6),
+                        DesignOptions(design="D4", subspace=spec12, sharing=True,
+                                      solver=SolverOptions(max_iter=0))).conic
+
+
+class TestElimination:
+    """A symmetric variable that enters one PSD block only as its leading
+    principal block, and otherwise one 1 x 1 row, stays out of the QR: the
+    KKT solves for it exactly, and the solve still solves the dense KKT."""
+
+    @staticmethod
+    def assert_solves_dense_kkt(G, W, cone, rng):
+        kkt = factored(cone, Nonzeros.of(G), W)
+        M, N = G.shape
+        rhs = rng.standard_normal(N + M)
+        rhs[kkt.idle] = 0.0
+        r1, r3t = rhs[:N], winvt(W, rhs[N:])
+        # the elimination is exact: one back-solve, with no correction,
+        # solves the scaled system
+        scale = 1.0 + max(np.abs(r1).max(), np.abs(r3t).max())
+        dx, v = kkt._solve(r1, r3t)
+        assert scaled_residual(kkt, r1, r3t, (dx, W.winv_apply(v), v)) <= 1e-10 * scale
+        sol, v = kkt_solve(kkt, rhs)
+        K2 = dense_kkt(G, W)
+        assert np.abs(K2 @ sol - rhs).max() <= 1e-10
+        assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
+        want = congruence(W, [R.swapaxes(-1, -2) for R in W.R], sol[N:])
+        assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
+        return kkt
+
+    def test_eliminated_kkt_matches_dense_solve(self):
+        G, W, cone, rng, cols = leading_block_system()
+        kkt = self.assert_solves_dense_kkt(G, W, cone, rng)
+        e = kkt.elim
+        assert (e.block, e.q, e.row) == (0, 6, cone.slices[2].start)
+        assert np.array_equal(np.sort(e.cols), cols)
+        # the stack leaves out the 21 rows of the leading block, and the
+        # staircase runs on what is left
+        assert len(kkt.stages) == 2
+        assert kkt.col.shape[0] == G.shape[0] - 21 + kkt.idle.size
+
+    def test_sharing12_d4_matches_dense_solve(self, sharing12_d4_conic):
+        conic = sharing12_d4_conic
+        cone = _Cone(conic.dims)
+        G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
+        rng = np.random.default_rng(21)
+        W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+        self.assert_solves_dense_kkt(G.dense(), W, cone, rng)
+
+    def test_finds_the_h2_bound(self, sharing12_d4_conic):
+        # exactly Q's svec(18) = 171 columns, in the output block, with the
+        # trace row as the one 1 x 1 row
+        conic = sharing12_d4_conic
+        cone = _Cone(conic.dims)
+        e = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]).elim
+        (Q,) = [v for v in conic.vars if v.name == "Q"]
+        assert (e.q, e.cols.size) == (18, 171)
+        assert np.array_equal(np.sort(e.cols), Q.offset + np.arange(Q.nfree))
+        assert conic.block_names[e.block] == "h2_output"
+        assert cone.slices[conic.block_names.index("trace_bound")].start == e.row
+
+    def test_staged_system_factors_as_before(self):
+        # no column of staged_system qualifies, so its plan keeps its three
+        # stages and its factor is the staircase of dgeqrt and dgemqrt calls
+        # on the built stage buffers, bit for bit
+        G, W, cone, rng = staged_system()
+        kkt = _KKT(cone, Nonzeros.of(G))
+        assert kkt.elim is None and len(kkt.stages) == 3
+        kkt.build(W)
+        bufs = [st.buf.copy(order="F") for st in kkt.stages]
+        T = np.zeros_like(kkt.T)
+        below = None
+        for st, buf in zip(kkt.stages, bufs):
+            c0, k = st.c0, st.k
+            if below is not None:
+                buf[:st.lead] = below
+            qr, t, info = dgeqrt(min(solver._QR_BLOCK, k), buf[:, :k])
+            assert info == 0
+            T[c0:c0 + k, c0:c0 + k] = qr[:k]
+            if c0 + k < T.shape[0]:
+                rest, info = dgemqrt(qr, t, buf[:, k:], trans="T")
+                assert info == 0
+                T[c0:c0 + k, c0 + k:] = rest[:k]
+                below = rest[k:]
+        kkt.factor(W)
+        assert np.array_equal(kkt.T, T)
+
+    def test_certify_fixed_k_at_scale(self, monkeypatch):
+        # certify_fixed_k bounds tr Q through trace_leq: on the 16-state
+        # plant its Q is eliminated, and the bound still meets the H2 norm
+        eliminated = []
+
+        class Recording(_KKT):
+            def __init__(self, cone, G):
+                super().__init__(cone, G)
+                eliminated.append(self.elim is not None)
+
+        plant, perf, opts = d4_16_design()
+        K = design_model(plant, perf, DesignOptions(design="D4", subspace=opts.subspace)).K
+        monkeypatch.setattr(solver, "_KKT", Recording)
+        gamma = certify_fixed_k(plant, perf, K)
+        assert eliminated == [True]
+        h2 = h2_norm(plant.A + plant.B @ K, perf.E, perf.C + perf.D @ K)
+        assert abs(gamma - h2) <= 1e-4 * (1.0 + gamma)
+
+
 # Status, iteration count and gamma of the D4 designs of `d4_plant`,
 # recorded with the single-stage QR the staircase replaced: the radius-0.7,
 # n = 16 plant of the scale measurements, in model mode and in data mode
@@ -906,12 +1045,12 @@ RECORDED_AT_SCALE = {
 
 @pytest.mark.parametrize("mode", sorted(RECORDED_AT_SCALE))
 def test_staged_designs_at_scale(mode, monkeypatch):
-    stages = []
+    eliminated = []
 
     class Recording(_KKT):
         def __init__(self, cone, G):
             super().__init__(cone, G)
-            stages.append(len(self.stages))
+            eliminated.append(self.elim is not None)
 
     monkeypatch.setattr(solver, "_KKT", Recording)
     if mode == "model":
@@ -921,7 +1060,7 @@ def test_staged_designs_at_scale(mode, monkeypatch):
     else:
         res = design_data(*d4_data_design(radius=1.05 if mode.endswith("1.05") else 0.7))
     status, iterations, gamma = RECORDED_AT_SCALE[mode]
-    assert stages and min(stages) >= 2
+    assert eliminated and all(eliminated)
     assert res.status == status
     assert abs(res.report.iterations - iterations) <= 1
     assert res.gamma == pytest.approx(gamma, rel=1e-6)
@@ -1137,6 +1276,22 @@ class TestLazyLapack:
                 "print(all(np.array_equal(g, w) for g, w in\n"
                 "          zip(got['_qr_factor'] + got['_qr_apply'], (qr, t, want_c))))")
         assert run_fresh(code, *order) == "True\n"
+
+    def test_tri_congruence_before_any_solve(self):
+        # an eliminated block's build solves by T' before the first QR: its
+        # triangular solves bind the wrappers too, and give T^{-1} X T^{-T}
+        code = ("import numpy as np\n"
+                "from structh2 import solver\n"
+                "from structh2.lmi import smat, svec\n"
+                "assert solver.dtrtrs is None\n"
+                "rng = np.random.default_rng(4)\n"
+                "T = np.triu(rng.standard_normal((4, 4))) + 4.0 * np.eye(4)\n"
+                "v = rng.standard_normal(10)\n"
+                "Ti = np.linalg.inv(T)\n"
+                "got = [solver._tri_congruence(T, v, t) for t in (0, 1)]\n"
+                "want = [svec(Ti @ smat(v, 4) @ Ti.T), svec(Ti.T @ smat(v, 4) @ Ti)]\n"
+                "print(all(np.allclose(g, w, rtol=1e-12, atol=1e-14) for g, w in zip(got, want)))")
+        assert run_fresh(code) == "True\n"
 
 
 class TestGroupedCone:
