@@ -140,16 +140,24 @@ factored at each iterate, and it holds every buffer: the stage buffers of
 the stack that the QR factors in place, an eliminated Q's rotated rows of
 the other columns, its triangle, the column that Q is applied to, and work
 arrays for one cache-sized chunk of G's columns.
-G's columns are kept per block as their nonzeros alone, as Fujisawa, Kojima
-& Nakata (1997) form the scaled system from sparse constraint data; each
-build scatters a chunk's nonzeros into its smat stack, applies the
-congruence by R^{-1} to the stack through BLAS and writes its svec into its
-stage buffer, with `out=` arguments throughout. The 1 x 1 blocks (the
-LMIs' scalar rows) take no chunk: each stage writes their entries
-r_i v r_i in one elementwise operation, the products of the 1 x 1
+G's columns are kept per block as their nonzeros alone, and each column's
+scaled rows are formed on the row indices its nonzeros touch, as Fujisawa,
+Kojima & Nakata (1997) form the scaled system from sparse constraint data:
+with T the t of the block's d indices that a column g touches,
+R^{-1} smat(g) R^{-T} = U S U^T for U = R^{-1}[:, T] and S the t x t smat of
+g on T. Each build scatters a chunk's nonzeros into its compact (k, t, t)
+stack, gathers the k U^T, takes U S and (U S) U^T through BLAS, 2 d t (d + t)
+flops a column in place of the dense congruence's 4 d^3, and writes the
+svec into its stage buffer, with `out=` arguments throughout. The 1 x 1
+blocks (the LMIs' scalar rows) take no chunk: each stage writes their
+entries r_i v r_i in one elementwise operation, the products of the 1 x 1
 congruence, whose svec leaves them as they are. So an iteration allocates
-nothing proportional to G, and each column's arithmetic is that of the
-congruence of its dense smat.
+nothing proportional to G. Each entry's sums are those of the dense
+congruence without their exact-zero terms, in the same index order, so
+they keep its bits where the dgemm kernel adds each entry's terms in index
+order into one sum. OpenBLAS's kernels do not at every size (Haswell's last
+row at odd d, some SkylakeX sizes), and there an entry can move in its
+last bit.
 """
 
 from __future__ import annotations
@@ -490,10 +498,12 @@ def _equilibrate(G: Nonzeros, h, c, cone: _Cone):
 # scaled system, each reusing the iterate's factorization.
 _KKT_REFINE = 3
 
-# Entries of one chunk's (kc, d, d) smat stack in a KKT build: G's columns are
-# expanded from their nonzeros a chunk at a time, so the stack and its
-# congruence temporaries stay in cache. Of 2^13 ... 2^17, 2^15 and 2^16 built
-# fastest on 12- and 20-state D4 designs; 2^15 needs half the buffers.
+# Entries of one chunk's (kc, d, d) congruence stack in a KKT build, its
+# largest work array: G's columns are built a chunk at a time, so the stack
+# and its compact temporaries stay in cache. Of 2^13 ... 2^17, timed on lone
+# builds of the 12-state sharing designs and the 12- to 28-state D4 data
+# designs, 2^16 was fastest, 4-9 % ahead of 2^15, and 2^13 took 1.4-2.1
+# times as long; 2^15 keeps the work arrays at half 2^16's size.
 _CHUNK_ENTRIES = 1 << 15
 
 # Columns per block reflector of the KKT factorization (LAPACK dgeqrt's nb),
@@ -754,27 +764,31 @@ class _KKT:
     exactly. Otherwise `elim` is None and the stack is [Gt; E] itself.
 
     G's other columns that touch a PSD block of d > 1 are kept as chunks
-    of at most `_CHUNK_ENTRIES // d^2` columns each, and every chunk only as
-    the nonzeros of its columns: each value, divided as `lmi.smat` divides
-    it, with the flat positions of its entry and the entry's mirror in the
-    chunk's (kc, d, d) smat stack. The entries of the 1 x 1 blocks are kept
-    per stage (`scalars`), each with its stage row and column, its block's
-    member index j in the group of 1 x 1 blocks (`scalar_group`) and its
-    value v; `build` writes r_j v r_j there for r = R^{-1} of that group, in
-    one elementwise operation per stage. These are the chunks' products
-    (r_j v) r_j, and svec's (x + x) * 0.5 of a diagonal entry is x, so the
-    bits are the chunks'. The stack is factored as a staircase
-    (`_stage_plan`): each PSD block, and E as one more, belongs to the stage
-    that first holds all of some columns' blocks, and each stage is an
-    F-order buffer (`_Stage`) over the columns of its own and later stages,
-    with room above its own rows for the rows that the stage before leaves
-    below its triangle. The stack's rows are the cone rows, less the svec(q)
+    of at most `_CHUNK_ENTRIES // d^2` columns each, taken in order of t, the
+    number of the block's indices that a column's nonzeros touch, and every
+    chunk only as idx, the (kc, t) touched indices of its columns (ascending,
+    a narrower column's padded with its last one), and the nonzeros of its
+    columns: each value, divided as `lmi.smat` divides it, with the flat
+    positions of its entry and the entry's mirror in the chunk's compact
+    (kc, t, t) smat stack, whose padded rows and columns stay zero. The
+    entries of the 1 x 1 blocks are kept per stage (`scalars`), each with its
+    stage row and column, its block's member index j in the group of 1 x 1
+    blocks (`scalar_group`) and its value v; `build` writes r_j v r_j there
+    for r = R^{-1} of that group, in one elementwise operation per stage.
+    These are the chunks' products (r_j v) r_j, and svec's (x + x) * 0.5 of
+    a diagonal entry is x, so the bits are the chunks'. The stack is
+    factored as a staircase (`_stage_plan`): each PSD block, and E as one
+    more, belongs to the stage that first holds all of some columns' blocks,
+    and each stage is an F-order buffer (`_Stage`) over the columns of its
+    own and later stages, with room above its own rows for the rows that the
+    stage before leaves below its triangle. The stack's rows are the cone rows, less the svec(q)
     rows of an eliminated variable's block, in block order. `perm` lists the
     factored columns of G in the plan's order and `place` the position of
     each column in it. T is the F-order buffer of the triangle in the plan's
-    column order. Four flat work arrays, sized for the largest chunk, hold
-    one chunk's smat stack, its congruence and its svec; chunks are expanded
-    one after another, so they share them.
+    column order. Three flat work arrays, sized for the largest chunk, hold
+    one chunk's compact stack and then its congruence, its U^T and U S and
+    then svec's scratch, and its svec; chunks are built one after another,
+    so they share them.
 
     `factor(W)` writes each chunk's columns, and the 1 x 1 blocks' entries,
     straight into their block's stage buffer, at the plan's row and column
@@ -858,16 +872,16 @@ class _KKT:
             self.stages.append(_Stage(c0, cc.size, lead, stack_rows, units, perm.size))
             c0 += cc.size
             lead = max(own - cc.size, 0)
-        # (stage, row slice, columns, group, member, d, flat targets, values)
-        # per chunk of a block of d > 1, and (stage row, stage column, member,
-        # value) per entry of a 1 x 1 block, by stage
+        # (stage, row slice, columns, touched indices, group, member, d, flat
+        # targets, values) per chunk of a block of d > 1, and (stage row,
+        # stage column, member, value) per entry of a 1 x 1 block, by stage
         self.chunks = []
         scalars = [[] for _ in self.stages]
         self.scalar_group = None
-        mat_size = vec_size = 0
+        mat_size = vec_size = tall_size = 0
         for b, (d, (g, j), sl, e0, e1) in enumerate(zip(cone.dims, cone.where, cone.slices,
                                                         bounds[:-1], bounds[1:])):
-            up, lo, _, scale, _ = svec_tables(d)
+            up, _, _, scale, _ = svec_tables(d)
             p, c, v = rows[e0:e1] - sl.start, cols[e0:e1], vals[e0:e1]
             s, r0 = at[b]
             pos = place[c] - self.stages[s].c0      # the entry's column in the stage buffer
@@ -875,15 +889,37 @@ class _KKT:
                 self.scalar_group = g
                 scalars[s].append((np.full(c.size, r0), pos, np.full(c.size, j), v))
                 continue
-            touched = np.unique(pos)
-            which = np.searchsorted(touched, pos)   # the entry's column among touched
+            # each touched column's indices T_c, ascending, padded with its
+            # last one, and each entry's row and column as places in T_c
+            touched, which = np.unique(pos, return_inverse=True)
+            ei, ej = np.divmod(up[p], d)
+            mask = np.zeros((touched.size, d), bool)
+            mask[which, ei] = mask[which, ej] = True
+            t = mask.sum(axis=1)
+            rank = np.cumsum(mask, axis=1) - 1
+            idx = np.zeros((touched.size, t.max(initial=0)), np.intp)
+            w, x = np.nonzero(mask)
+            idx[w, rank[w, x]] = x
+            idx = np.maximum.accumulate(idx, axis=1)
+            ti, tj = rank[which, ei], rank[which, ej]
+            # chunks of columns in order of t, so that a wide column pads
+            # none but its own chunk: the chunk's t is its last column's
+            order = np.argsort(t, kind="stable")
+            sw = np.empty_like(order)
+            sw[order] = np.arange(order.size)
+            sw = sw[which]                          # the entry's column in that order
+            ent = np.argsort(sw, kind="stable")
             kc = max(1, min(touched.size, _CHUNK_ENTRIES // (d * d)))
+            cuts = np.searchsorted(sw[ent], np.arange(0, touched.size + kc, kc)).tolist()
             mat_size, vec_size = max(mat_size, kc * d * d), max(vec_size, kc * svec_len(d))
-            for k0 in range(0, touched.size, kc):
-                k = np.flatnonzero((which >= k0) & (which < k0 + kc))
-                base = (which[k] - k0) * (d * d)
-                self.chunks.append((s, slice(r0, r0 + sizes[b]), touched[k0:k0 + kc], g, j, d,
-                                    np.stack([base + up[p[k]], base + lo[p[k]]]),
+            for k0, lo, hi in zip(range(0, touched.size, kc), cuts, cuts[1:]):
+                cs, k = order[k0:k0 + kc], ent[lo:hi]
+                tc = int(t[cs[-1]])
+                tall_size = max(tall_size, cs.size * tc * d)
+                base = (sw[k] - k0) * (tc * tc)
+                self.chunks.append((s, slice(r0, r0 + sizes[b]), touched[cs], idx[cs, :tc],
+                                    g, j, d, np.stack([base + ti[k] * tc + tj[k],
+                                                       base + tj[k] * tc + ti[k]]),
                                     v[k] / scale[p[k]]))
         self.scalars = [(s, *(np.concatenate(t) for t in zip(*entries)))
                         for s, entries in enumerate(scalars) if entries]
@@ -899,8 +935,9 @@ class _KKT:
         self.perm, self.place, self.slot = _run(perm), _run(place), _run(slot)
         self.T = np.zeros((perm.size, perm.size), order="F")
         self.col = np.empty((start[-1] + self.idle.size, 1), order="F")
-        self._m1, self._m2 = np.empty(mat_size), np.empty(mat_size)
-        self._a, self._b = np.empty(vec_size), np.empty(vec_size)
+        # the chunk's U_c^T and U_c S_c, and later svec's work array, share one
+        self._m, self._a = np.empty(mat_size), np.empty(vec_size)
+        self._w = np.empty(max(2 * tall_size, vec_size))
         self.G, self.N = G, N
 
     def build(self, W: _Scaling):
@@ -911,17 +948,21 @@ class _KKT:
             top = e.top[:, e.top_c0:]
         for st in self.stages:
             st.buf[st.lead:] = 0.0         # the last factorization overwrote them
-        for s, rs, pos, g, j, d, targets, values in self.chunks:
-            k, L = pos.size, svec_len(d)
+        for s, rs, pos, idx, g, j, d, targets, values in self.chunks:
+            (k, t), L = idx.shape, svec_len(d)
             rotated = e is not None and (g, j) == e.where
             Ri = e.Rr if rotated else W.Rinv[g][j]
-            m1, m2 = self._m1[:k * d * d], self._m2[:k * d * d].reshape(k, d, d)
-            m1.fill(0.0)
-            m1[targets] = values           # the smat stack of the chunk's columns
-            m1 = m1.reshape(k, d, d)
-            np.matmul(Ri, m1, out=m2)
-            np.matmul(m2, Ri.T, out=m1)
-            a = _svec_into(m1, self._a[:k * L].reshape(k, L), self._b[:k * L].reshape(k, L),
+            # U_c S_c U_c^T with U_c = R^{-1}[:, T_c] and S_c the compact smat
+            # of column c; S_c is read before m is written
+            S = self._m[:k * t * t]
+            S.fill(0.0)
+            S[targets] = values
+            n = k * t * d
+            Ut = np.take(Ri.T, idx, axis=0, out=self._w[:n].reshape(k, t, d), mode="clip")
+            US = np.matmul(Ut.swapaxes(1, 2), S.reshape(k, t, t),
+                           out=self._w[n:2 * n].reshape(k, d, t))
+            m = np.matmul(US, Ut, out=self._m[:k * d * d].reshape(k, d, d))
+            a = _svec_into(m, self._a[:k * L].reshape(k, L), self._w[:k * L].reshape(k, L),
                            e.tables if rotated else None)
             if rotated:
                 top[:, pos] = a[:, :e.nq].T

@@ -106,7 +106,8 @@ def _null_space(M, spec: SubspaceSpec) -> np.ndarray:
     rank tolerance scales with spec's basis matrices, not with M's largest
     singular value, so a map that is pure roundoff has no rank."""
     _, sv, Vt = np.linalg.svd(M)
-    tol = max(M.shape) * np.finfo(float).eps * max(np.linalg.norm(S, 2) for S in spec.basis)
+    tol = (max(M.shape) * np.finfo(float).eps
+           * np.linalg.norm(np.asarray(spec.basis), 2, axis=(1, 2)).max())
     return Vt[int(np.count_nonzero(sv > tol)):]
 
 

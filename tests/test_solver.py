@@ -744,6 +744,80 @@ class TestWorkspace:
             want = svec(Ri @ smat(G[sl][:, cols].T, d) @ Ri.T)
             assert np.array_equal(Gt[sl][:, cols], want.T), d
 
+    def test_compact_chunk_matches_congruence(self):
+        # a chunk's congruence runs on the indices its columns touch, padded
+        # to its widest column's: in one group of two 12 x 12 blocks, a
+        # column with only a diagonal entry (t = 1), one whose superdiagonal
+        # touches every index (t = d) and narrower ones padded to d must each
+        # equal the dense congruence of its own smat, bit for bit. That holds
+        # where the dgemm kernel adds each entry's terms in index order, as
+        # SkylakeX, Haswell and Sandybridge do at d = 12; Haswell's last row
+        # at odd d does not (CHANGES.md)
+        rng = np.random.default_rng(14)
+        d = 12
+        cone = _Cone((d, d))
+        pos = svec_tables(d)[2]
+        N = 14
+        G = np.zeros((cone.total, N))
+        s0, s1 = cone.slices[0].start, cone.slices[1].start
+        G[s0 + pos[4, 4], 0] = 3.0
+        G[s0 + pos[np.arange(d - 1), np.arange(1, d)], 1] = rng.standard_normal(d - 1)
+        for c in range(2, N):
+            for s in (s0, s1)[:1 + c % 2]:
+                i, j = rng.integers(d, size=(2, 1 + c % 3))
+                G[s + pos[i, j], c] = (rng.standard_normal(i.size)
+                                       * 10.0 ** rng.uniform(-3, 3, i.size))
+        W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+        kkt = _KKT(cone, Nonzeros.of(G))
+        (idx,) = [ch[3] for ch in kkt.chunks if ch[3].shape[0] == N]
+        t = [np.unique(row).size for row in idx]
+        assert idx.shape[1] == d and min(t) == 1 and max(t) == d
+        assert sum(tc < d for tc in t) >= 10
+        kkt.build(W)
+        Gt = assembled(kkt, G.shape)
+        for sl, (g, j) in zip(cone.slices, cone.where):
+            Ri = W.Rinv[g][j]
+            for c in np.flatnonzero(np.any(G[sl] != 0.0, axis=0)):
+                want = svec(Ri @ smat(G[sl, c], d) @ Ri.T)
+                assert np.array_equal(Gt[sl, c], want), c
+
+    def test_rotated_chunks_match_congruence(self, sharing12_d4_conic):
+        # the chunks of the sharing12 D4 output block, whose H2 bound is
+        # eliminated, run through Rr = V^T R^{-1} in the order of e.order:
+        # its svec(q) leading rows go to `top`, the others to the stage
+        conic = sharing12_d4_conic
+        cone = _Cone(conic.dims)
+        G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
+        rng = np.random.default_rng(23)
+        W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+        kkt = _KKT(cone, G)
+        kkt.build(W)
+        e = kkt.elim
+        d = cone.dims[e.block]
+        block = G.dense()[e.rows]
+        perm = np.arange(G.shape[1])[kkt.perm]
+        rotated = [ch for ch in kkt.chunks if (ch[4], ch[5]) == e.where]
+        assert sum(ch[2].size for ch in rotated) == np.count_nonzero(np.any(block, axis=0)) - 171
+        for s, rs, pos, *_ in rotated:
+            st = kkt.stages[s]
+            cols = perm[st.c0 + pos]
+            want = svec(e.Rr @ smat(block[:, cols].T, d) @ e.Rr.T)[:, e.order]
+            assert np.array_equal(e.top[:, e.top_c0 + pos], want[:, :e.nq].T)
+            assert np.array_equal(st.buf[rs, pos], want[:, e.nq:].T)
+
+    def test_chunks_pad_little(self):
+        # columns are chunked in order of how many indices they touch, so
+        # the data conic's wide columns (alpha's touch 2n + m) pad no others
+        batch, perf, opts = d4_data_design()
+        conic = design_data(batch, perf, DesignOptions(design="D4", subspace=opts.subspace,
+                                                       solver=SolverOptions(max_iter=0))).conic
+        cone = _Cone(conic.dims)
+        kkt = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
+        idx = [ch[3] for ch in kkt.chunks]
+        assert max(i.shape[1] for i in idx) >= 2 * 16 + 8
+        touched = sum(np.unique(row).size for i in idx for row in i)
+        assert sum(i.size for i in idx) <= 1.5 * touched
+
     @staticmethod
     def held(obj):
         """Bytes of the arrays obj holds, through its attributes, lists and tuples."""
