@@ -75,8 +75,8 @@ does; one handler ends the solve NumericalTrouble with its best iterate.
 
 The H2 bound Q enters the LMIs only as the leading q x q principal block of
 the output block [[Q, X], [X^T, Y]] and through the trace row g - tr Q, yet
-its q(q+1)/2 columns are most of G's. Where the stack is wide enough for a
-staircase, the KKT takes them out of the factorization (`_Elimination`), as
+its q(q+1)/2 columns are most of G's. Where G has at least 2 `_QR_BLOCK`
+columns, the KKT takes them out of the factorization (`_Elimination`), as
 Vandenberghe, Balakrishnan, Wallin, Hansson & Roh (2005) use the structure of
 a KYP-lemma LMI's matrix variable in the Newton system. At each iterate the
 QR R^{-1} = V Rr of the output block's scaling factor gives an orthogonal V,
@@ -89,20 +89,6 @@ solve, take q x q triangular solves by T' (`dtrtrs`). The stack that the
 QR factors is the other columns on the other rows and that one row: 673 x
 231 in place of 844 x 402 on the 12-state sharing D4 design. The refinement
 still runs against the whole scaled system, through G's products.
-
-The factorization runs in stages, a staircase that skips the blocks of the
-stack that a column never touches: in data mode the H2 block's variables
-never touch the S-lemma block, for instance. Once per solve, `_stage_plan`
-adds the PSD blocks one at a time and places each column in the first stage
-that holds all of its blocks, so that a block's rows have nonzeros only in
-the columns of its own stage and of later ones. Each stage factors its
-columns on the rows still live at it, its own rows and those that the stage
-before left below its triangle, as row-merge and multifrontal sparse QR do
-(George & Heath 1980; Davis, SuiteSparseQR 2011). This is Householder QR of
-the same matrix with its rows and columns permuted, so it is as backward
-stable. Once Q is eliminated, the plan of every design LMI tried, the
-12-state sharing designs and the 20-state D4 designs in model and data
-mode, has one stage, which is one `dgeqrt` of the whole stack.
 
 The cone layer works per block dimension, not per block, as SDPT3 (Toh, Todd
 & Tutuncu 1999) stores blocks of one kind together. The blocks of one
@@ -136,10 +122,10 @@ sqrt(lambda_i) sqrt(lambda_j) of `max_step`.
 
 The LMIs' size does not depend on the record length, so on the larger designs
 the per-iteration KKT build is the work. One `_KKT` is built per solve and
-factored at each iterate, and it holds every buffer: the stage buffers of
-the stack that the QR factors in place, an eliminated Q's rotated rows of
-the other columns, its triangle, the column that Q is applied to, and work
-arrays for one cache-sized chunk of G's columns.
+factored at each iterate, and it holds every buffer: the stack, which the
+QR factors in place, an eliminated Q's rotated rows of the other columns,
+the triangle, the column that Q is applied to, and work arrays for one
+cache-sized chunk of G's columns.
 G's columns are kept per block as their nonzeros alone, and each column's
 scaled rows are formed on the row indices its nonzeros touch, as Fujisawa,
 Kojima & Nakata (1997) form the scaled system from sparse constraint data:
@@ -148,10 +134,10 @@ R^{-1} smat(g) R^{-T} = U S U^T for U = R^{-1}[:, T] and S the t x t smat of
 g on T. Each build scatters a chunk's nonzeros into its compact (k, t, t)
 stack, gathers the k U^T, takes U S and (U S) U^T through BLAS, 2 d t (d + t)
 flops a column in place of the dense congruence's 4 d^3, and writes the
-svec into its stage buffer, with `out=` arguments throughout. The 1 x 1
-blocks (the LMIs' scalar rows) take no chunk: each stage writes their
-entries r_i v r_i in one elementwise operation, the products of the 1 x 1
-congruence, whose svec leaves them as they are. So an iteration allocates
+svec into the stack, with `out=` arguments throughout. The 1 x 1 blocks
+(the LMIs' scalar rows) take no chunk: one elementwise operation writes
+their entries r_i v r_i, the products of the 1 x 1 congruence, whose svec
+leaves them as they are. So an iteration allocates
 nothing proportional to G. Each entry's sums are those of the dense
 congruence without their exact-zero terms, in the same index order, so
 they keep its bits where the dgemm kernel adds each entry's terms in index
@@ -507,8 +493,7 @@ _KKT_REFINE = 3
 _CHUNK_ENTRIES = 1 << 15
 
 # Columns per block reflector of the KKT factorization (LAPACK dgeqrt's nb),
-# capped at a stage's columns, and the fewest columns a stage of the
-# staircase QR keeps (`_stage_plan`). Timed as one factorization and five
+# capped at the stack's columns. Timed as one factorization and five
 # Q^T, Q pairs on stacks of the 12-state sharing designs (844 x 402 D4,
 # 766 x 454 D1), 48 was fastest in each of three runs, 0-4 % ahead of 64 and
 # 3-6 % ahead of 32 (2-vCPU Xeon, 1 OpenBLAS thread); 16, 24 and 96 were
@@ -521,7 +506,7 @@ def _qr_factor(a, nb):
     reflectors of nb <= N columns: returns (qr, t), qr holding R on and above
     its diagonal and the Householder vectors below it, t the (nb, N) triangular
     factors of its block reflectors (compact WY). The solver's only QR
-    factorization; a is a stage's leading columns (`_KKT.factor`)."""
+    factorization; a is the KKT's stack (`_KKT.buf`)."""
     if dgeqrt is None:
         _load_lapack()
     qr, t, info = dgeqrt(nb, a, overwrite_a=1)
@@ -532,9 +517,8 @@ def _qr_factor(a, nb):
 
 def _qr_apply(qr, t, trans, c):
     """Q c (trans "N") or Q^T c ("T") for the factor (qr, t) of `_qr_factor`,
-    written over the F-order c, which has qr's rows: a stage's trailing
-    columns or its run of the column `_KKT.col`. The solver's only
-    application of Q."""
+    written over the F-order c, which has qr's rows: the column `_KKT.col`.
+    The solver's only application of Q."""
     if dgemqrt is None:
         _load_lapack()
     c, info = dgemqrt(qr, t, c, trans=trans, overwrite_c=1)
@@ -557,64 +541,6 @@ def _svec_into(M, out, work, tables=None):
     out += work
     out *= 0.5 * scale
     return out
-
-
-def _stage_plan(touch, sizes):
-    """The stages of the staircase QR, as (blocks, columns) pairs of
-    ascending index arrays, from touch, the (N, b) table of the row blocks
-    that each column has nonzeros in, and sizes, the rows of each block.
-
-    Blocks are added one at a time, each time the one that completes the
-    most columns not yet placed (ties go to fewer rows, then to the lower
-    index); a column joins the stage of the block that completes it. A stage
-    of fewer than `_QR_BLOCK` columns merges into the next one, and a short
-    last stage into the one before it. Every block's rows then have nonzeros
-    only in the columns of its own stage and of later ones. Deterministic: the
-    same table gives the same plan."""
-    n_blocks = touch.shape[1]
-    missing = touch.sum(axis=1)          # blocks of each column not yet added
-    unused = np.ones(n_blocks, bool)
-    stages = []
-    for _ in range(n_blocks):
-        ready = touch[missing == 1].sum(axis=0)
-        b = min(np.flatnonzero(unused).tolist(), key=lambda b: (-ready[b], sizes[b], b))
-        unused[b] = False
-        done = np.flatnonzero(touch[:, b] & (missing == 1))
-        missing -= touch[:, b]
-        if stages and stages[-1][1].size < _QR_BLOCK:
-            blocks, cols = stages.pop()
-            stages.append((blocks + [b], np.union1d(cols, done)))
-        else:
-            stages.append(([b], done))
-    if len(stages) > 1 and stages[-1][1].size < _QR_BLOCK:
-        blocks, cols = stages.pop()
-        stages[-1] = (stages[-1][0] + blocks, np.union1d(stages[-1][1], cols))
-    return [(np.sort(blocks), cols) for blocks, cols in stages]
-
-
-def _run(idx):
-    """The index array idx as the slice it equals when its entries are
-    consecutive and ascending, so that indexing by it makes a view, not a
-    gather; otherwise idx itself. Compared as lists, which is cheaper than
-    numpy's reductions on arrays of a few dozen entries, as the example1
-    LMIs give."""
-    a = idx.tolist()
-    if a and a == list(range(a[0], a[-1] + 1)):
-        return slice(a[0], a[-1] + 1)
-    return idx
-
-
-class _Stage:
-    """One stage of the staircase QR: the columns c0 ... c0 + k - 1 of the
-    plan's column order, factored in an F-order buffer over the columns
-    c0 ... N - 1. Its first lead rows are those that the stage before left
-    below its triangle. Its own rows follow: the stack rows `rows` (indices
-    into them), then `units` unit rows of E, which the stage of E's
-    pseudo-block holds, in the order of the idle columns."""
-
-    def __init__(self, c0, k, lead, rows, units, N):
-        self.c0, self.k, self.lead, self.rows, self.units = c0, k, lead, rows, units
-        self.buf = np.zeros((lead + rows.size + units, N - c0), order="F")
 
 
 def _tri_congruence(T, v, trans):
@@ -662,9 +588,9 @@ class _Elimination:
     the column has none). `order` lists the block's svec positions with the
     leading block's svec(q) first, in svec(q)'s order, and `tables` are
     lmi.svec_tables in that order. `top` holds the svec(q) rotated rows of
-    the other columns, and `proj` the projected row before the QR, both in
-    the QR's column order; `_KKT` sizes them, and the block's chunks write
-    `top` from its column `top_c0` on."""
+    the other columns, and `proj` the projected row before the QR, both over
+    the stack's columns; `_KKT` sizes them, and the block's chunks write
+    `top`."""
 
     def __init__(self, cone: _Cone, block, q, row, cols, d, c):
         self.block, self.q, self.row, self.cols, self.d, self.c = block, q, row, cols, d, c
@@ -717,18 +643,18 @@ class _Elimination:
         self.V, self.Rr = np.linalg.qr(W.Rinv[g][j])
         self.Tq = self.Rr[:self.q, :self.q]
 
-    def project(self, W: _Scaling, row, lo):
+    def project(self, W: _Scaling, row):
         """w at the iterate, and the projected row written over row, the 1 x 1
-        row's entries of the other columns from column lo of the QR's order
-        on: w_row times them plus w_top^T top."""
+        row's entries of the other columns: w_row times them plus w_top^T
+        top."""
         g, j = self.row_where
         ri = W.Rinv[g][j, 0, 0]
         z = -_tri_congruence(self.Tq, (ri * self.c * ri) / self.d, 1)
         norm = math.sqrt(1.0 + float(z @ z))
         self.w_top, self.w_row = z / norm, 1.0 / norm
         row *= self.w_row
-        row += self.w_top @ self.top[:, lo:]
-        self.proj[lo:] = row
+        row += self.w_top @ self.top
+        self.proj[:] = row
 
     def to_block(self, x):
         """svec(V^T mat(x) V) of the block's rows x, in `order`."""
@@ -755,13 +681,14 @@ class _KKT:
     dx_j = r1_j, which is 0 whenever c_j = 0.
 
     Built once per solve, from the equilibrated `Nonzeros` table, never from
-    a dense G. Where the stack is wide enough for a staircase (N >= 2
-    `_QR_BLOCK`), `_Elimination.find` looks in the table for a variable that
-    enters one PSD block only as its leading principal block and otherwise
-    one 1 x 1 row, the H2 bound Q. Its columns then stay out of the QR
-    (`elim`): the stack holds that block's other rows, rotated, and the
-    projected row in place of the 1 x 1 row, and `_solve` recovers them
-    exactly. Otherwise `elim` is None and the stack is [Gt; E] itself.
+    a dense G. Where G has at least 2 `_QR_BLOCK` columns,
+    `_Elimination.find` looks in the table for a variable that enters one
+    PSD block only as its leading principal block and otherwise one 1 x 1
+    row, the H2 bound Q. Its columns then stay out of the QR (`elim`): the
+    stack holds that block's other rows, rotated, and the projected row in
+    place of the 1 x 1 row, and `_solve` recovers them exactly. Otherwise
+    `elim` is None and the stack is [Gt; E] itself. `free` lists the
+    factored columns of G, in G's order, which are the stack's columns.
 
     G's other columns that touch a PSD block of d > 1 are kept as chunks
     of at most `_CHUNK_ENTRIES // d^2` columns each, taken in order of t, the
@@ -771,47 +698,28 @@ class _KKT:
     columns: each value, divided as `lmi.smat` divides it, with the flat
     positions of its entry and the entry's mirror in the chunk's compact
     (kc, t, t) smat stack, whose padded rows and columns stay zero. The
-    entries of the 1 x 1 blocks are kept per stage (`scalars`), each with its
-    stage row and column, its block's member index j in the group of 1 x 1
+    entries of the 1 x 1 blocks are kept together (`scalars`), each with its
+    stack row and column, its block's member index j in the group of 1 x 1
     blocks (`scalar_group`) and its value v; `build` writes r_j v r_j there
-    for r = R^{-1} of that group, in one elementwise operation per stage.
-    These are the chunks' products (r_j v) r_j, and svec's (x + x) * 0.5 of
-    a diagonal entry is x, so the bits are the chunks'. The stack is
-    factored as a staircase (`_stage_plan`): each PSD block, and E as one
-    more, belongs to the stage that first holds all of some columns' blocks,
-    and each stage is an F-order buffer (`_Stage`) over the columns of its
-    own and later stages, with room above its own rows for the rows that the
-    stage before leaves below its triangle. The stack's rows are the cone rows, less the svec(q)
-    rows of an eliminated variable's block, in block order. `perm` lists the
-    factored columns of G in the plan's order and `place` the position of
-    each column in it. T is the F-order buffer of the triangle in the plan's
-    column order. Three flat work arrays, sized for the largest chunk, hold
-    one chunk's compact stack and then its congruence, its U^T and U S and
-    then svec's scratch, and its svec; chunks are built one after another,
-    so they share them.
+    for r = R^{-1} of that group, in one elementwise operation. These are
+    the chunks' products (r_j v) r_j, and svec's (x + x) * 0.5 of a diagonal
+    entry is x, so the bits are the chunks'. The stack is one F-order
+    buffer, `buf`: the cone rows in block order, less the svec(q) rows of an
+    eliminated variable's block, then E's unit rows in the order of the idle
+    columns. T is the F-order buffer of the triangle. Three flat work
+    arrays, sized for the largest chunk, hold one chunk's compact stack and
+    then its congruence, its U^T and U S and then svec's scratch, and its
+    svec; chunks are built one after another, so they share them.
 
     `factor(W)` writes each chunk's columns, and the 1 x 1 blocks' entries,
-    straight into their block's stage buffer, at the plan's row and column
-    positions (an eliminated variable's block through Rr in place of R^{-1},
-    its svec(q) rotated rows into `elim.top`), and factors the stages in
-    turn: each stage's columns by `dgeqrt`, Q_s kept as its Householder
-    vectors and the (nb, k) triangular factors t of its block reflectors,
-    nb = min(_QR_BLOCK, k); Q_s^T is applied to the stage's trailing columns
-    by `dgemqrt`; the rows below its triangle pass on to the next stage; and
-    its top rows are its rows of T. So P_r S P_c = Q T for the stack S, with
-    Q = Q_1 ... Q_K, each Q_s acting on its stage's live rows. A stage with
-    fewer live rows than columns leaves its columns rank deficient and raises
-    LinAlgError. Each factor overwrites the last.
-
-    Q and Q^T are applied to col, one F-order column of the stack's rows
-    laid out as the staircase: the L live rows of the stage at column c0
-    are col[c0 : c0 + L], so the rows that a stage leaves below its
-    triangle already sit where the next stage's lead rows are, and `slot`
-    is the position of each stack row in col. perm, place and slot
-    are held as slices when they are runs of consecutive indices, so that
-    indexing by them makes views. A plan of one stage keeps the stack's own
-    order, so all three are runs, and its Q is the one `dgeqrt` factor of
-    the whole stack.
+    straight into `buf` (an eliminated variable's block through Rr in place
+    of R^{-1}, its svec(q) rotated rows into `elim.top`), and factors it in
+    place by `dgeqrt`: Q kept as its Householder vectors and the (nb, n)
+    triangular factors of its block reflectors, nb = min(_QR_BLOCK, n), and
+    the top n rows are T. A stack with fewer rows than columns leaves its
+    columns rank deficient and raises LinAlgError. Each factor overwrites
+    the last. Q and Q^T are applied by `dgemqrt` to col, one F-order column
+    of the stack's rows.
     """
 
     def __init__(self, cone: _Cone, G: Nonzeros):
@@ -823,11 +731,12 @@ class _KKT:
         rows, cols, vals = G.rows[keep], G.cols[keep], G.vals[keep]
         bounds = np.searchsorted(rows, [sl.start for sl in cone.slices] + [M])
         self.idle = np.flatnonzero(np.bincount(cols, minlength=N) == 0)
-        # the stack's rows of each block, in block order, and E's
+        # the stack's rows of each block, in block order
         sizes = [svec_len(d) for d in cone.dims]
         factored = np.ones(N, bool)
-        # two stages need 2 * _QR_BLOCK columns: below that, the one stage
-        # that `_stage_plan` gives, without its cost (about 0.1 ms a solve)
+        # below 2 * _QR_BLOCK columns an elimination's rotation and triangular
+        # solves at each iterate cost more than its smaller QR saves: on the
+        # example1 LMIs (N <= 39, q = 5) it made each design 20-32 % slower
         e = self.elim = None if N < 2 * _QR_BLOCK else _Elimination.find(
             cone, rows, cols, vals, bounds, N)
         if e is not None:
@@ -837,57 +746,24 @@ class _KKT:
             bounds = np.searchsorted(rows, [sl.start for sl in cone.slices] + [M])
             sizes[e.block] -= e.nq
         start = np.cumsum([0] + sizes).tolist()
-        ranges = [(r0, r1) for r0, r1 in zip(start[:-1], start[1:])]
-        ranges.append((start[-1], start[-1] + self.idle.size))
-        free = np.flatnonzero(factored)
-        if free.size < 2 * _QR_BLOCK:
-            plan = [(np.arange(len(ranges)), np.arange(free.size))]
-        else:
-            touch = np.zeros((N, len(ranges)), bool)
-            for b, (e0, e1) in enumerate(zip(bounds[:-1], bounds[1:])):
-                touch[cols[e0:e1], b] = True
-            touch[self.idle, -1] = True
-            if e is not None:
-                # the projected row holds every column of the rotated block
-                touch[:, e.row_block] |= touch[:, e.block]
-            plan = _stage_plan(touch[free], [r1 - r0 for r0, r1 in ranges])
-        perm = free[np.concatenate([c for _, c in plan])]
-        place = np.empty(N, np.intp)
-        place[perm] = np.arange(perm.size)
-        self.stages = []
-        at = {}                                     # block -> (stage, first buffer row)
-        slot = np.empty(start[-1], np.intp)
-        c0 = lead = 0
-        for s, (blocks, cc) in enumerate(plan):
-            own = lead
-            for b in blocks.tolist():
-                at[b] = s, own
-                own += ranges[b][1] - ranges[b][0]
-            # E's pseudo-block has the highest index, so its rows come last
-            stack_rows = np.concatenate([np.empty(0, np.intp)] + [
-                np.arange(*ranges[b]) for b in blocks.tolist() if b < len(cone.dims)])
-            units = self.idle.size if blocks[-1] == len(cone.dims) else 0
-            # the stage's own rows follow its lead rows in col
-            slot[stack_rows] = c0 + lead + np.arange(stack_rows.size)
-            self.stages.append(_Stage(c0, cc.size, lead, stack_rows, units, perm.size))
-            c0 += cc.size
-            lead = max(own - cc.size, 0)
-        # (stage, row slice, columns, touched indices, group, member, d, flat
-        # targets, values) per chunk of a block of d > 1, and (stage row,
-        # stage column, member, value) per entry of a 1 x 1 block, by stage
+        self.free = np.flatnonzero(factored)
+        place = np.cumsum(factored) - 1         # a factored column's stack column
+        # (row slice, columns, touched indices, group, member, d, flat
+        # targets, values) per chunk of a block of d > 1, and (row, column,
+        # member, value) per entry of a 1 x 1 block
         self.chunks = []
-        scalars = [[] for _ in self.stages]
+        scalars = []
         self.scalar_group = None
         mat_size = vec_size = tall_size = 0
         for b, (d, (g, j), sl, e0, e1) in enumerate(zip(cone.dims, cone.where, cone.slices,
                                                         bounds[:-1], bounds[1:])):
             up, _, _, scale, _ = svec_tables(d)
             p, c, v = rows[e0:e1] - sl.start, cols[e0:e1], vals[e0:e1]
-            s, r0 = at[b]
-            pos = place[c] - self.stages[s].c0      # the entry's column in the stage buffer
+            r0 = start[b]
+            pos = place[c]
             if d == 1:
                 self.scalar_group = g
-                scalars[s].append((np.full(c.size, r0), pos, np.full(c.size, j), v))
+                scalars.append((np.full(c.size, r0), pos, np.full(c.size, j), v))
                 continue
             # each touched column's indices T_c, ascending, padded with its
             # last one, and each entry's row and column as places in T_c
@@ -917,38 +793,34 @@ class _KKT:
                 tc = int(t[cs[-1]])
                 tall_size = max(tall_size, cs.size * tc * d)
                 base = (sw[k] - k0) * (tc * tc)
-                self.chunks.append((s, slice(r0, r0 + sizes[b]), touched[cs], idx[cs, :tc],
+                self.chunks.append((slice(r0, r0 + sizes[b]), touched[cs], idx[cs, :tc],
                                     g, j, d, np.stack([base + ti[k] * tc + tj[k],
                                                        base + tj[k] * tc + ti[k]]),
                                     v[k] / scale[p[k]]))
-        self.scalars = [(s, *(np.concatenate(t) for t in zip(*entries)))
-                        for s, entries in enumerate(scalars) if entries]
-        s, r0 = at[len(cone.dims)]
-        self.unit = (s, r0 + np.arange(self.idle.size), place[self.idle] - self.stages[s].c0)
+        self.scalars = [np.concatenate(t) for t in zip(*scalars)]
+        self.unit = start[-1] + np.arange(self.idle.size), place[self.idle]
+        n = self.free.size
         if e is not None:
-            # the block's chunks write their columns from its stage's first
-            # one on, and the projected row sits in the 1 x 1 row's stage
-            e.top = np.zeros((e.nq, perm.size), order="F")
-            e.proj = np.zeros(perm.size)
-            e.top_c0 = self.stages[at[e.block][0]].c0
-            self.projected = at[e.row_block]
-        self.perm, self.place, self.slot = _run(perm), _run(place), _run(slot)
-        self.T = np.zeros((perm.size, perm.size), order="F")
-        self.col = np.empty((start[-1] + self.idle.size, 1), order="F")
+            e.top = np.zeros((e.nq, n), order="F")
+            e.proj = np.zeros(n)
+            self.projected = start[e.row_block]
+        self.buf = np.zeros((start[-1] + self.idle.size, n), order="F")
+        self.T = np.zeros((n, n), order="F")
+        self.col = np.empty((self.buf.shape[0], 1), order="F")
+        self.cone_rows = start[-1]
         # the chunk's U_c^T and U_c S_c, and later svec's work array, share one
         self._m, self._a = np.empty(mat_size), np.empty(vec_size)
         self._w = np.empty(max(2 * tall_size, vec_size))
         self.G, self.N = G, N
 
     def build(self, W: _Scaling):
-        """Write the stack at W into the stages' own rows."""
+        """Write the stack at W into `buf`."""
         e = self.elim
         if e is not None:
             e.rotate(W)
-            top = e.top[:, e.top_c0:]
-        for st in self.stages:
-            st.buf[st.lead:] = 0.0         # the last factorization overwrote them
-        for s, rs, pos, idx, g, j, d, targets, values in self.chunks:
+        buf = self.buf
+        buf.fill(0.0)                      # the last factorization overwrote it
+        for rs, pos, idx, g, j, d, targets, values in self.chunks:
             (k, t), L = idx.shape, svec_len(d)
             rotated = e is not None and (g, j) == e.where
             Ri = e.Rr if rotated else W.Rinv[g][j]
@@ -965,47 +837,31 @@ class _KKT:
             a = _svec_into(m, self._a[:k * L].reshape(k, L), self._w[:k * L].reshape(k, L),
                            e.tables if rotated else None)
             if rotated:
-                top[:, pos] = a[:, :e.nq].T
+                e.top[:, pos] = a[:, :e.nq].T
                 a = a[:, e.nq:]
-            self.stages[s].buf[rs, pos] = a.T
+            buf[rs, pos] = a.T
         if self.scalars:
             # the 1 x 1 congruence ri v ri, in the chunks' order of products;
             # their svec's (x + x) * 0.5 is x exactly
             ri = W.Rinv[self.scalar_group][:, 0, 0]
-            for s, r, c, j, v in self.scalars:
-                self.stages[s].buf[r, c] = ri[j] * v * ri[j]
-        s, r, c = self.unit
-        self.stages[s].buf[r, c] = 1.0
+            r, c, j, v = self.scalars
+            buf[r, c] = ri[j] * v * ri[j]
+        buf[self.unit] = 1.0
         if e is not None:
-            s, r = self.projected
-            e.project(W, self.stages[s].buf[r], self.stages[s].c0)
+            e.project(W, buf[self.projected])
 
     def factor(self, W: _Scaling):
-        """Build the stack at W and factor it stage by stage, in place of the
-        last iterate's factor."""
+        """Build the stack at W and factor it in place of the last iterate's
+        factor."""
         self.build(W)
         self.W = W
-        # the factor (qr, t) of each stage, with the view of col that holds
-        # the stage's live rows
-        self.factors = []
-        below = None
         n = self.T.shape[0]
-        for st in self.stages:
-            c0, c1, k = st.c0, st.c0 + st.k, st.k
-            if below is not None:
-                st.buf[:st.lead] = below
-            if st.buf.shape[0] < k:
-                raise np.linalg.LinAlgError("a stage of the QR has fewer live rows than columns")
-            qr, t = _qr_factor(st.buf[:, :k], min(_QR_BLOCK, k))
-            self.factors.append((qr, t, self.col[c0:c0 + st.buf.shape[0]]))
-            # T is a contiguous copy: the triangular solves are several times
-            # slower on the strided view into the factor. Rows of a later
-            # stage keep their zeros left of its diagonal block
-            self.T[c0:c1, c0:c1] = qr[:k]
-            if c1 < n:
-                rest = _qr_apply(qr, t, "T", st.buf[:, k:])
-                self.T[c0:c1, c1:] = rest[:k]
-                below = rest[k:]
+        if self.buf.shape[0] < n:
+            raise np.linalg.LinAlgError("the KKT stack has fewer rows than columns")
+        self.qr, self.t = _qr_factor(self.buf, min(_QR_BLOCK, n))
+        # T is a contiguous copy: the triangular solves are several times
+        # slower on the strided view into the factor
+        self.T[:] = self.qr[:n]
         if not np.all(np.diagonal(self.T)):
             raise np.linalg.LinAlgError("the cone rows leave a variable free")
 
@@ -1018,33 +874,30 @@ class _KKT:
         return x
 
     def _qt(self, v):
-        """The leading entries of Q^T P_r [v; 0], for v in the stack rows'
-        order: T's rows, in the plan's column order. A view into `col`,
-        which the next application of Q overwrites."""
+        """The leading entries of Q^T [v; 0], for v on the stack's cone rows:
+        T's rows. A view into `col`, which the next application of Q
+        overwrites."""
         c = self.col
-        c.fill(0.0)                        # E's rows stay zero
-        c[self.slot, 0] = v
-        for qr, t, run in self.factors:
-            _qr_apply(qr, t, "T", run)
+        c[:v.size, 0] = v
+        c[v.size:] = 0.0                   # E's rows
+        _qr_apply(self.qr, self.t, "T", c)
         return c[:self.T.shape[0], 0]
 
     def _qn(self, w):
-        """P_r^T Q [w; 0] in the stack rows' order, for w in the plan's
-        column order; it holds until the next application of Q."""
+        """Q [w; 0] on the stack's cone rows, for w over T's columns; it holds
+        until the next application of Q."""
         c = self.col
         n = self.T.shape[0]
         c[:n, 0] = w
         c[n:] = 0.0
-        for qr, t, run in reversed(self.factors):
-            _qr_apply(qr, t, "N", run)
-        return c[self.slot, 0]
+        _qr_apply(self.qr, self.t, "N", c)
+        return c[:self.cone_rows, 0]
 
     def _back(self, r1, r3):
-        """(x, v) solving S^T v = r1, S x - v = r3 for the factored stack S,
-        x in the plan's column order and v in the stack rows' order."""
-        # w = T x solves T^T w = r1 + (Q^T P_r [r3; 0])[:n]
+        """(x, v) solving S^T v = r1, S x - v = r3 for the factored stack S."""
+        # w = T x solves T^T w = r1 + (Q^T [r3; 0])[:n]
         w = self._tri(r1, 1) + self._qt(r3)
-        # S x = (P_r^T Q [w; 0])[:M]
+        # S x = (Q [w; 0])[:M]
         v = self._qn(w) - r3
         return self._tri(w, 0), v
 
@@ -1052,8 +905,7 @@ class _KKT:
         """(dx, v) solving Gt^T v = r1, Gt dx - v = r3t through the factor."""
         e = self.elim
         if e is None:
-            dx, v = self._back(r1[self.perm], r3t)
-            return dx[self.place], v
+            return self._back(r1, r3t)
         # in the block's rotated rows y, the variable's columns A live on the
         # leading svec(q) rows and the 1 x 1 row t; the stack holds w^T of
         # those rows in t's place
@@ -1067,7 +919,7 @@ class _KKT:
         # equations lose top^T y0 - (w^T y0) proj
         y0 = _tri_congruence(e.Tq, r1[e.cols] / e.d, 1)
         zy = float(e.w_top @ y0)
-        x, v = self._back(r1[self.perm] - (e.top.T @ y0 - zy * e.proj), r3)
+        x, v = self._back(r1[self.free] - (e.top.T @ y0 - zy * e.proj), r3)
         dv = v[t_stack] - zy
         v_top = y0 + dv * e.w_top
         # the variable's dx is what v and the other columns leave on the
@@ -1078,7 +930,7 @@ class _KKT:
                             v[b0 + Lr:]])
         v[t] = e.w_row * dv
         dx = np.empty(self.N)
-        dx[self.perm] = x
+        dx[self.free] = x
         dx[e.cols] = xa
         return dx, v
 

@@ -333,10 +333,9 @@ def example1_g(mode, design):
 
 
 def staged_system(seed=9, rows=(10, 10, 9)):
-    """A block-sparse G whose stage plan has three stages: nb = _QR_BLOCK
-    columns touch block 1 alone, nb blocks 1 and 2, nb + 4 every block, and
-    one column no row touches, in a shuffled column order. rows gives the
-    blocks' dimensions, so the stages have 55, 52 and 60 live rows."""
+    """A block-sparse G: nb = _QR_BLOCK columns touch block 1 alone, nb
+    blocks 1 and 2, nb + 4 every block, and one column no row touches, in a
+    shuffled column order. rows gives the blocks' dimensions."""
     nb = solver._QR_BLOCK
     rng = np.random.default_rng(seed)
     cone = _Cone(rows)
@@ -498,11 +497,8 @@ class TestKktSolve:
         G, W, cone, rng = staged_system()
         Gn = Nonzeros.of(G)
         kkt = _KKT(cone, Gn)
-        nb = solver._QR_BLOCK
-        assert [(st.k, st.lead, st.buf.shape) for st in kkt.stages] == [
-            (nb, 0, (55, 3 * nb + 5)), (nb, 7, (52, 2 * nb + 5)), (nb + 5, 4, (60, nb + 5))]
-        order = np.arange(G.shape[1])
-        assert not np.array_equal(order[kkt.perm], order)
+        # no column qualifies for elimination
+        assert kkt.elim is None
         rhs = rng.standard_normal(G.shape[1] + G.shape[0])
         rhs[kkt.idle] = 0.0              # c_j = 0 for a variable the model leaves unused
         kkt.factor(W)
@@ -512,13 +508,14 @@ class TestKktSolve:
         assert np.allclose(sol, np.linalg.solve(K2, rhs), rtol=1e-8, atol=1e-10)
 
     def test_stage_short_of_rows_raises(self):
-        # block 1 (a 7 x 7 block, 28 rows) alone holds nb columns: G has
-        # dependent columns, and the stage cannot factor them
+        # with block 1 a 7 x 7 block, the stack has 128 cone rows and one
+        # unit row for its 149 columns: G has dependent columns, and the QR
+        # cannot factor them
         G, W, cone, rng = staged_system(rows=(10, 7, 9))
         Gn = Nonzeros.of(G)
         kkt = _KKT(cone, Gn)
-        assert kkt.stages[0].buf.shape[0] < kkt.stages[0].k
-        with pytest.raises(np.linalg.LinAlgError, match="fewer live rows"):
+        assert kkt.buf.shape == (129, 149)
+        with pytest.raises(np.linalg.LinAlgError, match="fewer rows than columns"):
             kkt.factor(W)
         # the solve's one handler ends it NumericalTrouble at iteration 0
         conic = ConicForm(c=rng.standard_normal(G.shape[1]), obj_const=0.0, nonzeros=Gn,
@@ -529,23 +526,22 @@ class TestKktSolve:
         assert rep.iterations == 0
 
     def test_stages_factor_in_place(self, monkeypatch):
-        # every factor and application of Q is on a column slice of an
-        # F-order stage buffer, or on a stage's rows of the KKT's column, and
-        # writes into it: a wrapper that copied the slice would allocate a
-        # stage-sized copy on every call, which the KKT's buffers exist to
-        # avoid, and an application that did not write into the column would
-        # lose its result
-        seen = []
+        # the factor is on the KKT's F-order stack buffer, and every
+        # application of Q on its F-order column, and each writes into it: a
+        # wrapper that copied the array would allocate a stack-sized copy on
+        # every call, which the KKT's buffers exist to avoid, and an
+        # application that did not write into the column would lose its result
+        factors, applies = [], []
         qr_factor, qr_apply = solver._qr_factor, solver._qr_apply
 
         def factor(a, nb):
             qr, t = qr_factor(a, nb)
-            seen.append(np.shares_memory(qr, a))
+            factors.append((a, qr))
             return qr, t
 
         def apply(qr, t, trans, c):
             out = qr_apply(qr, t, trans, c)
-            seen.append(np.shares_memory(out, c))
+            applies.append((c, out))
             return out
 
         monkeypatch.setattr(solver, "_qr_factor", factor)
@@ -553,12 +549,12 @@ class TestKktSolve:
         G, W, cone, rng = staged_system()
         Gn = Nonzeros.of(G)
         kkt = factored(cone, Gn, W)
-        assert len(seen) == 5             # three factors, two trailing updates
-        for st, (qr, _, run) in zip(kkt.stages, kkt.factors):
-            assert np.shares_memory(qr, st.buf)
-            assert np.shares_memory(run, kkt.col)
+        ((a, qr),) = factors
+        assert a is kkt.buf and np.shares_memory(qr, kkt.buf) and not applies
         kkt.solve(rng.standard_normal(G.shape[1]), rng.standard_normal(G.shape[0]))
-        assert len(seen) > 5 and all(seen)
+        assert applies
+        for c, out in applies:
+            assert c is kkt.col and np.shares_memory(out, kkt.col)
 
     def test_nonfinite_solve_raises(self):
         # the solver's one failure exit catches LinAlgError
@@ -602,30 +598,24 @@ class TestKktSolve:
         conic = res.conic
         assert conic.n_reduced == 402
         # one QR factorization per iteration: the H2 bound's svec(18) = 171
-        # columns are eliminated, and the 231 others factor in one stage on
-        # the 844 cone rows less the output block's 171 rotated rows of Q
+        # columns are eliminated, and the 231 others factor on the 844 cone
+        # rows less the output block's 171 rotated rows of Q
         assert factored == [(844 - 171, 402 - 171)] * res.report.iterations
         assert 844 == conic.nonzeros.shape[0]
 
 
-def stage_bytes(kkt):
-    """Bytes of a KKT's stage buffers, and of the rotated rows of an
+def stack_bytes(kkt):
+    """Bytes of a KKT's stack buffer, and of the rotated rows of an
     eliminated variable's block, which the stack leaves out of the QR."""
-    return (sum(st.buf.nbytes for st in kkt.stages)
-            + (0 if kkt.elim is None else kkt.elim.top.nbytes))
+    return kkt.buf.nbytes + (0 if kkt.elim is None else kkt.elim.top.nbytes)
 
 
-def assembled(kkt, shape):
-    """[W^{-T} G; E] in G's row and column order, read back from the stage
-    buffers after a build: each stage's own rows, over its columns and the
-    later stages'."""
-    M, N = shape
-    out = np.zeros((M + kkt.idle.size, N))
-    perm = np.arange(N)[kkt.perm]
-    for st in kkt.stages:
-        rows = np.concatenate([st.rows, M + np.arange(st.units)])
-        out[np.ix_(rows, perm[st.c0:])] = st.buf[st.lead:]
-    return out
+def assembled(kkt):
+    """[W^{-T} G; E] in G's row and column order, the stack buffer after a
+    build: with no variable eliminated, its rows are G's and then E's, and
+    its columns are G's."""
+    assert kkt.elim is None
+    return kkt.buf
 
 
 class TestWorkspace:
@@ -633,19 +623,14 @@ class TestWorkspace:
     reused KKT must equal, bit for bit, one on a fresh KKT."""
 
     @staticmethod
-    def system(seed=6, dims=(30, 30, 8, 1), N=200, density=0.3, stairs=False):
+    def system(seed=6, dims=(30, 30, 8, 1), N=200, density=0.3):
         """A sparse G with a column that misses a block and an idle column,
-        and two scaling points. The stack buffer is 1.6 MB. With stairs, the
-        last 60 columns touch only block 0 and the 60 before them only
-        blocks 0 and 1, so that the plan has several stages."""
+        and two scaling points. The stack buffer is 1.6 MB."""
         rng = np.random.default_rng(seed)
         cone = _Cone(dims)
         G = rng.standard_normal((cone.total, N)) * (rng.uniform(size=(cone.total, N)) < density)
         G[cone.slices[0], 1] = 0.0
         G[:, 2] = 0.0
-        if stairs:
-            G[cone.slices[1].start:, N - 60:] = 0.0
-            G[cone.slices[2].start:, N - 120:N - 60] = 0.0
 
         def interior_point():
             return np.concatenate([svec(X @ X.T + 0.1 * np.eye(d))
@@ -656,26 +641,21 @@ class TestWorkspace:
         return G, cone, W1, W2, rng.standard_normal(N + cone.total)
 
     def test_reused_workspace_matches_fresh(self):
-        # dgeqrt factors each stage buffer in place: a second build must
-        # clear every entry the first left behind, and every stage's block
-        # reflectors' factor t must come out the same, for a plan of one
-        # stage and one of three
-        for stairs, stages in ((False, 1), (True, 3)):
-            G, cone, W1, W2, rhs = self.system(stairs=stairs)
-            G = Nonzeros.of(G)
-            reused = factored(cone, G, W1)
-            assert len(reused.stages) == stages
-            reused.factor(W2)
-            fresh = factored(cone, G, W2)
-            assert np.array_equal(reused.T, fresh.T)
-            assert len(reused.factors) == len(fresh.factors) == stages
-            for (qr, t, _), (qr0, t0, _) in zip(reused.factors, fresh.factors):
-                assert np.array_equal(qr, qr0)
-                assert np.array_equal(t, t0)
-            N = G.shape[1]
-            got, want = (k.solve(rhs[:N], rhs[N:]) for k in (reused, fresh))
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+        # dgeqrt factors the stack buffer in place: a second build must
+        # clear every entry the first left behind, and the block reflectors'
+        # factor t must come out the same
+        G, cone, W1, W2, rhs = self.system()
+        G = Nonzeros.of(G)
+        reused = factored(cone, G, W1)
+        reused.factor(W2)
+        fresh = factored(cone, G, W2)
+        assert np.array_equal(reused.T, fresh.T)
+        assert np.array_equal(reused.qr, fresh.qr)
+        assert np.array_equal(reused.t, fresh.t)
+        N = G.shape[1]
+        got, want = (k.solve(rhs[:N], rhs[N:]) for k in (reused, fresh))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_build_allocates_less_than_the_stack(self):
         # the factor writes into the KKT's buffers: what it allocates (the QR
@@ -683,44 +663,42 @@ class TestWorkspace:
         # below one copy of the stack
         G, cone, W1, W2, _ = self.system()
         kkt = factored(cone, Nonzeros.of(G), W1)
-        assert stage_bytes(kkt) >= 1 << 20
+        assert stack_bytes(kkt) >= 1 << 20
         tracemalloc.start()
         try:
             kkt.factor(W2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < stage_bytes(kkt)
+        assert peak < stack_bytes(kkt)
 
     def test_chunked_build_matches_congruence(self):
         # every chunk's smat stack is scattered from G's nonzeros; the build
         # must equal the congruence of the dense smat stack of each block,
-        # at the rows and columns the stage plan gives it
-        for stairs in (False, True):
-            G, cone, W1, _, _ = self.system(density=0.02, stairs=stairs)
-            kkt = _KKT(cone, Nonzeros.of(G))
-            assert (len(kkt.stages) > 1) == stairs
-            d0 = cone.dims[0]
-            kc = solver._CHUNK_ENTRIES // d0 ** 2
-            assert np.count_nonzero(np.any(G[cone.slices[0]], axis=0)) > 2 * kc
-            kkt.build(W1)
-            Gt = assembled(kkt, G.shape)
-            for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
-                touch = np.any(G[sl] != 0.0, axis=0)
-                cols = np.flatnonzero(touch)
-                Ri = W1.Rinv[g][j]
-                want = svec(Ri @ smat(G[sl][:, cols].T, d) @ Ri.T)
-                assert np.array_equal(Gt[sl][:, cols], want.T)
-                assert not np.any(Gt[sl][:, ~touch])
-            assert not np.any(G[cone.slices[0], 1]) and np.any(G[:, 1])
-            assert np.array_equal(kkt.idle, [2])
-            assert np.array_equal(Gt[cone.total:], np.eye(G.shape[1])[[2]])
+        # at the block's rows and G's columns
+        G, cone, W1, _, _ = self.system(density=0.02)
+        kkt = _KKT(cone, Nonzeros.of(G))
+        d0 = cone.dims[0]
+        kc = solver._CHUNK_ENTRIES // d0 ** 2
+        assert np.count_nonzero(np.any(G[cone.slices[0]], axis=0)) > 2 * kc
+        kkt.build(W1)
+        Gt = assembled(kkt)
+        for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
+            touch = np.any(G[sl] != 0.0, axis=0)
+            cols = np.flatnonzero(touch)
+            Ri = W1.Rinv[g][j]
+            want = svec(Ri @ smat(G[sl][:, cols].T, d) @ Ri.T)
+            assert np.array_equal(Gt[sl][:, cols], want.T)
+            assert not np.any(Gt[sl][:, ~touch])
+        assert not np.any(G[cone.slices[0], 1]) and np.any(G[:, 1])
+        assert np.array_equal(kkt.idle, [2])
+        assert np.array_equal(Gt[cone.total:], np.eye(G.shape[1])[[2]])
 
     def test_scalar_rows_match_congruence(self):
         # the rows of the 1 x 1 blocks skip the chunks: one elementwise write
-        # per stage of ri v ri must equal the chunks' congruence Ri M Ri^T of
-        # each block's smat and its svec, with the blocks in three stages
-        # and columns that touch two or three of them
+        # of ri v ri must equal the chunks' congruence Ri M Ri^T of each
+        # block's smat and its svec, with columns that touch one, two or
+        # three of them
         nb = solver._QR_BLOCK
         rng = np.random.default_rng(12)
         cone = _Cone((10, 1, 9, 1, 1))
@@ -735,9 +713,10 @@ class TestWorkspace:
         W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
         kkt = _KKT(cone, Nonzeros.of(G))
         assert all(d > 1 for *_, d, _, _ in kkt.chunks)
-        assert len(kkt.scalars) == len(kkt.stages) == 3
+        scalar_rows = [cone.slices[b].start for b, d in enumerate(cone.dims) if d == 1]
+        assert kkt.scalars[-1].size == np.count_nonzero(G[scalar_rows])
         kkt.build(W)
-        Gt = assembled(kkt, G.shape)
+        Gt = assembled(kkt)
         for d, sl, (g, j) in zip(cone.dims, cone.slices, cone.where):
             cols = np.flatnonzero(np.any(G[sl] != 0.0, axis=0))
             Ri = W.Rinv[g][j]
@@ -769,12 +748,12 @@ class TestWorkspace:
                                        * 10.0 ** rng.uniform(-3, 3, i.size))
         W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
         kkt = _KKT(cone, Nonzeros.of(G))
-        (idx,) = [ch[3] for ch in kkt.chunks if ch[3].shape[0] == N]
+        (idx,) = [ch[2] for ch in kkt.chunks if ch[2].shape[0] == N]
         t = [np.unique(row).size for row in idx]
         assert idx.shape[1] == d and min(t) == 1 and max(t) == d
         assert sum(tc < d for tc in t) >= 10
         kkt.build(W)
-        Gt = assembled(kkt, G.shape)
+        Gt = assembled(kkt)
         for sl, (g, j) in zip(cone.slices, cone.where):
             Ri = W.Rinv[g][j]
             for c in np.flatnonzero(np.any(G[sl] != 0.0, axis=0)):
@@ -784,7 +763,7 @@ class TestWorkspace:
     def test_rotated_chunks_match_congruence(self, sharing12_d4_conic):
         # the chunks of the sharing12 D4 output block, whose H2 bound is
         # eliminated, run through Rr = V^T R^{-1} in the order of e.order:
-        # its svec(q) leading rows go to `top`, the others to the stage
+        # its svec(q) leading rows go to `top`, the others to the stack
         conic = sharing12_d4_conic
         cone = _Cone(conic.dims)
         G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
@@ -795,15 +774,13 @@ class TestWorkspace:
         e = kkt.elim
         d = cone.dims[e.block]
         block = G.dense()[e.rows]
-        perm = np.arange(G.shape[1])[kkt.perm]
-        rotated = [ch for ch in kkt.chunks if (ch[4], ch[5]) == e.where]
-        assert sum(ch[2].size for ch in rotated) == np.count_nonzero(np.any(block, axis=0)) - 171
-        for s, rs, pos, *_ in rotated:
-            st = kkt.stages[s]
-            cols = perm[st.c0 + pos]
+        rotated = [ch for ch in kkt.chunks if (ch[3], ch[4]) == e.where]
+        assert sum(ch[1].size for ch in rotated) == np.count_nonzero(np.any(block, axis=0)) - 171
+        for rs, pos, *_ in rotated:
+            cols = kkt.free[pos]
             want = svec(e.Rr @ smat(block[:, cols].T, d) @ e.Rr.T)[:, e.order]
-            assert np.array_equal(e.top[:, e.top_c0 + pos], want[:, :e.nq].T)
-            assert np.array_equal(st.buf[rs, pos], want[:, e.nq:].T)
+            assert np.array_equal(e.top[:, pos], want[:, :e.nq].T)
+            assert np.array_equal(kkt.buf[rs, pos], want[:, e.nq:].T)
 
     def test_chunks_pad_little(self):
         # columns are chunked in order of how many indices they touch, so
@@ -813,7 +790,7 @@ class TestWorkspace:
                                                        solver=SolverOptions(max_iter=0))).conic
         cone = _Cone(conic.dims)
         kkt = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
-        idx = [ch[3] for ch in kkt.chunks]
+        idx = [ch[2] for ch in kkt.chunks]
         assert max(i.shape[1] for i in idx) >= 2 * 16 + 8
         touched = sum(np.unique(row).size for i in idx for row in i)
         assert sum(i.size for i in idx) <= 1.5 * touched
@@ -835,7 +812,7 @@ class TestWorkspace:
         # KKT holds under 1 MB, where the dense smat stacks took 2.9 MB
         G, cone, _, _, _ = self.system(density=0.02)
         kkt = _KKT(cone, Nonzeros.of(G))
-        assert self.held(kkt) < stage_bytes(kkt) + kkt.T.nbytes + (1 << 20)
+        assert self.held(kkt) < stack_bytes(kkt) + kkt.T.nbytes + (1 << 20)
 
     def test_holds_no_copy_of_g_at_scale(self, d4_16_conic):
         # the D4 model conic of a 16-state, 8-input plant: 1485 cone rows and
@@ -846,13 +823,11 @@ class TestWorkspace:
         assert (M, N) == (1485, 522)
         cone = _Cone(conic.dims)
         kkt = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
-        assert self.held(kkt) < stage_bytes(kkt) + kkt.T.nbytes + (1 << 20)
-        # the stages hold no more than the whole stack and one stage's rows
-        # passed on from the stage before; the H2 bound's columns are
-        # eliminated
+        assert self.held(kkt) < stack_bytes(kkt) + kkt.T.nbytes + (1 << 20)
+        # the stack and the rotated rows hold no more than a dense G; the H2
+        # bound's columns are eliminated
         assert kkt.elim is not None and kkt.idle.size == 0
-        assert stage_bytes(kkt) <= 8 * (M * N + max(st.lead * st.buf.shape[1]
-                                                    for st in kkt.stages))
+        assert stack_bytes(kkt) <= 8 * M * N
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_svec_into_matches_svec(self, d):
@@ -863,96 +838,65 @@ class TestWorkspace:
         assert np.array_equal(out, svec(M))
 
 
-class TestStagePlan:
-    """The staircase QR's plan: one stage, in the stack's own order, for every
-    example1 LMI, and several for the larger designs."""
+class TestOneQR:
+    """The stack is factored by one dgeqrt call on the KKT's buffer, and Q^T
+    and Q are applied by one dgemqrt call each on its column."""
 
-    @pytest.mark.parametrize("mode", ["model", "data"])
-    @pytest.mark.parametrize("design", ["D1", "D2", "D3", "D4"])
-    def test_example1_is_one_plain_stage(self, mode, design):
-        # a one-stage plan factors the whole stack in its own row and column
-        # order, bit for bit as one dgeqrt call on it, and applies Q^T and Q
-        # bit for bit as dgemqrt with that factor does
-        G, cone = example1_g(mode, design)
-        M, N = G.shape
+    @pytest.mark.parametrize("system", [f"{design}-{mode}" for design in ("D1", "D2", "D3", "D4")
+                                        for mode in ("model", "data")] + ["sharing12-D4"])
+    def test_factor_is_one_dgeqrt(self, system, request):
+        # bit for bit: the factor of a fresh build, with no variable
+        # eliminated on example1 and Q eliminated on the sharing12 D4 conic,
+        # is one dgeqrt call on the built stack, and _qt and _qn are dgemqrt
+        # with that factor on the stack's column
+        if system == "sharing12-D4":
+            conic = request.getfixturevalue("sharing12_d4_conic")
+            cone = _Cone(conic.dims)
+            G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
+        else:
+            G, cone = example1_g(*system.split("-")[::-1])
         kkt, again = _KKT(cone, G), _KKT(cone, G)
-        for k in (kkt, again):
-            assert k.elim is None
-            (st,) = k.stages
-            # the stack's own order: every index by perm, place and slot is a view
-            assert (k.perm, k.place, k.slot) == (slice(0, N), slice(0, N), slice(0, M))
-            assert np.array_equal(st.rows, np.arange(M))
-            assert (st.c0, st.k, st.lead, st.units) == (0, N, 0, k.idle.size)
-            assert st.buf.shape == (M + k.idle.size, N)
-        # the KKT skips `_stage_plan` below 2 * _QR_BLOCK columns; the greedy
-        # gives the same one stage
-        keep = G.vals != 0.0
-        touch = np.zeros((N, len(cone.dims) + 1), bool)
-        touch[G.cols[keep], np.searchsorted([sl.stop for sl in cone.slices],
-                                            G.rows[keep], side="right")] = True
-        touch[kkt.idle, -1] = True
-        ((blocks, cols),) = solver._stage_plan(touch, [sl.stop - sl.start for sl in cone.slices]
-                                               + [kkt.idle.size])
-        assert np.array_equal(blocks, np.arange(len(cone.dims) + 1))
-        assert np.array_equal(cols, np.arange(N))
+        M, N = G.shape
+        e = kkt.elim
+        nq = 0 if e is None else e.nq
+        assert (e is None) == (system != "sharing12-D4")
+        # the stack's columns are G's less the eliminated ones, in G's order
+        assert np.array_equal(kkt.free, np.setdiff1d(np.arange(N), [] if e is None else e.cols))
+        rows, n = kkt.buf.shape
+        assert (rows, n) == (M - nq + kkt.idle.size, N - nq)
         rng = np.random.default_rng(12)
         W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
         again.build(W)
-        qr, t, info = dgeqrt(min(solver._QR_BLOCK, N), again.stages[0].buf.copy(order="F"))
+        qr, t, info = dgeqrt(min(solver._QR_BLOCK, n), again.buf.copy(order="F"))
         assert info == 0
         kkt.factor(W)
-        ((got_qr, got_t, _),) = kkt.factors
-        assert np.array_equal(got_qr, qr)
-        assert np.array_equal(got_t, t)
-        assert np.array_equal(kkt.T, qr[:N])
-        for trans, x, size in (("T", rng.standard_normal(M), N), ("N", rng.standard_normal(N), M)):
-            c = np.zeros((M + kkt.idle.size, 1), order="F")
+        assert np.array_equal(kkt.qr, qr)
+        assert np.array_equal(kkt.t, t)
+        assert np.array_equal(kkt.T, qr[:n])
+        m = rows - kkt.idle.size
+        for trans, x, size in (("T", rng.standard_normal(m), n), ("N", rng.standard_normal(n), m)):
+            c = np.zeros((rows, 1), order="F")
             c[:x.size, 0] = x
             want, info = dgemqrt(qr, t, c, trans=trans)
             assert info == 0
             got = kkt._qt(x) if trans == "T" else kkt._qn(x)
             assert np.array_equal(got, want[:size, 0])
 
-    def test_plan_is_deterministic(self, d4_16_conic):
-        conic = d4_16_conic
-        cone = _Cone(conic.dims)
-        G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
-        plans = []
-        for _ in range(2):
-            kkt = _KKT(cone, G)
-            plans.append((kkt.perm, [(st.c0, st.k, st.lead, st.rows, st.buf.shape)
-                                     for st in kkt.stages]))
-        (perm1, stages1), (perm2, stages2) = plans
-        assert np.array_equal(perm1, perm2)
-        # the H2 bound's columns are eliminated, so the plan has fewer columns
-        assert kkt.elim is not None and perm1.size < G.shape[1]
-        assert len(stages1) == len(stages2)
-        for a, b in zip(stages1, stages2):
-            assert a[:3] == b[:3] and a[4] == b[4]
-            assert np.array_equal(a[3], b[3])
-
-
-class TestStaircaseColumn:
-    """Q and Q^T act on one column laid out as the staircase, each stage on
-    its own run of it: on Gt x, for x zero on the idle columns, Q^T gives
-    T's rows T x[perm], and Q takes them back to Gt x."""
-
     @pytest.mark.parametrize("system", ["staged", "example1"])
     def test_qt_and_qn_of_gt_x(self, system):
+        # on Gt x, for x zero on the idle columns, Q^T gives T's rows T x,
+        # and Q takes them back to Gt x
         if system == "staged":
             G, W, cone, rng = staged_system()
             G = Nonzeros.of(G)
-            stages = 3
         else:
             G, cone = example1_g("data", "D4")
             rng = np.random.default_rng(14)
             W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
-            stages = 1
         M, N = G.shape
         kkt = _KKT(cone, G)
-        assert len(kkt.stages) == stages
         kkt.build(W)
-        Gt = assembled(kkt, G.shape)[:M]
+        Gt = assembled(kkt)[:M].copy()
         kkt.factor(W)
         # an application of Q leaves the column's E rows nonzero, and Q^T
         # must not read them
@@ -960,7 +904,7 @@ class TestStaircaseColumn:
         x = rng.standard_normal(N)
         x[kkt.idle] = 0.0
         # T's buffer holds the Householder vectors below its diagonal
-        gx, tx = Gt @ x, np.triu(kkt.T) @ x[kkt.perm]
+        gx, tx = Gt @ x, np.triu(kkt.T) @ x
         qt = kkt._qt(gx).copy()
         assert np.abs(qt - tx).max() <= 1e-12 * np.abs(tx).max()
         assert np.abs(kkt._qn(qt) - gx).max() <= 1e-12 * np.abs(gx).max()
@@ -1031,9 +975,7 @@ class TestElimination:
         e = kkt.elim
         assert (e.block, e.q, e.row) == (0, 6, cone.slices[2].start)
         assert np.array_equal(np.sort(e.cols), cols)
-        # the stack leaves out the 21 rows of the leading block, and the
-        # staircase runs on what is left
-        assert len(kkt.stages) == 2
+        # the stack leaves out the 21 rows of the leading block
         assert kkt.col.shape[0] == G.shape[0] - 21 + kkt.idle.size
 
     def test_sharing12_d4_matches_dense_solve(self, sharing12_d4_conic):
@@ -1056,32 +998,6 @@ class TestElimination:
         assert conic.block_names[e.block] == "h2_output"
         assert cone.slices[conic.block_names.index("trace_bound")].start == e.row
 
-    def test_staged_system_factors_as_before(self):
-        # no column of staged_system qualifies, so its plan keeps its three
-        # stages and its factor is the staircase of dgeqrt and dgemqrt calls
-        # on the built stage buffers, bit for bit
-        G, W, cone, rng = staged_system()
-        kkt = _KKT(cone, Nonzeros.of(G))
-        assert kkt.elim is None and len(kkt.stages) == 3
-        kkt.build(W)
-        bufs = [st.buf.copy(order="F") for st in kkt.stages]
-        T = np.zeros_like(kkt.T)
-        below = None
-        for st, buf in zip(kkt.stages, bufs):
-            c0, k = st.c0, st.k
-            if below is not None:
-                buf[:st.lead] = below
-            qr, t, info = dgeqrt(min(solver._QR_BLOCK, k), buf[:, :k])
-            assert info == 0
-            T[c0:c0 + k, c0:c0 + k] = qr[:k]
-            if c0 + k < T.shape[0]:
-                rest, info = dgemqrt(qr, t, buf[:, k:], trans="T")
-                assert info == 0
-                T[c0:c0 + k, c0 + k:] = rest[:k]
-                below = rest[k:]
-        kkt.factor(W)
-        assert np.array_equal(kkt.T, T)
-
     def test_certify_fixed_k_at_scale(self, monkeypatch):
         # certify_fixed_k bounds tr Q through trace_leq: on the 16-state
         # plant its Q is eliminated, and the bound still meets the H2 norm
@@ -1101,13 +1017,14 @@ class TestElimination:
         assert abs(gamma - h2) <= 1e-4 * (1.0 + gamma)
 
 
-# Status, iteration count and gamma of the D4 designs of `d4_plant`,
-# recorded with the single-stage QR the staircase replaced: the radius-0.7,
-# n = 16 plant of the scale measurements, in model mode and in data mode
-# (eps = 0.02, T = 4 (n + m), noise seed 0). The data design was re-recorded
-# when design_data put Psi in units of 2^k and the KKT solves were refined in
-# the scaled system: 16 iterations became 20, and the gamma moved by 1.4e-8
-# relative. The same data design with A drawn at spectral radius 1.05 needs
+# Status, iteration count and gamma of the D4 designs of `d4_plant`, which
+# every factorization of the KKT stack so far, one QR or a staircase of
+# stages, with or without the H2 bound eliminated, kept within the
+# tolerances below: the radius-0.7, n = 16 plant of the scale
+# measurements, in model mode and in data mode (eps = 0.02, T = 4 (n + m),
+# noise seed 0). The data design was re-recorded when design_data put Psi
+# in units of 2^k and the KKT solves were refined in the scaled system: 16
+# iterations became 20, and the gamma moved by 1.4e-8 relative. The same data design with A drawn at spectral radius 1.05 needs
 # Psi in units of 2^k to end Optimal, and its status, iterations and gamma
 # agree under OpenBLAS's SkylakeX, Haswell and Sandybridge kernels.
 RECORDED_AT_SCALE = {
@@ -1118,7 +1035,7 @@ RECORDED_AT_SCALE = {
 
 
 @pytest.mark.parametrize("mode", sorted(RECORDED_AT_SCALE))
-def test_staged_designs_at_scale(mode, monkeypatch):
+def test_designs_at_scale(mode, monkeypatch):
     eliminated = []
 
     class Recording(_KKT):
@@ -1231,7 +1148,7 @@ class TestNonzeros:
         finally:
             tracemalloc.stop()
         assert rep.status == "Optimal"
-        assert peak < stage_bytes(kkt) + kkt.T.nbytes + 8 * M * N // 2
+        assert peak < stack_bytes(kkt) + kkt.T.nbytes + 8 * M * N // 2
 
     def test_build_and_compile_hold_no_dense_g(self, monkeypatch):
         # the LMIs are built as their coefficients' nonzeros and compiled
