@@ -854,7 +854,8 @@ class TestOneQR:
             cone = _Cone(conic.dims)
             G = solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]
         else:
-            G, cone = example1_g(*system.split("-")[::-1])
+            design, mode = system.split("-")
+            G, cone = example1_g(mode, design)
         kkt, again = _KKT(cone, G), _KKT(cone, G)
         M, N = G.shape
         e = kkt.elim
