@@ -30,10 +30,7 @@ def example1_plant() -> PlantPair:
 
 
 def example1_perf() -> PerformanceSpec:
-    n, m = 3, 2
-    C = np.vstack([np.eye(n), np.zeros((m, n))])
-    D = np.vstack([np.zeros((n, m)), np.eye(m)])
-    return PerformanceSpec(C=C, D=D, E=np.eye(n))
+    return default_perf(3, 2)
 
 
 def example1_subspace() -> SubspaceSpec:

@@ -73,22 +73,22 @@ such as `struct-h2 simulate` or `verify`, need not pay. A KKT solve with no
 finite residual raises `LinAlgError`, as a failed scaling or factorization
 does; one handler ends the solve NumericalTrouble with its best iterate.
 
-The H2 bound Q enters the LMIs only as the leading q x q principal block of
-the output block [[Q, X], [X^T, Y]] and through the trace row g - tr Q, yet
-its q(q+1)/2 columns are most of G's. Where G has at least 2 `_QR_BLOCK`
-columns, the KKT takes them out of the factorization (`_Elimination`), as
-Vandenberghe, Balakrishnan, Wallin, Hansson & Roh (2005) use the structure of
-a KYP-lemma LMI's matrix variable in the Newton system. At each iterate the
+The H2 bound Q enters G only as the leading q x q principal block of the
+output block [[Q, X], [X^T, Y]] (the designs minimize tr Q itself, with no
+trace row), yet its q(q+1)/2 columns are most of G's. Where G has at least
+2 `_QR_BLOCK` columns, the KKT takes them out of the factorization
+(`_Elimination`), as Vandenberghe, Balakrishnan, Wallin, Hansson & Roh
+(2005) use the structure of a KYP-lemma LMI's matrix variable in the Newton
+system. At each iterate the
 QR R^{-1} = V Rr of the output block's scaling factor gives an orthogonal V,
 and in the block's rows rotated by V's congruence Q's image is
 svec(T' Q T'^T) on the svec(q) rows of the leading block, T' the leading
-q x q block of Rr, and zero on the others. Of those rows and the trace row,
-the least-squares problem keeps one: the projection onto the unit vector w
-orthogonal to Q's columns there. w, and dQ and its share of v in each
-solve, take q x q triangular solves by T' (`dtrtrs`). The stack that the
-QR factors is the other columns on the other rows and that one row: 673 x
-231 in place of 844 x 402 on the 12-state sharing D4 design. The refinement
-still runs against the whole scaled system, through G's products.
+q x q block of Rr, and zero on the others. That image is square and
+invertible, so Q's equations fix v on those rows, and those rows then fix
+dQ, each by q x q triangular solves by T' (`dtrtrs`). The stack that the QR
+factors is the other columns on the other rows: 672 x 230 in place of
+843 x 401 on the 12-state sharing D4 design. The refinement still runs
+against the whole scaled system, through G's products.
 
 The cone layer works per block dimension, not per block, as SDPT3 (Toh, Todd
 & Tutuncu 1999) stores blocks of one kind together. The blocks of one
@@ -559,10 +559,9 @@ def _tri_congruence(T, v, trans):
 
 
 class _Elimination:
-    """The columns of a symmetric q x q variable that enters one PSD block of
-    d > 1 only as its leading principal block, once per entry, and otherwise
-    only one 1 x 1 row: the H2 bound Q of the output block
-    [[Q, X], [X^T, Y]] >= eta I and its trace row g - tr Q >= 0. `_KKT` takes
+    """The columns of a symmetric q x q variable that enters G only as the
+    leading principal block of one PSD block of d > 1, once per entry: the
+    H2 bound Q of the output block [[Q, X], [X^T, Y]] >= eta I. `_KKT` takes
     them out of its QR and solves for them exactly.
 
     At each iterate, the QR R^{-1} = V Rr of the block's scaling factor gives
@@ -573,88 +572,62 @@ class _Elimination:
     svec(T' E T'^T) on the svec(q) rows of the leading block, with E its one
     entry, and zero on the others. With D the variable's entries in the
     block's svec (one per column, so diagonal once the columns are sorted by
-    position) and c their entries in the 1 x 1 row, the variable's columns
-    of the scaled stack are A = [K D; c^T] on those svec(q) + 1 rows, where
-    K u = svec(T' mat(u) T'^T). A has full column rank and a one-dimensional
-    left null space, spanned by the unit vector w with w_top proportional to
-    -K^{-T} D^{-1} c and w_row to 1. Minimizing over the variable's entries
-    leaves, of those rows, only the projection w^T: the stack that `_KKT`
-    factors keeps the block's other rows and, in the 1 x 1 row's place, w^T
-    times the other columns' rows. A solve then needs K^{-1} and K^{-T}
-    only, two q x q triangular solves by T' each (`_tri_congruence`).
+    position), the variable's columns of the scaled stack are A = K D on
+    those svec(q) rows and zero on all others, where
+    K u = svec(T' mat(u) T'^T). A is square and invertible, so the equations
+    of its columns fix v on those rows, and those rows' equations then fix
+    the variable's dx: the stack that `_KKT` factors is the other columns on
+    the other rows, and a solve needs K^{-1} and K^{-T} only, two q x q
+    triangular solves by T' each (`_tri_congruence`).
 
     The columns are sorted by their entry's position in svec(q): `cols`,
-    with their entries `d` in the block and `c` in the row `row` (0 where
-    the column has none). `order` lists the block's svec positions with the
-    leading block's svec(q) first, in svec(q)'s order, and `tables` are
+    with their entries `d`. `order` lists the block's svec positions with
+    the leading block's svec(q) first, in svec(q)'s order, and `tables` are
     lmi.svec_tables in that order. `top` holds the svec(q) rotated rows of
-    the other columns, and `proj` the projected row before the QR, both over
-    the stack's columns; `_KKT` sizes them, and the block's chunks write
-    `top`."""
+    the other columns, over the stack's columns; `_KKT` sizes it, and the
+    block's chunks write it."""
 
-    def __init__(self, cone: _Cone, block, q, row, cols, d, c):
-        self.block, self.q, self.row, self.cols, self.d, self.c = block, q, row, cols, d, c
+    def __init__(self, cone: _Cone, block, q, cols, d):
+        self.block, self.q, self.cols, self.d = block, q, cols, d
         self.nq = svec_len(q)
         self.rows = cone.slices[block]
         up, lo, pos, scale, _ = svec_tables(cone.dims[block])
         lead = pos[np.triu_indices(q)]
         self.order = np.concatenate([lead, np.setdiff1d(np.arange(up.size), lead)])
         self.tables = up[self.order], lo[self.order], scale[self.order]
-        self.row_block = int(np.searchsorted([sl.stop for sl in cone.slices], row, side="right"))
-        self.where, self.row_where = cone.where[block], cone.where[self.row_block]
+        self.where = cone.where[block]
 
     @classmethod
     def find(cls, cone: _Cone, rows, cols, vals, bounds, N):
         """The elimination of the largest such variable that G's table holds,
-        or None. A column qualifies in a block of d > 1 when it has one entry
-        there and none in any other block of d > 1; the variable's q is the
-        largest for which the qualifying entries in the leading q x q block
-        are svec(q), at distinct positions, and its columns must then touch
-        exactly one 1 x 1 row between them."""
-        dims = np.array(cone.dims)
-        big = dims[np.repeat(np.arange(dims.size), np.diff(bounds))] > 1
-        nbig = np.bincount(cols[big], minlength=N)
+        or None. A column qualifies in a block of d > 1 when that entry is
+        its one nonzero in G; the variable's q is the largest for which the
+        qualifying entries in the leading q x q block are svec(q), at
+        distinct positions."""
+        single = np.bincount(cols, minlength=N) == 1
         best = None
         for b, d in enumerate(cone.dims):
             if d == 1:
                 continue
             e = np.arange(bounds[b], bounds[b + 1])
-            e = e[nbig[cols[e]] == 1]
+            e = e[single[cols[e]]]
             p = rows[e] - cone.slices[b].start
             i, j = (t[p] for t in np.triu_indices(d))      # i <= j
             q = next((q for q in range(d, 0, -1) if np.count_nonzero(j < q) == svec_len(q)
                       and np.unique(p[j < q]).size == svec_len(q)), None)
-            if q is None or (best is not None and q <= best[0]):
-                continue
-            e, i, j = e[j < q], i[j < q], j[j < q]
-            scalar = ~big & np.isin(cols, cols[e])
-            if np.unique(rows[scalar]).size == 1:
-                best = q, b, e[np.argsort(svec_tables(q)[2][i, j])], scalar
+            if q is not None and (best is None or q > best[0]):
+                lead = j < q
+                best = q, b, e[lead][np.argsort(svec_tables(q)[2][i[lead], j[lead]])]
         if best is None:
             return None
-        q, b, e, scalar = best
-        c = np.zeros(N)
-        c[cols[scalar]] = vals[scalar]
-        return cls(cone, b, q, rows[scalar][0], cols[e], vals[e], c[cols[e]])
+        q, b, e = best
+        return cls(cone, b, q, cols[e], vals[e])
 
     def rotate(self, W: _Scaling):
         """Factor the block's R^{-1} at the iterate W: V, Rr and T'."""
         g, j = self.where
         self.V, self.Rr = np.linalg.qr(W.Rinv[g][j])
         self.Tq = self.Rr[:self.q, :self.q]
-
-    def project(self, W: _Scaling, row):
-        """w at the iterate, and the projected row written over row, the 1 x 1
-        row's entries of the other columns: w_row times them plus w_top^T
-        top."""
-        g, j = self.row_where
-        ri = W.Rinv[g][j, 0, 0]
-        z = -_tri_congruence(self.Tq, (ri * self.c * ri) / self.d, 1)
-        norm = math.sqrt(1.0 + float(z @ z))
-        self.w_top, self.w_row = z / norm, 1.0 / norm
-        row *= self.w_row
-        row += self.w_top @ self.top
-        self.proj[:] = row
 
     def to_block(self, x):
         """svec(V^T mat(x) V) of the block's rows x, in `order`."""
@@ -682,11 +655,10 @@ class _KKT:
 
     Built once per solve, from the equilibrated `Nonzeros` table, never from
     a dense G. Where G has at least 2 `_QR_BLOCK` columns,
-    `_Elimination.find` looks in the table for a variable that enters one
-    PSD block only as its leading principal block and otherwise one 1 x 1
-    row, the H2 bound Q. Its columns then stay out of the QR (`elim`): the
-    stack holds that block's other rows, rotated, and the projected row in
-    place of the 1 x 1 row, and `_solve` recovers them exactly. Otherwise
+    `_Elimination.find` looks in the table for a variable that enters G only
+    as one PSD block's leading principal block, the H2 bound Q. Its columns
+    then stay out of the QR (`elim`): the stack holds that block's other
+    rows, rotated, and `_solve` recovers them exactly. Otherwise
     `elim` is None and the stack is [Gt; E] itself. `free` lists the
     factored columns of G, in G's order, which are the stack's columns.
 
@@ -802,8 +774,6 @@ class _KKT:
         n = self.free.size
         if e is not None:
             e.top = np.zeros((e.nq, n), order="F")
-            e.proj = np.zeros(n)
-            self.projected = start[e.row_block]
         self.buf = np.zeros((start[-1] + self.idle.size, n), order="F")
         self.T = np.zeros((n, n), order="F")
         self.col = np.empty((self.buf.shape[0], 1), order="F")
@@ -847,8 +817,6 @@ class _KKT:
             r, c, j, v = self.scalars
             buf[r, c] = ri[j] * v * ri[j]
         buf[self.unit] = 1.0
-        if e is not None:
-            e.project(W, buf[self.projected])
 
     def factor(self, W: _Scaling):
         """Build the stack at W and factor it in place of the last iterate's
@@ -907,28 +875,20 @@ class _KKT:
         if e is None:
             return self._back(r1, r3t)
         # in the block's rotated rows y, the variable's columns A live on the
-        # leading svec(q) rows and the 1 x 1 row t; the stack holds w^T of
-        # those rows in t's place
-        b0, b1, nq, t = e.rows.start, e.rows.stop, e.nq, e.row
+        # leading svec(q) rows alone, and there v is y0, which solves
+        # A^T y0 = r1's entries of the variable; the other columns'
+        # equations lose top^T y0
+        b0, b1, nq = e.rows.start, e.rows.stop, e.nq
         y = e.to_block(r3t[b0:b1])
-        r3 = np.concatenate([r3t[:b0], y[nq:], r3t[b1:]])
-        t_stack = t - nq if t > b0 else t
-        r3[t_stack] = e.w_top @ y[:nq] + e.w_row * r3t[t]
-        # y0, on the leading rows, solves A^T y0 = r1's entries of the
-        # variable; v there is y0 - w (w^T y0) + w dv, so the other columns'
-        # equations lose top^T y0 - (w^T y0) proj
         y0 = _tri_congruence(e.Tq, r1[e.cols] / e.d, 1)
-        zy = float(e.w_top @ y0)
-        x, v = self._back(r1[self.free] - (e.top.T @ y0 - zy * e.proj), r3)
-        dv = v[t_stack] - zy
-        v_top = y0 + dv * e.w_top
+        x, v = self._back(r1[self.free] - e.top.T @ y0,
+                          np.concatenate([r3t[:b0], y[nq:], r3t[b1:]]))
         # the variable's dx is what v and the other columns leave on the
         # leading rows, through K D
-        xa = _tri_congruence(e.Tq, v_top - e.top @ x + y[:nq], 0) / e.d
+        xa = _tri_congruence(e.Tq, y0 - e.top @ x + y[:nq], 0) / e.d
         Lr = b1 - b0 - nq
-        v = np.concatenate([v[:b0], e.from_block(np.concatenate([v_top, v[b0:b0 + Lr]])),
+        v = np.concatenate([v[:b0], e.from_block(np.concatenate([y0, v[b0:b0 + Lr]])),
                             v[b0 + Lr:]])
-        v[t] = e.w_row * dv
         dx = np.empty(self.N)
         dx[self.free] = x
         dx[e.cols] = xa

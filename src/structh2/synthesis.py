@@ -9,13 +9,15 @@ structure handling:
   D3  R diagonal with L in the subspace,
   D4  R in Upsilon(S) = {R : S_l R in S for every l} with L in the subspace.
 
-Every design minimizes gamma^2 (kept linear as a scalar variable g) subject
-to the two coupled PSD blocks in (P, Q, R, L); strict definiteness is handled
-by an eta margin shift. In the data-driven variant the plant-dependent block
-is replaced by the S-procedure form with multipliers alpha >= 0, beta > 0 and
-the data matrix Psi, certifying the bound for every plant consistent with the
-batch. The gain is always recovered as K = L R^{-1}. Builders are stateless: each
-call assembles an independent problem, so concurrent synthesis calls are safe.
+Every design minimizes tr Q subject to the two coupled PSD blocks in
+(P, Q, R, L) and reports gamma = sqrt(tr Q), since gamma^2 = tr Q at the
+optimum; a fixed-gamma design instead requires tr Q <= gamma^2 and has no
+objective. Strict definiteness is handled by an eta margin shift. In the
+data-driven variant the plant-dependent block is replaced by the S-procedure
+form with multipliers alpha >= 0, beta > 0 and the data matrix Psi,
+certifying the bound for every plant consistent with the batch. The gain is
+always recovered as K = L R^{-1}. Builders are stateless: each call assembles
+an independent problem, so concurrent synthesis calls are safe.
 
 With sharing (1^T K = 0), L is declared over {L in S : 1^T L = 0}
 (`subspace.sharing_subspace`; D1 starts from all m x n gains) and R exactly as
@@ -146,12 +148,13 @@ def _declare_gain_vars(prob: LmiProblem, opts: DesignOptions, n: int, m: int):
     return Pe, Re, Le
 
 
-def _gamma_objective(prob: LmiProblem, opts: DesignOptions):
+def _bound_trace(prob: LmiProblem, opts: DesignOptions, Q) -> None:
+    """Minimize tr Q, or, for a fixed gamma, require tr Q <= gamma^2."""
+    trace = MatExpr.of(Q).trace()
     if opts.gamma is None:
-        g = prob.declare_scalar("gsq")
-        prob.minimize(g)
-        return MatExpr.of(g)
-    return MatExpr.constant([[float(opts.gamma) ** 2]])
+        prob.minimize(trace)
+    else:
+        prob.add_psd(MatExpr.constant([[float(opts.gamma) ** 2]]) - trace, name="trace_bound")
 
 
 def _finish(opts: DesignOptions, report: SolveReport, conic, values: dict,
@@ -170,8 +173,8 @@ def _finish(opts: DesignOptions, report: SolveReport, conic, values: dict,
         raise StructureViolation("decoded gain left its subspace beyond 1e-6")
     if opts.sharing and np.abs(K.sum(axis=0)).max() > 1e-6:
         raise StructureViolation("decoded gain violates the sharing constraint")
-    gamma = float(np.sqrt(max(values["gsq"][0, 0] if "gsq" in values
-                              else float(opts.gamma) ** 2, 0.0)))
+    gamma = (float(np.sqrt(max(report.objective, 0.0))) if opts.gamma is None
+             else float(opts.gamma))
     return SynthesisResult(status="Optimal", gamma=gamma, K=K, P=P, Q=Q, R=R, L=L,
                            alpha=alpha, beta=beta, report=report, conic=conic)
 
@@ -201,7 +204,6 @@ def design_model(plant: PlantPair, perf: PerformanceSpec, opts: DesignOptions) -
     prob = LmiProblem()
     Pe, Re, Le = _declare_gain_vars(prob, opts, n, m)
     Q = prob.declare_var("Q", perf.q, perf.q, kind="symmetric")
-    gexpr = _gamma_objective(prob, opts)
 
     RRP = Re + Re.T - Pe
     ARBL = A @ Re + B @ Le
@@ -212,7 +214,7 @@ def design_model(plant: PlantPair, perf: PerformanceSpec, opts: DesignOptions) -
                  margin=opts.eta, name="h2_output")
     if opts.design != "D1":
         prob.add_psd(Pe, margin=opts.eta, name="P_pd")
-    prob.add_psd(gexpr - MatExpr.of(Q).trace(), name="trace_bound")
+    _bound_trace(prob, opts, Q)
 
     conic = prob.compile()
     report = solve(conic, opts.solver)
@@ -239,7 +241,6 @@ def certify_fixed_k(plant: PlantPair, perf: PerformanceSpec, K,
     P = prob.declare_var("P", n, n, kind="symmetric")
     R = prob.declare_var("R", n, n)
     Q = prob.declare_var("Q", q, q, kind="symmetric")
-    g = prob.declare_scalar("gsq")
     Pe, Re = MatExpr.of(P), MatExpr.of(R)
     RRP = Re + Re.T - Pe
     AR = Acl @ Re
@@ -250,8 +251,7 @@ def certify_fixed_k(plant: PlantPair, perf: PerformanceSpec, K,
                  margin=eta, name="h2_noise_fixed")
     prob.add_psd(block([[MatExpr.of(Q), CR], [CR.T, RRP]]), margin=eta,
                  name="h2_output_fixed")
-    prob.trace_leq(Q, g)
-    prob.minimize(g)
+    prob.minimize(MatExpr.of(Q).trace())
     report = solve(prob.compile(), solver_opts or SolverOptions())
     if report.status != "Optimal":
         raise RuntimeError(f"fixed-gain certification failed: {report.status}")
@@ -263,8 +263,9 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
 
     Assembles the (3n+m)-dimensional S-procedure block coupling the
     certificate matrices with alpha * Psi, plus the output block, minimizing
-    gamma^2. The margin eta shifts both PSD blocks; beta is bounded below by
-    _ETA_BETA. alpha and beta are reported alongside the certificate.
+    tr Q = gamma^2 (`_bound_trace`). The margin eta shifts both PSD blocks;
+    beta is bounded below by _ETA_BETA. alpha and beta are reported
+    alongside the certificate.
     """
     n, m = batch.n, batch.m
     if perf.n != n or perf.m != m:
@@ -282,7 +283,6 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
     Q = prob.declare_var("Q", perf.q, perf.q, kind="symmetric")
     alpha = prob.declare_scalar("alpha")
     beta = prob.declare_scalar("beta")
-    gexpr = _gamma_objective(prob, opts)
 
     RRP = Re + Re.T - Pe
     # Psi in units of 2^k, the power of two nearest its largest entry: the
@@ -308,7 +308,7 @@ def design_data(batch: DataBatch, perf: PerformanceSpec, opts: DesignOptions) ->
                  margin=opts.eta, name="h2_output")
     prob.add_psd(MatExpr.of(alpha), name="alpha_nonneg")
     prob.add_psd(MatExpr.of(beta) - _ETA_BETA * np.eye(1), name="beta_pos")
-    prob.add_psd(gexpr - MatExpr.of(Q).trace(), name="trace_bound")
+    _bound_trace(prob, opts, Q)
 
     conic = prob.compile()
     report = solve(conic, opts.solver)

@@ -47,7 +47,7 @@ DESIGNS = ("D1", "D4")
 ENDGAMES = {16: (16, 8, 0, "D4 radius 1.05"), 12: (12, 6, 0, "D4 radius 1.05")}
 # the sha1 of the rows, the same under the SkylakeX, Haswell and Sandybridge
 # kernels and at 1 and 2 OpenBLAS threads
-DIGEST = "c5c059ae8c369f2fbf68d504a340aa91bb8aeb75"
+DIGEST = "3d9c1b7752210347d7ab62d780dd9bd2496d5587"
 
 
 @functools.cache

@@ -136,6 +136,46 @@ class TestDesign:
         assert len(lines) == 1
 
 
+class TestFlagOverrides:
+    """Each command-line override writes what the same value in the config
+    writes, and differs from what the config alone writes."""
+
+    @pytest.mark.parametrize("flag, value, config", [
+        ("--seed", "3", {"noise": {"eps": 0.1, "T": 20, "seed": 3}}),
+        ("--exponent", "2", {"noise": {"eps": 0.1, "T": 20, "seed": 1, "exponent": 2}}),
+        ("--plant", "example1", {"plant": "example1"}),
+    ])
+    def test_simulate_flag_matches_config(self, tmp_path, flag, value, config):
+        (tmp_path / "a.csv").write_text("0.5,0\n0,0.5\n")
+        (tmp_path / "b.csv").write_text("1,0\n0,1\n")
+        base = {"plant": {"a": str(tmp_path / "a.csv"), "b": str(tmp_path / "b.csv")},
+                "noise": {"eps": 0.1, "T": 20, "seed": 1}}
+        if flag != "--plant":
+            base["plant"] = "example1"
+        runs = {"flag": ({**base, "data_dir": str(tmp_path / "flag")}, [flag, value]),
+                "config": ({**base, **config, "data_dir": str(tmp_path / "config")}, []),
+                "base": ({**base, "data_dir": str(tmp_path / "base")}, [])}
+        for name, (cfg, extra) in runs.items():
+            path = write_cfg(tmp_path / f"{name}.json", **cfg)
+            assert main(["simulate", "--config", path] + extra) == 0
+        flagged = read_tree(tmp_path / "flag")
+        assert flagged == read_tree(tmp_path / "config")
+        assert flagged != read_tree(tmp_path / "base")
+
+    def test_eta_flag_matches_config(self, tmp_path):
+        for name, cfg, extra in (("flag", {}, ["--eta", "0.01"]), ("config", {"eta": 0.01}, [])):
+            path = write_cfg(tmp_path / f"{name}.json", plant="example1", designs=["D1"],
+                             output_dir=str(tmp_path / name), **cfg)
+            assert main(["design", "--config", path] + extra) == 0
+        assert json.loads((tmp_path / "flag" / "D1" / "result.json").read_text())["eta"] == 0.01
+        assert read_tree(tmp_path / "flag") == read_tree(tmp_path / "config")
+
+    def test_unknown_design_flag(self, tmp_path, capsys):
+        path = write_cfg(tmp_path / "c.json", plant="example1", output_dir=str(tmp_path / "out"))
+        assert main(["design", "--config", path, "--design", "D9"]) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown design 'D9'")
+
+
 class TestDesignSharing:
     def test_sharing_summary_line(self, tmp_path, capsys):
         import numpy as rnp
@@ -296,6 +336,12 @@ class TestConfigErrors:
                          output_dir=str(tmp_path / "out"), **cfg)
         code = main(["design", "--config", path])
         return code, capsys.readouterr().err
+
+    def test_structured_design_needs_a_subspace(self, tmp_path, capsys):
+        # a plant from files has no pattern of its own
+        code, err = self._design_exit(tmp_path, capsys, plant=self._plant_files(tmp_path))
+        assert code == 2
+        assert err.startswith("config error: D4 needs a 'pattern' or 'basis' in the config")
 
     def test_missing_pattern_file(self, tmp_path, capsys):
         code, err = self._design_exit(tmp_path, capsys, plant="example1",

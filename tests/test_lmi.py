@@ -190,28 +190,32 @@ class TestCompile:
         text = path.read_text()
         assert "conic_form" in text and "psd_dims 1" in text
         # the example1 D4 conic's dump, byte for byte as the dense G's rows
-        # wrote it (2338 bytes, 64 rows)
+        # wrote it (2314 bytes, 63 rows; re-recorded when the designs
+        # minimized tr Q, with no gamma^2 column and no trace row)
         conic = design_model(plant, perf, DesignOptions(design="D4", subspace=subspace,
                                                         solver=SolverOptions(max_iter=0))).conic
         conic.dump(path)
         assert hashlib.sha1(path.read_bytes()).hexdigest() == \
-            "99a1e87a679c5973b5796eac203da4892928f2a5"
+            "a7754dabf5fefa9b66b5059aece282233feeec1e"
 
     # sha1 of the bytes of G's table (rows and cols as int64, vals), h and c
     # of the example1 designs, as the dense compile gave them. The pattern
     # subspace has 0/1 bases, so no LAPACK call enters the compile. The data
     # tables were re-recorded when design_data put Psi in units of 2^k, the
     # power of two nearest its largest entry: against the tables before, only
-    # alpha's column moved, each of its values by exactly 2^-6.
+    # alpha's column moved, each of its values by exactly 2^-6. All eight
+    # were re-recorded when the designs minimized tr Q: each new table is
+    # the old one less the gamma^2 column and the trace row, with c = 1 on
+    # Q's diagonal entries in place of gamma^2's.
     PINNED = {
-        ("model", "D1"): "aecd2217a682139750c5bcb1cae554ba0ab9a30e",
-        ("model", "D2"): "92398a9f48447f5f793c13e4ce9e81ddf75c9246",
-        ("model", "D3"): "241ad5f529e324322f4512ccecbdd0f55e1aa9ac",
-        ("model", "D4"): "dbb6513a28c51ee56d6ce4967dfbfff9b351eaeb",
-        ("data", "D1"): "4450851e2fe86a31cb6fe040c5881d0e0efe705d",
-        ("data", "D2"): "8719b231a482156999cc6e207b93aa465fcdfe04",
-        ("data", "D3"): "1c9bed8acecf63f6303c20917bca1b9276ba98ac",
-        ("data", "D4"): "80dc00c16da7d17cdfea3a6e534af6d6937f1e78",
+        ("model", "D1"): "1efa213ff1c2b6de9c9d40d1cadc55be6df765f7",
+        ("model", "D2"): "5a01440b067c51dcd15b3d7b2433984137b45e9f",
+        ("model", "D3"): "4189573806074152837a7580ea20bffff8776bac",
+        ("model", "D4"): "70ca225eca7a9b275b1757f90e43ad7748a2d101",
+        ("data", "D1"): "ddfacb25353d3071613b0a97c137a35a0e63710d",
+        ("data", "D2"): "96976ad5d87ce56af89c70986980405016cf6204",
+        ("data", "D3"): "e47df00b72d44e37a722a3098c78f8ab82d10183",
+        ("data", "D4"): "5ff0887be924e080beba572a9358633d1cd9114a",
     }
 
     @pytest.mark.parametrize("mode,design", sorted(PINNED))

@@ -71,7 +71,7 @@ def d4_16_design():
 
 @pytest.fixture(scope="module")
 def d4_16_conic():
-    """The conic of `d4_16_design`: 1485 cone rows and 522 columns."""
+    """The conic of `d4_16_design`: 1484 cone rows and 521 columns."""
     return design_model(*d4_16_design()).conic
 
 
@@ -243,6 +243,68 @@ class TestCertificates:
         # and so is s after the step
         self.assert_stops_at_iteration_2(monkeypatch, "wt_apply",
                                          lambda ds: np.full_like(ds, bad), 3)
+
+    @pytest.mark.parametrize("stalled", [7, 8])
+    def test_stall_ends_the_solve(self, monkeypatch, stalled):
+        # every step of the first `stalled` iterations is cut to alpha < 1e-4
+        # (max_step is called twice an iteration): after 8 such steps in a
+        # row the solve stops at the top of iteration 8 with its best
+        # iterate, the report of the same solve stopped by max_iter = 8;
+        # after 7 it goes on to converge
+        conic = trace_floor_problem(np.eye(3))
+        calls = []
+        max_step = _Scaling.max_step
+
+        def short(W, *dirs):
+            calls.append(len(dirs))
+            step = max_step(W, *dirs)
+            return 1e-5 if len(calls) <= 2 * stalled else step
+
+        monkeypatch.setattr(_Scaling, "max_step", short)
+        rep = solve(conic)
+        if stalled == 7:
+            assert rep.status == "Optimal"
+            return
+        calls.clear()
+        want = solve(conic, SolverOptions(max_iter=8))
+        assert rep.status == "NumericalTrouble"
+        assert rep.iterations == want.iterations == 8
+        assert np.array_equal(rep.x, want.x)
+        assert (rep.objective, rep.residuals) == (want.objective, want.residuals)
+
+    @staticmethod
+    def assert_stops_with_iteration_3(monkeypatch, pres, stop):
+        """Solve trace_floor_problem(I), whose score first falls below 1e-5
+        at iteration 3 (9.8e-6) and which converges at iteration 5, with the
+        primal violation of every later iteration replaced by pres, and check
+        that the solve ends NumericalTrouble at iteration stop with iteration
+        3 as its best iterate: the report of the same solve stopped by
+        max_iter = 3, but for the iteration count."""
+        conic = trace_floor_problem(np.eye(3))
+        want = solve(conic, SolverOptions(max_iter=3))
+        calls = []
+        max_violation = _Cone.max_violation
+
+        def patched(cone, v):
+            calls.append(1)
+            return pres if len(calls) > 4 else max_violation(cone, v)
+
+        monkeypatch.setattr(_Cone, "max_violation", patched)
+        rep = solve(conic)
+        assert want.residuals["gap"] < 1e-5 and want.residuals["feas"] < 1e-5
+        assert rep.status == "NumericalTrouble"
+        assert rep.iterations == stop == len(calls) - 1
+        assert np.array_equal(rep.x, want.x)
+        assert (rep.objective, rep.residuals) == (want.objective, want.residuals)
+
+    def test_divergence_after_near_convergence_ends_the_solve(self, monkeypatch):
+        # iteration 4's score, 1, is over 1e3 times the best, 9.8e-6 < 1e-4
+        self.assert_stops_with_iteration_3(monkeypatch, 1.0, 4)
+
+    def test_no_progress_ends_the_solve(self, monkeypatch):
+        # 5e-5 is above the best score, 9.8e-6 < 1e-5, but within 1e3 times
+        # it: five iterations after the best, the solve stops at iteration 8
+        self.assert_stops_with_iteration_3(monkeypatch, 5e-5, 8)
 
     def test_max_iter_floor(self):
         # zero iterations still report the starting point; fewer is an error
@@ -596,12 +658,12 @@ class TestKktSolve:
         # L ranges over the sharing subspace: 12 fewer columns than the
         # pattern's free entries, and no equality rows
         conic = res.conic
-        assert conic.n_reduced == 402
+        assert conic.n_reduced == 401
         # one QR factorization per iteration: the H2 bound's svec(18) = 171
-        # columns are eliminated, and the 231 others factor on the 844 cone
+        # columns are eliminated, and the 230 others factor on the 843 cone
         # rows less the output block's 171 rotated rows of Q
-        assert factored == [(844 - 171, 402 - 171)] * res.report.iterations
-        assert 844 == conic.nonzeros.shape[0]
+        assert factored == [(843 - 171, 401 - 171)] * res.report.iterations
+        assert 843 == conic.nonzeros.shape[0]
 
 
 def stack_bytes(kkt):
@@ -815,12 +877,12 @@ class TestWorkspace:
         assert self.held(kkt) < stack_bytes(kkt) + kkt.T.nbytes + (1 << 20)
 
     def test_holds_no_copy_of_g_at_scale(self, d4_16_conic):
-        # the D4 model conic of a 16-state, 8-input plant: 1485 cone rows and
-        # 522 columns, whose dense smat stacks took 8.8 MB and their
+        # the D4 model conic of a 16-state, 8-input plant: 1484 cone rows and
+        # 521 columns, whose dense smat stacks took 8.8 MB and their
         # temporaries 20 MB more
         conic = d4_16_conic
         M, N = conic.nonzeros.shape
-        assert (M, N) == (1485, 522)
+        assert (M, N) == (1484, 521)
         cone = _Cone(conic.dims)
         kkt = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
         assert self.held(kkt) < stack_bytes(kkt) + kkt.T.nbytes + (1 << 20)
@@ -911,12 +973,13 @@ class TestOneQR:
         assert np.abs(kkt._qn(qt) - gx).max() <= 1e-12 * np.abs(gx).max()
 
 
-def leading_block_system(seed=3, dims=(14, 10, 1, 1), q=6, nb=50):
+def leading_block_system(seed=3, dims=(14, 10, 1, 1), q=6, nb=50, trace_row=False):
     """A G whose first svec(q) columns are a symmetric q x q variable that
-    enters block 0 only as its leading principal block, one entry per column,
-    and the 1 x 1 block 2 through its trace. Of the other columns, nb touch
-    blocks 0, 1 and 2, nb touch block 1 and the 1 x 1 block 3, and one no
-    row touches; the column order is shuffled. Returns the variable's
+    enters G only as block 0's leading principal block, one entry per
+    column; with trace_row, it enters the 1 x 1 block 2 through its trace
+    too, as a fixed-gamma design's H2 bound does. Of the other columns, nb
+    touch blocks 0, 1 and 2, nb touch block 1 and the 1 x 1 block 3, and one
+    no row touches; the column order is shuffled. Returns the variable's
     columns after G, W, the cone and the generator."""
     rng = np.random.default_rng(seed)
     cone = _Cone(dims)
@@ -926,7 +989,8 @@ def leading_block_system(seed=3, dims=(14, 10, 1, 1), q=6, nb=50):
     i, j = np.triu_indices(q)
     pos = svec_tables(dims[0])[2]
     G[cone.slices[0].start + pos[i, j], np.arange(nq)] = rng.uniform(-2.0, 2.0, nq)
-    G[cone.slices[2].start, np.flatnonzero(i == j)] = rng.uniform(0.5, 2.0, q)
+    if trace_row:
+        G[cone.slices[2].start, np.flatnonzero(i == j)] = rng.uniform(0.5, 2.0, q)
     for c0, c1, blocks in ((nq, nq + nb, [0, 1, 2]), (nq + nb, nq + 2 * nb, [1, 3])):
         for b in blocks:
             G[cone.slices[b], c0:c1] = rng.standard_normal((svec_len(cone.dims[b]), c1 - c0))
@@ -937,7 +1001,7 @@ def leading_block_system(seed=3, dims=(14, 10, 1, 1), q=6, nb=50):
 
 @pytest.fixture(scope="module")
 def sharing12_d4_conic():
-    """The conic of the sharing12 D4 model design: 844 cone rows and 402
+    """The conic of the sharing12 D4 model design: 843 cone rows and 401
     columns, 171 of them the 18 x 18 H2 bound Q's."""
     plant12, spec12 = sharing12_plant()
     return design_model(plant12, default_perf(12, 6),
@@ -946,9 +1010,9 @@ def sharing12_d4_conic():
 
 
 class TestElimination:
-    """A symmetric variable that enters one PSD block only as its leading
-    principal block, and otherwise one 1 x 1 row, stays out of the QR: the
-    KKT solves for it exactly, and the solve still solves the dense KKT."""
+    """A symmetric variable that enters G only as one PSD block's leading
+    principal block stays out of the QR: the KKT solves for it exactly, and
+    the solve still solves the dense KKT."""
 
     @staticmethod
     def assert_solves_dense_kkt(G, W, cone, rng):
@@ -974,7 +1038,7 @@ class TestElimination:
         G, W, cone, rng, cols = leading_block_system()
         kkt = self.assert_solves_dense_kkt(G, W, cone, rng)
         e = kkt.elim
-        assert (e.block, e.q, e.row) == (0, 6, cone.slices[2].start)
+        assert (e.block, e.q) == (0, 6)
         assert np.array_equal(np.sort(e.cols), cols)
         # the stack leaves out the 21 rows of the leading block
         assert kkt.col.shape[0] == G.shape[0] - 21 + kkt.idle.size
@@ -987,9 +1051,30 @@ class TestElimination:
         W = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
         self.assert_solves_dense_kkt(G.dense(), W, cone, rng)
 
+    def test_trace_row_keeps_the_variable(self):
+        # a variable that also enters a 1 x 1 row, as a fixed-gamma design's
+        # Q enters tr Q <= gamma^2, stays in the QR, and the unreduced solve
+        # still solves the dense KKT
+        G, W, cone, rng, _ = leading_block_system(trace_row=True)
+        kkt = self.assert_solves_dense_kkt(G, W, cone, rng)
+        assert kkt.elim is None
+        assert kkt.buf.shape == (G.shape[0] + kkt.idle.size, G.shape[1])
+
+    def test_fixed_gamma_keeps_the_h2_bound(self):
+        # the sharing12 D4 design with gamma fixed: its Q's diagonal columns
+        # touch the trace_bound row, so none is eliminated
+        plant12, spec12 = sharing12_plant()
+        conic = design_model(plant12, default_perf(12, 6),
+                             DesignOptions(design="D4", subspace=spec12, sharing=True, gamma=5.0,
+                                           solver=SolverOptions(max_iter=0))).conic
+        assert conic.block_names[-1] == "trace_bound" and not np.any(conic.c)
+        cone = _Cone(conic.dims)
+        kkt = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0])
+        assert kkt.N >= 2 * solver._QR_BLOCK and kkt.elim is None
+
     def test_finds_the_h2_bound(self, sharing12_d4_conic):
-        # exactly Q's svec(18) = 171 columns, in the output block, with the
-        # trace row as the one 1 x 1 row
+        # exactly Q's svec(18) = 171 columns, in the output block, which no
+        # other row touches: the design minimizes tr Q with no trace row
         conic = sharing12_d4_conic
         cone = _Cone(conic.dims)
         e = _KKT(cone, solver._equilibrate(conic.nonzeros, conic.h, conic.c, cone)[0]).elim
@@ -997,11 +1082,11 @@ class TestElimination:
         assert (e.q, e.cols.size) == (18, 171)
         assert np.array_equal(np.sort(e.cols), Q.offset + np.arange(Q.nfree))
         assert conic.block_names[e.block] == "h2_output"
-        assert cone.slices[conic.block_names.index("trace_bound")].start == e.row
+        assert "trace_bound" not in conic.block_names
 
     def test_certify_fixed_k_at_scale(self, monkeypatch):
-        # certify_fixed_k bounds tr Q through trace_leq: on the 16-state
-        # plant its Q is eliminated, and the bound still meets the H2 norm
+        # certify_fixed_k minimizes tr Q: on the 16-state plant its Q is
+        # eliminated, and the bound still meets the H2 norm
         eliminated = []
 
         class Recording(_KKT):
@@ -1170,7 +1255,7 @@ class TestNonzeros:
         finally:
             tracemalloc.stop()
         M, N = got.value.args[0].nonzeros.shape
-        assert (M, N) == (1485, 522)
+        assert (M, N) == (1484, 521)
         assert peak < 8 * M * N // 2
 
     def test_solve_adds_no_scipy_sparse(self):
@@ -1535,22 +1620,25 @@ class TestKernelBits:
 # a rewrite of the IPM loop that keeps its arithmetic keeps these exactly; one
 # that changes the arithmetic fails here and must say why the numbers moved.
 RECORDED = {
-    ("model", "D1"): ("Optimal", 10, 2.1570510918237864),
-    ("model", "D2"): ("Optimal", 10, 3.5701048524631824),
-    ("model", "D3"): ("Optimal", 11, 3.012718850422498),
-    ("model", "D4"): ("Optimal", 11, 2.9831891589986066),
+    # every design was re-recorded when the LMIs minimized tr Q itself, with
+    # no gamma^2 variable and no trace row (gamma = sqrt(tr Q)): iterations
+    # moved by at most 1, and the gammas by 3.6e-10 to 1.4e-7 relative, the
+    # largest on data D1, which now stops one iteration earlier inside
+    # tol_gap (old and new end within 1.8e-7 of a solve to tol 1e-11)
+    ("model", "D1"): ("Optimal", 10, 2.157051093366807),
+    ("model", "D2"): ("Optimal", 11, 3.570104865502452),
+    ("model", "D3"): ("Optimal", 11, 3.012718848821994),
+    ("model", "D4"): ("Optimal", 10, 2.9831891499275196),
     # the fresh eps = 0.05, T = 20 record of the benchmark's small-sdp
-    # workload, re-recorded when design_data put Psi in units of 2^k and the
-    # KKT solves were refined in the scaled system: 13, 13, 14 and 12
-    # iterations became 14, 14, 13 and 14, and the gammas moved by 1e-8 to
-    # 4e-8 relative, inside tol_gap. The model and sharing designs held.
-    ("data", "D1"): ("Optimal", 14, 2.3940247117058027),
-    ("data", "D2"): ("Optimal", 14, 4.388124305470896),
-    ("data", "D3"): ("Optimal", 13, 3.532104903652941),
-    ("data", "D4"): ("Optimal", 14, 3.4833891952975544),
+    # workload, re-recorded before that when design_data put Psi in units of
+    # 2^k and the KKT solves were refined in the scaled system
+    ("data", "D1"): ("Optimal", 13, 2.3940250368059695),
+    ("data", "D2"): ("Optimal", 13, 4.388124400912666),
+    ("data", "D3"): ("Optimal", 13, 3.532104933123057),
+    ("data", "D4"): ("Optimal", 14, 3.4833892871855014),
     # the criterion-7 sharing plant, whose blocks reach d = 30
-    ("sharing", "D1"): ("Optimal", 9, 4.33596860083306),
-    ("sharing", "D4"): ("Optimal", 11, 4.621524740789265),
+    ("sharing", "D1"): ("Optimal", 9, 4.335968606585238),
+    ("sharing", "D4"): ("Optimal", 11, 4.621524742454437),
 }
 
 

@@ -55,18 +55,38 @@ class TestDesignModel:
 
     def test_d4_declares_r_in_upsilon(self, plant, perf, subspace):
         # R ranges over Upsilon(S) directly, with no multiplier: 6 free
-        # entries of P, 5 of R, 4 of L, 15 of Q and gamma^2
+        # entries of P, 5 of R, 4 of L and 15 of Q
         res = design_model(plant, perf, opts_for("D4", subspace))
-        assert res.conic.n_reduced == 31
+        assert res.conic.n_reduced == 30
+
+    @pytest.mark.parametrize("mode", ["model", "data"])
+    def test_minimizes_the_trace_of_q(self, plant, perf, subspace, batch, mode):
+        # no gamma^2 variable and no trace row: c is 1 on Q's diagonal
+        # entries and 0 elsewhere, and gamma is sqrt(tr Q), the objective
+        opts = opts_for("D4", subspace)
+        res = (design_model(plant, perf, opts) if mode == "model"
+               else design_data(batch, perf, opts))
+        assert res.status == "Optimal"
+        conic = res.conic
+        (Q,) = [v for v in conic.vars if v.name == "Q"]
+        c = np.zeros(conic.n_reduced)
+        c[Q.offset + Q.index[np.arange(Q.rows), np.arange(Q.rows)]] = 1.0
+        assert np.array_equal(conic.c, c)
+        assert "trace_bound" not in conic.block_names
+        assert [v.name for v in conic.vars if v.nfree == 1] == ([] if mode == "model"
+                                                                 else ["alpha", "beta"])
+        assert res.gamma == np.sqrt(res.report.objective)
+        assert res.gamma == pytest.approx(np.sqrt(np.trace(res.Q)), rel=1e-12)
 
     @pytest.mark.parametrize("design", ["D2", "D3", "D4"])
     def test_sharing_leaves_only_the_zero_gain(self, plant, perf, design):
         # each input owns one state, so 1^T L = 0 forces L = 0: the sharing
         # subspace is {0} and the design runs with K = 0 (iterations and
-        # gammas recorded with the earlier equality-row formulation)
-        iterations, gamma = {"D2": (12, 4.742810711419024),
-                             "D3": (12, 3.5460568936890793),
-                             "D4": (11, 3.363575038339567)}[design]
+        # gammas re-recorded when the designs minimized tr Q, with no gamma^2
+        # variable and no trace row)
+        iterations, gamma = {"D2": (12, 4.742810712509068),
+                             "D3": (11, 3.546056893545347),
+                             "D4": (11, 3.363575043553341)}[design]
         spec = from_pattern(np.array([[1, 0, 0], [0, 1, 0]]))
         res = design_model(plant, perf, DesignOptions(design=design, subspace=spec,
                                                       sharing=True))
