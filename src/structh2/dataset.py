@@ -79,7 +79,7 @@ class NoiseModel:
     validated here: Phi11 must be PSD and -Phi22 positive definite. Or the
     per-sample ball bound of `phi_ball`, Phi = blkdiag(T*eps^exponent*I_n,
     -I_T), kept as (n, T, eps, exponent) alone: no (n+T)^2 array is held, and
-    `phi` and its blocks are built on each access.
+    `phi` is built on each access.
     """
 
     n: int
@@ -111,34 +111,14 @@ class NoiseModel:
                             ("_phi", phi)):
             object.__setattr__(self, name, value)
 
-    def _ball_phi11(self) -> float:
-        return self.T * (self.eps ** self.exponent)
-
     def _ball_diagonal(self) -> np.ndarray:
         """Diagonal [T*eps^exponent*1_n, -1_T] of a ball model's Phi."""
-        return np.concatenate([np.full(self.n, self._ball_phi11()), -np.ones(self.T)])
+        return np.concatenate([np.full(self.n, self.T * (self.eps ** self.exponent)),
+                               -np.ones(self.T)])
 
     @property
     def phi(self) -> np.ndarray:
         return np.diag(self._ball_diagonal()) if self._phi is None else self._phi
-
-    @property
-    def phi11(self) -> np.ndarray:
-        if self._phi is None:
-            return self._ball_phi11() * np.eye(self.n)
-        return self._phi[:self.n, :self.n]
-
-    @property
-    def phi12(self) -> np.ndarray:
-        if self._phi is None:
-            return np.zeros((self.n, self.T))
-        return self._phi[:self.n, self.n:]
-
-    @property
-    def phi22(self) -> np.ndarray:
-        if self._phi is None:
-            return -np.eye(self.T)
-        return self._phi[self.n:, self.n:]
 
 
 def phi_ball(n: int, T: int, eps: float, exponent: int = 1) -> NoiseModel:

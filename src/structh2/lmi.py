@@ -92,11 +92,6 @@ class MatrixVar:
     nfree: int
     index: np.ndarray               # (rows, cols) local free index, -1 = forced zero
 
-    def entry_free(self, i: int, j: int) -> int | None:
-        """Local free index carrying entry (i, j), or None if forced zero."""
-        f = int(self.index[i, j])
-        return None if f < 0 else f
-
     def value(self, xfree: np.ndarray) -> np.ndarray:
         # the appended zero is what index -1 picks
         return np.append(np.asarray(xfree, dtype=float), 0.0)[self.index]
@@ -397,11 +392,6 @@ class LmiProblem:
         self._check_declared(expr)
         self.blocks.append(_PsdBlock(name or f"psd{len(self.blocks)}", expr, float(margin)))
 
-    def trace_leq(self, Q: MatrixVar, g: MatrixVar) -> None:
-        """Add the 1x1 block g - Tr(Q) >= 0."""
-        self.add_psd(MatExpr.of(g) - MatExpr.of(Q).trace(), margin=0.0,
-                     name="trace_bound")
-
     def minimize(self, expr) -> None:
         expr = MatExpr.of(expr) if isinstance(expr, MatrixVar) else expr
         if (expr.rows, expr.cols) != (1, 1):
@@ -527,19 +517,3 @@ class ConicForm:
     def decode(self, x: np.ndarray) -> dict:
         """Named variable values from a solution vector."""
         return {v.name: v.value(x[v.offset:v.offset + v.nfree]) for v in self.vars}
-
-    def dump(self, path) -> None:
-        """Self-describing text export: dimensions plus sparse triplets."""
-        G = self.nonzeros
-        M = G.shape[0]
-        bounds = np.searchsorted(G.rows, np.arange(M + 1)).tolist()
-        cols, vals, h = G.cols.tolist(), G.vals.tolist(), self.h.tolist()
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"conic_form n={self.n_reduced} cone_rows={M}\n")
-            fh.write("psd_dims " + " ".join(str(d) for d in self.dims) + "\n")
-            fh.write("c " + " ".join(f"{i}:{v:.17g}" for i, v in enumerate(self.c) if v) + "\n")
-            fh.write(f"obj_const {self.obj_const:.17g}\n")
-            for r in range(M):
-                lo, hi = bounds[r], bounds[r + 1]
-                trip = " ".join(f"{cix}:{v:.17g}" for cix, v in zip(cols[lo:hi], vals[lo:hi]))
-                fh.write(f"G {r} rhs={h[r]:.17g} {trip}\n")

@@ -185,7 +185,6 @@ class SolverOptions:
     tol_feas: float = 1e-8
     tol_gap: float = 1e-7
     max_iter: int = 200
-    verbose: bool = False
 
     def __post_init__(self):
         # each message starts with the field it names
@@ -963,9 +962,6 @@ def solve(conic: ConicForm, opts: SolverOptions | None = None) -> SolveReport:
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
             best = (score, X.copy(), pobj, {"feas": max(pres, dres), "gap": gap}, it)
-        if opts.verbose:
-            print(f"  it={it:3d} pres={pres:.2e} dres={dres:.2e} gap={gap:.2e} "
-                  f"kappa={kappa:.2e}")
         if pres <= opts.tol_feas and dres <= opts.tol_feas and gap <= opts.tol_gap:
             return SolveReport(status="Optimal", x=X,
                                objective=pobj + conic.obj_const,

@@ -1,9 +1,8 @@
-"""Controller structure: gain subspaces, representation matrices, and Upsilon(S).
+"""Controller structure: gain subspaces and Upsilon(S).
 
-A subspace S of m-by-n gains is carried as an explicit basis {S_1..S_k}
-together with the representation matrix [S_1 ... S_k]. Sparsity patterns are
-the common special case; basis order for patterns is the row-major scan of
-the free positions, so representation matrices and constraint indices are
+A subspace S of m-by-n gains is carried as an explicit basis {S_1..S_k}.
+Sparsity patterns are the common special case; basis order for patterns is
+the row-major scan of the free positions, so bases and constraint indices are
 reproducible.
 
 Upsilon(S) is the set of square matrices R for which membership of L in S
@@ -31,7 +30,7 @@ from .linalg import as_matrix, csv_row, read_matrix_csv
 
 @dataclass(frozen=True)
 class SubspaceSpec:
-    """Gain subspace with basis, optional sparsity pattern, and representation matrix."""
+    """Gain subspace with basis and optional sparsity pattern."""
 
     m: int
     n: int
@@ -41,11 +40,6 @@ class SubspaceSpec:
     @property
     def k(self) -> int:
         return len(self.basis)
-
-    @property
-    def repmat(self) -> np.ndarray:
-        """Horizontal concatenation [S_1 ... S_k], shape m x (n*k)."""
-        return np.hstack(self.basis)
 
     @property
     def vec_basis(self) -> np.ndarray:

@@ -53,11 +53,6 @@ class VerificationReport:
                "violations": [str(v) for v in self.violations]}
         return json.dumps(doc, sort_keys=True, indent=1)
 
-    @staticmethod
-    def from_json(text: str) -> "VerificationReport":
-        doc = json.loads(text)
-        return VerificationReport(**doc)
-
 
 def _structure_checks(K, subspace: SubspaceSpec | None, sharing: bool, violations):
     structure_ok = True

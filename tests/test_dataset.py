@@ -15,17 +15,17 @@ from structh2.plants import EXAMPLE1_X0
 
 class TestPhiBall:
     def test_benchmark_values(self):
-        noise = phi_ball(3, 20, 0.1)
-        assert np.array_equal(noise.phi11, 2.0 * np.eye(3))
-        assert np.array_equal(noise.phi22, -np.eye(20))
-        assert np.array_equal(noise.phi12, np.zeros((3, 20)))
+        phi = phi_ball(3, 20, 0.1).phi
+        assert np.array_equal(phi[:3, :3], 2.0 * np.eye(3))
+        assert np.array_equal(phi[3:, 3:], -np.eye(20))
+        assert np.array_equal(phi[:3, 3:], np.zeros((3, 20)))
 
     def test_single_sample(self):
-        assert np.array_equal(phi_ball(4, 1, 1.0).phi11, np.eye(4))
+        assert np.array_equal(phi_ball(4, 1, 1.0).phi[:4, :4], np.eye(4))
 
     def test_squared_bound(self):
         noise = phi_ball(3, 20, 0.1, exponent=2)
-        assert np.allclose(noise.phi11, 0.2 * np.eye(3))
+        assert np.allclose(noise.phi[:3, :3], 0.2 * np.eye(3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ class TestPsi:
         noise = phi_ball(2, 3, 0.5)
         batch = DataBatch(np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 3)), noise)
         psi = batch.psi
-        assert np.array_equal(psi[:2, :2], noise.phi11)
+        assert np.array_equal(psi[:2, :2], noise.phi[:2, :2])
         assert np.abs(psi[2:, :]).max() == 0.0
         assert np.abs(psi[:, 2:]).max() == 0.0
 
@@ -317,7 +317,7 @@ class TestDiskFormat:
         assert np.array_equal(short.xminus, batch.xminus[:, :6])
         assert np.array_equal(short.xplus, batch.xplus[:, :6])
         assert short.noise.T == 6
-        assert np.allclose(short.noise.phi11, 6 * 0.1 ** 2 * np.eye(3))
+        assert np.allclose(short.noise.phi[:3, :3], 6 * 0.1 ** 2 * np.eye(3))
         with pytest.raises(ValueError):
             batch.prefix(0)
 

@@ -35,7 +35,7 @@ def trace_floor_problem(M):
     X = prob.declare_var("X", d, d, kind="symmetric")
     g = prob.declare_scalar("g")
     prob.add_psd(MatExpr.of(X) - M)
-    prob.trace_leq(X, g)
+    prob.add_psd(MatExpr.of(g) - MatExpr.of(X).trace(), name="trace_bound")
     prob.minimize(g)
     return prob.compile()
 

@@ -16,8 +16,6 @@ def test_from_pattern_basis_row_major():
         ref = np.zeros((2, 3))
         ref[i, j] = 1.0
         assert np.array_equal(S, ref)
-    assert spec.repmat.shape == (2, 12)
-    assert np.array_equal(spec.repmat, np.hstack(spec.basis))
 
 
 def test_all_ones_spans_everything():

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -191,15 +192,11 @@ class TestStackedVerifyData:
 class TestReportSerialization:
     def test_json_round_trip(self, plant, perf):
         report = verify_model(plant, perf, np.zeros((2, 3)))
-        again = VerificationReport.from_json(report.to_json())
-        assert again == report
+        assert VerificationReport(**json.loads(report.to_json())) == report
 
     def test_unstable_sentinel_is_null(self):
         plant = PlantPair(A=[[2.0]], B=[[0.0]])
         perf = PerformanceSpec(C=[[1.0]], D=[[0.0]], E=[[1.0]])
-        text = verify_model(plant, perf, [[0.0]]).to_json()
-        import json
-
-        doc = json.loads(text)
+        doc = json.loads(verify_model(plant, perf, [[0.0]]).to_json())
         assert doc["h2"] is None
         assert doc["unstable"] is True
