@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInterior, RankDeficientData
-from .linalg import as_matrix, min_eig, symmetrize, read_matrix_csv, write_matrix_csv
+from .linalg import as_matrix, check_count, min_eig, symmetrize, read_matrix_csv, write_matrix_csv
 
 
 @dataclass(frozen=True)
@@ -298,13 +298,14 @@ def sample_consistent(batch: DataBatch, count: int, mode: str = "interior",
 
     C is a random (n+m) x n contraction: spectral norm == 1 in "boundary"
     mode (margin 0 up to roundoff), <= 1 uniform-scaled in "interior" mode.
-    Returns a `PlantStack` of `count` plants. The loop only draws, in the
-    order of one plant at a time (normal C, then its uniform scale); the
-    norms and products run once on the whole (count, n+m, n) stack, through
-    the same LAPACK and BLAS calls per matrix. Raises RankDeficientData
-    when Psi22 is not negative definite and EmptyInterior when the Schur
-    slack Delta is not PSD.
+    Returns a `PlantStack` of `count` plants, an integer >= 0. The loop
+    only draws, in the order of one plant at a time (normal C, then its
+    uniform scale); the norms and products run once on the whole
+    (count, n+m, n) stack, through the same LAPACK and BLAS calls per
+    matrix. Raises RankDeficientData when Psi22 is not negative definite and
+    EmptyInterior when the Schur slack Delta is not PSD.
     """
+    check_count(count, "count")
     if mode not in ("interior", "boundary"):
         raise ValueError("mode must be 'interior' or 'boundary'")
     psi11, psi12, psi22, Zc = _center(batch)

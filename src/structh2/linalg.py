@@ -10,6 +10,8 @@ inputs; results are safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionMismatch, UnstableMatrix
@@ -29,6 +31,16 @@ def as_matrix(a, rows=None, cols=None, name="matrix") -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
+
+
+def check_count(value, name):
+    """Raise ValueError, starting with `name`, unless value is an integer >= 0.
+
+    A bool is rejected: True would count as one. So is 2.5, which numpy would
+    reject only deep inside the call that sizes an array with it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def symmetrize(M, name="matrix") -> np.ndarray:

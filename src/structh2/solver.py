@@ -66,12 +66,16 @@ applications of Q or Q^T (`dgemqrt`) reuses those factors rather than forming
 them again. `_qr_factor` and `_qr_apply` are the KKT factorization's only
 calls into LAPACK's QR (the small QR of an eliminated block's scaling factor
 is `np.linalg.qr`'s), and the first call of either, or of
-`_tri_congruence`, imports scipy's wrappers of these routines and of
-`dtrtrs` (`_load_lapack`). Importing this module does not:
-scipy.linalg takes about 0.1 s to import, which a process that never solves,
-such as `struct-h2 simulate` or `verify`, need not pay. A KKT solve with no
-finite residual raises `LinAlgError`, as a failed scaling or factorization
-does; one handler ends the solve NumericalTrouble with its best iterate.
+`_tri_congruence`, binds scipy's wrappers of these routines and of `dtrtrs`
+(`_load_lapack`). Importing this module does not, so a process that never
+solves, such as `struct-h2 simulate` or `verify`, loads no scipy. The
+wrappers come from scipy's f2py extension `scipy.linalg._flapack`, loaded
+on its own: importing `scipy.linalg.lapack` runs all of scipy.linalg's
+package init, 0.17-0.28 s and 25 MB of a process, where the extension takes
+0.014-0.022 s and 2.6 MB (scipy 1.17, a 2-vCPU x86-64 host). A KKT solve
+with no finite residual raises `LinAlgError`, as a failed scaling or
+factorization does; one handler ends the solve NumericalTrouble with its
+best iterate.
 
 The H2 bound Q enters G only as the leading q x q principal block of the
 output block [[Q, X], [X^T, Y]] (the designs minimize tr Q itself, with no
@@ -149,11 +153,11 @@ last bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import check_count
 from .lmi import ConicForm, Nonzeros, smat, svec, svec_len, svec_tables
 
 # scipy's LAPACK wrappers, bound by `_load_lapack` on first use
@@ -161,8 +165,32 @@ dgeqrt = dgemqrt = dtrtrs = None
 
 
 def _load_lapack():
+    """Bind dgeqrt, dgemqrt and dtrtrs from scipy's f2py extension
+    `scipy.linalg._flapack`, loaded on its own.
+
+    `import scipy` is the light top-level package, whose init sets up the
+    platform's libraries; the extension is then found under its `linalg`
+    directory and executed without `scipy.linalg`'s package init, which
+    imports the whole of scipy.linalg. The extension registers itself in
+    `sys.modules` as it loads, so a later `import scipy.linalg` reuses it and
+    `scipy.linalg.lapack`'s wrappers are these same objects. An install whose
+    extensions are not under `scipy.__path__`, as an editable scipy whose
+    extensions sit in a build tree, binds them through `scipy.linalg.lapack`.
+    """
     global dgeqrt, dgemqrt, dtrtrs
-    from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtrs
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(p, "linalg") for p in scipy.__path__])
+    if spec is None:
+        from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtrs
+        return
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    dgeqrt, dgemqrt, dtrtrs = flapack.dgeqrt, flapack.dgemqrt, flapack.dtrtrs
 
 
 def __getattr__(name):
@@ -193,9 +221,7 @@ class SolverOptions:
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
         # 2.5 would fail inside the solve's range(), and True run one iteration
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 0):
-            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        check_count(self.max_iter, "max_iter")
 
 
 @dataclass

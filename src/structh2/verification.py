@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import DataBatch, PlantPair, consistency, sample_consistent
 from .errors import UnstableMatrix
-from .linalg import as_matrix, h2_norm
+from .linalg import as_matrix, check_count, h2_norm
 from .subspace import SubspaceSpec, contains
 from .synthesis import PerformanceSpec
 
@@ -107,7 +107,8 @@ def verify_data(batch: DataBatch, perf: PerformanceSpec, K, gamma: float,
     spectral radius >= 1 - 1e-9 (the margin of `solve_dlyap`) or h2 > gamma
     * (1 + 1e-4). With samples = 0 only the membership of `truth` (when
     given) is reported. gamma must be finite and > 0: a NaN or infinite
-    bound checks nothing, and a nonpositive one fails every sample.
+    bound checks nothing, and a nonpositive one fails every sample. samples
+    must be an integer >= 0, a bool excluded.
 
     The two sampled `PlantStack`s are closed with K as one (samples, n, n)
     stack and go through one stacked `h2_norm` call, whose nan entries are
@@ -115,6 +116,7 @@ def verify_data(batch: DataBatch, perf: PerformanceSpec, K, gamma: float,
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
+    check_count(samples, "samples")
     K = as_matrix(K, rows=batch.m, cols=batch.n, name="K")
     violations = []
     if truth is not None:

@@ -252,6 +252,14 @@ class TestSampler:
         assert np.array_equal(head.A, plants.A[2:5]) and np.array_equal(head.B, plants.B[2:5])
         assert len(sample_consistent(batch, 0, seed=3)) == 0
 
+    @pytest.mark.parametrize("count", [-1, 2.5, True, "3", None])
+    def test_count_must_be_an_integer(self, batch, count):
+        # unchecked, -1 fails in numpy's "negative dimensions", 2.5 deeper
+        # in numpy, and True draws one plant
+        with pytest.raises(ValueError, match="^count must be an integer >= 0"):
+            sample_consistent(batch, count, seed=3)
+        assert len(sample_consistent(batch, np.int64(2), seed=3)) == 2
+
 
 class TestDiskFormat:
     def test_round_trip_ball(self, batch, tmp_path):

@@ -1274,6 +1274,8 @@ class TestNonzeros:
 EXAMPLE1_D4 = ("import structh2 as sh\n"
                "res = sh.design_model(sh.example1_plant(), sh.example1_perf(),\n"
                "                      sh.DesignOptions(design='D4', subspace=sh.example1_subspace()))\n")
+# the solver's LAPACK wrappers, by name
+LAPACK_NAMES = "LAPACK = ('dgeqrt', 'dgemqrt', 'dtrtrs')\n"
 # prints the scipy modules that a fresh interpreter has loaded
 SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
 
@@ -1290,8 +1292,10 @@ def run_fresh(code, *args):
 
 
 class TestLazyLapack:
-    """scipy's LAPACK is imported on the first factorization, not with
-    structh2, so a process that never solves does not load scipy at all."""
+    """scipy's LAPACK is loaded on the first factorization, not with
+    structh2, so a process that never solves does not load scipy at all; and
+    the first solve loads the extension `scipy.linalg._flapack` alone, not the
+    rest of scipy.linalg."""
 
     def test_import_loads_no_scipy(self):
         assert run_fresh("import sys, structh2, structh2.cli\n" + SCIPY_LOADED) == "[]\n"
@@ -1323,15 +1327,59 @@ class TestLazyLapack:
         assert run_fresh(code, sim, ver).splitlines()[-2:] == ["[0, 0]", "[]"]
 
     def test_first_solve_loads_lapack(self, plant, perf, subspace):
+        # the three wrappers are bound, and of scipy.linalg only the
+        # extension that holds them is loaded
         res = design_model(plant, perf, DesignOptions(design="D4", subspace=subspace))
         code = ("import sys\n"
                 "from structh2 import solver\n"
-                "print(solver.dtrtrs is None, 'scipy.linalg.lapack' in sys.modules)\n"
-                + EXAMPLE1_D4 +
-                "print(solver.dtrtrs is None, 'scipy.linalg.lapack' in sys.modules)\n"
+                "def state():\n"
+                "    bound = [getattr(solver, f) is not None for f in LAPACK]\n"
+                "    print(bound, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+                + LAPACK_NAMES + "state()\n" + EXAMPLE1_D4 + "state()\n"
                 "print(res.status, repr(res.gamma))")
         assert run_fresh(code).splitlines() == [
-            "True False", "False True", f"{res.status} {res.gamma!r}"]
+            "[False, False, False] []", "[True, True, True] ['scipy.linalg._flapack']",
+            f"{res.status} {res.gamma!r}"]
+
+    @pytest.mark.parametrize("first", ["scipy.linalg", "solve"])
+    def test_wrappers_are_scipy_linalg_lapacks(self, first):
+        # the extension is one module whichever of scipy.linalg and the
+        # solver loads it first: the solver's wrappers are scipy.linalg.lapack's
+        code = ("import sys\n"
+                "from structh2 import solver\n"
+                + LAPACK_NAMES +
+                "if sys.argv[1] == 'scipy.linalg':\n"
+                "    import scipy.linalg.lapack\n"
+                + EXAMPLE1_D4 +
+                "import scipy.linalg.lapack\n"
+                "print(res.status, [getattr(solver, f) is getattr(scipy.linalg.lapack, f)\n"
+                "                   for f in LAPACK])")
+        assert run_fresh(code, first) == "Optimal [True, True, True]\n"
+
+    def test_fallback_without_the_extension_file(self):
+        # where no _flapack file sits under scipy.__path__, as in an editable
+        # scipy built out of tree, the loader's lookup finds nothing: it then
+        # binds the same wrappers through scipy.linalg.lapack. The lookup is
+        # hidden once, so that scipy.linalg's own import still finds the file.
+        code = ("import sys\n"
+                "from importlib.machinery import PathFinder\n"
+                "from structh2 import solver\n"
+                + LAPACK_NAMES +
+                "real = PathFinder.find_spec\n"
+                "hidden = []\n"
+                "def find_spec(name, path=None, target=None):\n"
+                "    if name == 'scipy.linalg._flapack' and not hidden:\n"
+                "        hidden.append(name)\n"
+                "        return None\n"
+                "    return real(name, path, target)\n"
+                "PathFinder.find_spec = find_spec\n"
+                "solver._load_lapack()\n"
+                "PathFinder.find_spec = real\n"
+                "print(hidden, 'scipy.linalg.lapack' in sys.modules)\n"
+                "import scipy.linalg.lapack\n"
+                "print([getattr(solver, f) is getattr(scipy.linalg.lapack, f) for f in LAPACK])")
+        assert run_fresh(code).splitlines() == [
+            "['scipy.linalg._flapack'] True", "[True, True, True]"]
 
     @pytest.mark.parametrize("order", [("_qr_factor", "_qr_apply"), ("_qr_apply", "_qr_factor")],
                              ids=["factor-first", "apply-first"])

@@ -96,6 +96,16 @@ class TestVerifyData:
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):
             verify_data(batch, perf, certified.K, gamma, samples=20, seed=0)
 
+    @pytest.mark.parametrize("samples", [-5, 2.5, True, "20", None])
+    def test_samples_must_be_an_integer(self, perf, batch, certified, samples):
+        # unchecked, -5 passes with no sample checked, 2.5 fails deep in
+        # numpy and True checks one sample
+        with pytest.raises(ValueError, match="^samples must be an integer >= 0"):
+            verify_data(batch, perf, certified.K, certified.gamma, samples=samples, seed=0)
+        report = verify_data(batch, perf, certified.K, certified.gamma,
+                             samples=np.int64(4), seed=0)
+        assert report.ok and report.samples_checked == 4
+
     def test_deterministic(self, perf, batch, certified):
         r1 = verify_data(batch, perf, certified.K, certified.gamma, samples=60, seed=9)
         r2 = verify_data(batch, perf, certified.K, certified.gamma, samples=60, seed=9)
